@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .polynomials import Polynomial, PolyMatrix
 
 
@@ -32,10 +34,19 @@ class SemialgebraicSet:
                     f"constraint over {p.n_vars} variables in a {self.n_vars}-variable set"
                 )
 
+    def contains_many(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Membership of each row of ``points`` (shape (N, n_vars)), as a
+        boolean array of length N."""
+        points = np.asarray(points, dtype=float)
+        inside = np.ones(points.shape[0], dtype=bool)
+        for g in self.inequalities:
+            inside &= g.evaluate_many(points) >= -tol
+        for h in self.equalities:
+            inside &= np.abs(h.evaluate_many(points)) <= tol
+        return inside
+
     def contains(self, point: Sequence[float], tol: float = 1e-9) -> bool:
-        return all(g.evaluate(point) >= -tol for g in self.inequalities) and all(
-            abs(h.evaluate(point)) <= tol for h in self.equalities
-        )
+        return bool(self.contains_many(np.asarray(point, dtype=float)[None, :], tol)[0])
 
     def max_constraint_degree(self) -> int:
         degs = [p.degree for p in self.inequalities + self.equalities]

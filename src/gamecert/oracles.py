@@ -4,9 +4,20 @@ self-contained eigensolver.
 Everything here deliberately avoids the symbolic certification path: the
 eigensolver is cyclic Jacobi (not the SDP), derivatives are checked by
 central finite differences, and membership certificates are audited by
-pointwise evaluation.  Sampling is reproducible: the stream for attempt i
-is derived from (seed, i), so results do not depend on chunking or
-parallelism.
+pointwise evaluation.  Each check works on whole arrays: the eigensolver
+takes an (N, k, k) stack, and points are drawn and tested for membership a
+block at a time.
+
+Sampling is reproducible and counter-based.  Attempt i of a seed takes its
+coordinates from row i mod SAMPLE_BLOCK of block i // SAMPLE_BLOCK, where
+block b is the Philox stream keyed by the seed and started at counter
+(0, b, 0, 0) (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011).  The coordinates of an attempt depend only on the seed, its index
+and the number of variables, so results do not depend on chunking or
+parallelism.  Sphere directions and finite-difference points come from the
+same key with other values of the third counter word.  Earlier releases drew
+one generator per attempt, so the sampled points, maxima and argmax points
+for a given seed differ from theirs.
 """
 
 from __future__ import annotations
@@ -22,44 +33,89 @@ from .polynomials import Polynomial
 DEFAULT_SEED = 0x5EED
 
 
+# Matrices of a stack go through the sweeps this many at a time, so the
+# working memory does not grow with the stack.
+JACOBI_SLICE = 2048
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
     ascending.  Deterministic and dependency-free on purpose: this is the
-    reference the SDP route is checked against."""
-    A = np.array(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("jacobi_eigenvalues needs a square matrix")
-    if np.max(np.abs(A - A.T)) > 1e-10 * (1.0 + np.max(np.abs(A))):
+    reference the SDP route is checked against.
+
+    ``matrix`` is one (k, k) matrix or an (N, k, k) stack; the result has
+    shape (k,) or (N, k).  Every matrix of a stack goes through the same
+    sweeps it would get alone, until it converges, so row i of a stacked
+    call equals the call on matrix i bit for bit.
+    """
+    stack = np.asarray(matrix, dtype=float)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("jacobi_eigenvalues needs a square matrix or a stack of them")
+    values = np.empty(stack.shape[:2])
+    for start in range(0, stack.shape[0], JACOBI_SLICE):
+        part = slice(start, start + JACOBI_SLICE)
+        values[part] = _jacobi_sweeps(np.array(stack[part]), tol, max_sweeps)
+    return values[0] if single else values
+
+
+def _jacobi_sweeps(A: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of the stack A, which is
+    overwritten; converged matrices leave the working stack."""
+    n = A.shape[1]
+    At = A.transpose(0, 2, 1)
+    work = np.abs(A)
+    size = work.max(axis=(1, 2))
+    np.abs(np.subtract(A, At, out=work), out=work)
+    if np.any(work.max(axis=(1, 2)) > 1e-10 * (1.0 + size)):
         raise ValueError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    if n == 1:
-        return A[0].copy()
-    scale = np.max(np.abs(A)) or 1.0
+    A = np.multiply(np.add(A, At, out=work), 0.5, out=A)
+    del work, At
+    scale = np.where(size > 0.0, size, 1.0)
+    values = np.empty(A.shape[:2])
+    # A holds the matrices still rotating; lanes[j] is the stack index of A[j]
+    lanes = np.arange(A.shape[0])
     for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
-        if off <= tol * scale:
-            break
+        diag = np.diagonal(A, axis1=1, axis2=2)
+        off = np.sqrt(np.maximum(0.0, (A * A).sum(axis=(1, 2)) - (diag**2).sum(axis=1)))
+        running = off > tol * scale[lanes]
+        if not running.all():
+            values[lanes[~running]] = diag[~running]
+            del diag  # a view that would keep the uncompacted stack alive
+            A, lanes = A[running], lanes[running]
+            if not lanes.size:
+                break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
+                apq = A[:, p, q].copy()
+                live = np.abs(apq) > 1e-300
+                if not live.any():
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                A[p, q] = A[q, p] = 0.0
-    return np.sort(np.diag(A))
+                # masked lanes get harmless operands, so they raise no warning
+                theta = (A[:, q, q] - A[:, p, p]) / (2.0 * np.where(live, apq, 1.0))
+                huge = np.abs(theta) > 1e150
+                moderate = np.where(huge, 0.0, theta)
+                t = np.where(
+                    huge,
+                    1.0 / (2.0 * np.where(huge, theta, 1.0)),
+                    np.copysign(1.0, moderate) / (np.abs(moderate) + np.sqrt(moderate * moderate + 1.0)),
+                )
+                c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
+                s = t[:, None] * c
+                lane = live[:, None]
+                col_p, col_q = A[:, :, p].copy(), A[:, :, q].copy()
+                A[:, :, p] = np.where(lane, c * col_p - s * col_q, col_p)
+                A[:, :, q] = np.where(lane, s * col_p + c * col_q, col_q)
+                row_p, row_q = A[:, p, :].copy(), A[:, q, :].copy()
+                A[:, p, :] = np.where(lane, c * row_p - s * row_q, row_p)
+                A[:, q, :] = np.where(lane, s * row_p + c * row_q, row_q)
+                A[:, p, q] = A[:, q, p] = np.where(live, 0.0, apq)
+    else:  # max_sweeps ran out: take the diagonals as they stand
+        values[lanes] = np.diagonal(A, axis1=1, axis2=2)
+    values.sort(axis=1)
+    return values
 
 
 def infer_bounding_box(domain: SemialgebraicSet) -> list[tuple[float, float]] | None:
@@ -115,8 +171,26 @@ class SampleReport:
         )
 
 
-def _attempt_stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed & 0xFFFFFFFF, index])
+# Attempts are drawn in blocks of this many; the size never depends on the
+# number of samples asked for, so memory per block stays fixed.
+SAMPLE_BLOCK = 4096
+
+# Counter words that keep the independent streams of one seed apart.
+DOMAIN_STREAM = 0
+DIFFERENCE_STREAM = 1
+SPHERE_STREAM = 2  # sphere group g uses SPHERE_STREAM + g
+
+
+def _stream(seed: int, block: int, stream: int) -> np.random.Generator:
+    """Counter-based generator: Philox keyed by the seed, started at
+    counter (0, block, stream, 0)."""
+    return np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFF, counter=[0, block, stream, 0]))
+
+
+def _uniform_block(seed: int, block: int, stream: int, width: int) -> np.ndarray:
+    """Attempts block*SAMPLE_BLOCK .. (block+1)*SAMPLE_BLOCK - 1 of a stream,
+    one row of ``width`` uniforms on [0, 1) per attempt."""
+    return _stream(seed, block, stream).random((SAMPLE_BLOCK, width))
 
 
 def sample_domain_points(
@@ -128,9 +202,12 @@ def sample_domain_points(
 ) -> tuple[np.ndarray, float]:
     """Rejection-sample points of the set from its bounding box.
 
-    Returns the accepted points and the acceptance rate; aborts when the
-    rate stays under ``min_acceptance``.
+    Returns the first ``n_samples`` accepted points in attempt order and the
+    acceptance rate up to the attempt that gave the last of them; aborts
+    when the rate stays under ``min_acceptance``.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     box = bounding_box if bounding_box is not None else infer_bounding_box(domain)
     if box is None:
         raise ValueError(
@@ -139,23 +216,34 @@ def sample_domain_points(
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     accepted: list[np.ndarray] = []
-    attempts = 0
+    n_accepted = 0
     max_attempts = max(200_000, 50 * n_samples)
-    while len(accepted) < n_samples:
-        if attempts >= max_attempts:
-            rate = len(accepted) / attempts
+    block = 0
+    while True:
+        points = lo + _uniform_block(seed, block, DOMAIN_STREAM, domain.n_vars) * (hi - lo)
+        inside = domain.contains_many(points)
+        start = block * SAMPLE_BLOCK
+        # accepted count after each attempt of the block
+        counts = n_accepted + np.cumsum(inside)
+        # the rate is checked after every max_attempts attempts while short of n_samples
+        while max_attempts <= start + SAMPLE_BLOCK:
+            reached = int(counts[max_attempts - start - 1])
+            if reached >= n_samples:
+                break
+            rate = reached / max_attempts
             if rate < min_acceptance:
                 raise RuntimeError(
                     f"rejection sampling acceptance rate {rate:.2e} below {min_acceptance:.0e}; "
                     "supply a tighter bounding box"
                 )
             max_attempts *= 2
-        rng = _attempt_stream(seed, attempts)
-        point = lo + rng.random(domain.n_vars) * (hi - lo)
-        attempts += 1
-        if domain.contains(point):
-            accepted.append(point)
-    return np.array(accepted), len(accepted) / attempts
+        if counts[-1] >= n_samples:
+            last = int(np.searchsorted(counts, n_samples))
+            accepted.append(points[: last + 1][inside[: last + 1]])
+            return np.concatenate(accepted), n_samples / (start + last + 1)
+        accepted.append(points[inside])
+        n_accepted = int(counts[-1])
+        block += 1
 
 
 def sample_max_eigenvalue(
@@ -178,12 +266,11 @@ def sample_max_eigenvalue(
     best = -math.inf
     best_point = None
     for M in matrices:
-        values = M.evaluate_many(points)
-        for idx in range(points.shape[0]):
-            lam = float(jacobi_eigenvalues(values[idx])[-1])
-            if lam > best:
-                best = lam
-                best_point = points[idx]
+        lam = jacobi_eigenvalues(M.evaluate_many(points))[:, -1]
+        idx = int(np.argmax(lam))
+        if lam[idx] > best:
+            best = float(lam[idx])
+            best_point = points[idx]
     return SampleReport(
         kind=kind,
         samples=points.shape[0],
@@ -255,15 +342,14 @@ def sample_extended_points(
         base_points = np.zeros((n_samples, 0))
     out = np.zeros((n_samples, n))
     out[:, base_vars] = base_points
-    for group in spheres:
-        for row in range(n_samples):
-            rng = _attempt_stream(seed ^ 0x53D, row * len(spheres) + hash(group) % 7919)
-            vec = rng.standard_normal(len(group))
-            norm = np.linalg.norm(vec)
-            while norm < 1e-12:
-                vec = rng.standard_normal(len(group))
-                norm = np.linalg.norm(vec)
-            out[row, list(group)] = vec / norm
+    for g, group in enumerate(spheres):
+        rng = _stream(seed, 0, SPHERE_STREAM + g)
+        vec = rng.standard_normal((n_samples, len(group)))
+        norm = np.linalg.norm(vec, axis=1)
+        while np.any(short := norm < 1e-12):
+            vec[short] = rng.standard_normal((int(short.sum()), len(group)))
+            norm = np.linalg.norm(vec, axis=1)
+        out[:, list(group)] = vec / norm[:, None]
     return out
 
 
@@ -283,9 +369,13 @@ def check_certificate_sampled(
 
     mem = certificate.memberships[0] if hasattr(certificate, "memberships") else certificate
     assert isinstance(mem, MembershipCertificate)
-    worst = 0.0
+    # Gram blocks of one size share a stacked eigenvalue call
+    by_size: dict[int, list[np.ndarray]] = {}
     for _, _, G in mem.gram_matrices:
-        min_eig = float(jacobi_eigenvalues(0.5 * (G + G.T))[0])
+        by_size.setdefault(G.shape[0], []).append(0.5 * (G + G.T))
+    worst = 0.0
+    for blocks in by_size.values():
+        min_eig = float(jacobi_eigenvalues(np.stack(blocks))[:, 0].min())
         if min_eig < 0:
             worst = max(worst, -min_eig)
     if worst > psd_slack:
@@ -331,18 +421,18 @@ def finite_difference_audit(
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     v = pseudogradient(game)
+    blocks = range(n_points // SAMPLE_BLOCK + 1)
+    uniforms = np.concatenate([_uniform_block(seed, b, DIFFERENCE_STREAM, game.n_vars) for b in blocks])
+    points = lo + uniforms[:n_points] * (hi - lo)
     worst = 0.0
-    for idx in range(n_points):
-        rng = _attempt_stream(seed + 1, idx)
-        point = lo + rng.random(game.n_vars) * (hi - lo)
-        row = 0
-        for i, u in enumerate(game.payoffs):
-            for k in game.block_range(i):
-                shifted_up = point.copy()
-                shifted_dn = point.copy()
-                shifted_up[k] += step
-                shifted_dn[k] -= step
-                fd = (u.evaluate(shifted_up) - u.evaluate(shifted_dn)) / (2 * step)
-                worst = max(worst, abs(fd - v[row].evaluate(point)))
-                row += 1
+    row = 0
+    for i, u in enumerate(game.payoffs):
+        for k in game.block_range(i):
+            shifted_up = points.copy()
+            shifted_dn = points.copy()
+            shifted_up[:, k] += step
+            shifted_dn[:, k] -= step
+            fd = (u.evaluate_many(shifted_up) - u.evaluate_many(shifted_dn)) / (2 * step)
+            worst = max(worst, float(np.max(np.abs(fd - v[row].evaluate_many(points)), initial=0.0)))
+            row += 1
     return worst

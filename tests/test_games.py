@@ -208,3 +208,41 @@ def test_game_validation():
     game = PolynomialGame((2, 1), (Polynomial.zero(3),) * 2, SemialgebraicSet(3, (), ()))
     assert game.block_range(1) == range(2, 3)
     assert game.degree == 0
+
+
+def test_contains_many_matches_pointwise_membership():
+    """The batched test agrees with ``contains`` and with a direct check of
+    every constraint, also within ``tol`` of the boundary."""
+    tol = 1e-9
+    one = Polynomial.constant(2, 1.0)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    simplex = add_ball_constraint(SemialgebraicSet(2, (x1, x2, one - x1 - x2), ()), 1.2)
+    circle = SemialgebraicSet(2, (x1,), sphere_set(2).equalities)
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(-np.pi / 2, np.pi / 2, 40)
+    u = rng.uniform(0.1, 0.9, 40)
+    offsets = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]) * tol
+    cases = (
+        (simplex, np.vstack([
+            rng.uniform(-0.2, 1.2, (200, 2)),
+            # near x1 = 0 and near x1 + x2 = 1, off by a multiple of tol
+            np.column_stack([np.tile(offsets, 8), u]),
+            np.column_stack([u, 1.0 - u + np.tile(offsets, 8)]),
+        ])),
+        (circle, np.vstack([
+            rng.uniform(-1.2, 1.2, (100, 2)),
+            np.column_stack([np.cos(angles), np.sin(angles)]) * (1.0 + np.tile(offsets, 8))[:, None],
+        ])),
+    )
+    for domain, points in cases:
+        batch = domain.contains_many(points, tol)
+        assert batch.dtype == bool and batch.shape == (len(points),)
+        direct = [
+            all(g.evaluate(p) >= -tol for g in domain.inequalities)
+            and all(abs(h.evaluate(p)) <= tol for h in domain.equalities)
+            for p in points
+        ]
+        assert batch.tolist() == direct
+        assert batch.tolist() == [domain.contains(p, tol) for p in points]
+        assert batch.any() and not batch.all()
+        assert batch[-40:].any() and not batch[-40:].all()

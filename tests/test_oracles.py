@@ -4,11 +4,14 @@ import pytest
 from gamecert.certify import certify_monotone, extended_domain, monotone_target
 from gamecert.games import quadratic_reference_game
 from gamecert.oracles import (
+    JACOBI_SLICE,
+    SAMPLE_BLOCK,
     finite_difference_audit,
     check_certificate_sampled,
     infer_bounding_box,
     jacobi_eigenvalues,
     sample_domain_points,
+    sample_extended_points,
     sample_max_eigenvalue,
 )
 from gamecert.polynomials import Polynomial
@@ -35,6 +38,57 @@ def test_jacobi_matches_lapack():
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _symmetric_stack(rng, n, k):
+    A = rng.standard_normal((n, k, k))
+    return 0.5 * (A + A.transpose(0, 2, 1))
+
+
+def test_jacobi_stack_rows_equal_single_calls():
+    rng = np.random.default_rng(11)
+    for n, k in ((40, 1), (40, 2), (40, 4), (15, 7), (JACOBI_SLICE + 3, 3)):
+        stack = _symmetric_stack(rng, n, k)
+        stack[::5] = np.diag(rng.standard_normal(k))  # converge before the first sweep
+        stacked = jacobi_eigenvalues(stack)
+        assert stacked.shape == (n, k)
+        for i in (0, 1, 5, n // 2, n - 1):
+            assert stacked[i].tobytes() == jacobi_eigenvalues(stack[i]).tobytes()
+
+
+def test_jacobi_stack_matches_lapack():
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 4):
+        stack = _symmetric_stack(rng, 60, k)
+        assert np.max(np.abs(jacobi_eigenvalues(stack) - np.linalg.eigvalsh(stack))) <= 1e-9
+    diagonal = np.zeros((10, 4, 4))
+    diagonal[:, range(4), range(4)] = rng.standard_normal((10, 4))
+    assert np.array_equal(jacobi_eigenvalues(diagonal), np.sort(np.diagonal(diagonal, axis1=1, axis2=2)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_jacobi_stack_tiny_off_diagonal_lanes():
+    """An entry near 1e-200 takes the |theta| > 1e150 branch, and the zero
+    entries of a block-diagonal matrix skip their rotations in every sweep;
+    neither may overflow or divide by zero in the lanes masked out."""
+    tiny = np.array([[1.0, 1e-200, 0.0], [1e-200, 2.0, 0.5], [0.0, 0.5, -1.0]])
+    ordinary = np.array([[2.0, 1.0, 0.3], [1.0, -1.0, 0.2], [0.3, 0.2, 0.5]])
+    blocks = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 3.0]])
+    stack = np.stack([ordinary, tiny, blocks, ordinary.T @ ordinary, np.diag([3.0, 1.0, 2.0])])
+    stacked = jacobi_eigenvalues(stack)
+    assert np.max(np.abs(stacked - np.linalg.eigvalsh(stack))) <= 1e-9
+    for i in range(len(stack)):
+        assert stacked[i].tobytes() == jacobi_eigenvalues(stack[i]).tobytes()
+    alone = jacobi_eigenvalues(np.array([[1.0, 1e-200], [1e-200, 2.0]]))
+    assert alone.tolist() == [1.0, 2.0]
+
+
+def test_jacobi_stack_rejects_one_nonsymmetric():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigenvalues(stack)
+    with pytest.raises(ValueError):
+        jacobi_eigenvalues(np.zeros((2, 3, 4)))
 
 
 def test_bounding_box_inference(driver_game, fig1_game, deg4_game):
@@ -69,6 +123,54 @@ def test_rejection_abort_on_thin_set():
     thin = box_set([(0.0, 1e-6)])
     with pytest.raises(RuntimeError):
         sample_domain_points(thin, 50, bounding_box=[(0.0, 1.0)], seed=1)
+
+
+def _one_at_a_time(domain, box, n_samples, seed):
+    """Reference rejection loop: one attempt at a time over the block stream
+    as the module docstring defines it."""
+    lo, hi = np.array(box).T
+    points, attempts, block = [], 0, None
+    while len(points) < n_samples:
+        b, row = divmod(attempts, SAMPLE_BLOCK)
+        if b != block:
+            gen = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFF, counter=[0, b, 0, 0]))
+            block, uniforms = b, gen.random((SAMPLE_BLOCK, domain.n_vars))
+        point = lo + uniforms[row] * (hi - lo)
+        attempts += 1
+        if domain.contains(point):
+            points.append(point)
+    return np.array(points), attempts
+
+
+def test_block_sampling_matches_one_at_a_time(fig1_game):
+    domain, box = fig1_game.domain, [(0.0, 1.0)] * 3
+    k = SAMPLE_BLOCK + 50  # the k-th accepted point lies past the first block
+    reference, attempts = _one_at_a_time(domain, box, k, seed=7)
+    assert attempts > SAMPLE_BLOCK
+    points, rate = sample_domain_points(domain, k, box, seed=7)
+    assert np.array_equal(points, reference)
+    assert rate == k / attempts
+    longer, _ = sample_domain_points(domain, k + 3 * SAMPLE_BLOCK, box, seed=7)
+    assert np.array_equal(longer[:k], points)
+    few, few_rate = sample_domain_points(domain, 3, box, seed=7)
+    assert np.array_equal(few, points[:3])
+    assert few_rate == 3 / _one_at_a_time(domain, box, 3, seed=7)[1]
+
+
+def test_zero_samples_rejected(fig1_game):
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_domain_points(fig1_game.domain, 0)
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_max_eigenvalue(fig1_game, n_samples=0)
+
+
+def test_extended_points_prefix_and_spheres(fig1_game):
+    domain = extended_domain(fig1_game.domain, 3)
+    points = sample_extended_points(domain, 300, seed=9)
+    assert np.array_equal(sample_extended_points(domain, 120, seed=9), points[:120])
+    assert np.allclose(np.linalg.norm(points[:, 3:], axis=1), 1.0)
+    assert domain.contains_many(points).all()
+    assert not np.array_equal(sample_extended_points(domain, 300, seed=10), points)
 
 
 def test_finite_difference_audit(driver_game, fig1_game, deg4_game):
