@@ -332,6 +332,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="append the ball constraint R^2 - sum x_i^2 >= 0 to the domain")
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamecert",
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("monotone", "concave"), default="monotone")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--levels", default=None, metavar="A..B")
-    p.add_argument("--verify", type=int, default=0, metavar="N",
+    p.add_argument("--verify", type=_count, default=0, metavar="N",
                    help="also sample N domain points and report the eigenvalue bound")
     p.add_argument("--seed", type=int, default=0x5EED)
     p.add_argument("--out", default=None, help="also write the report to this path")
@@ -398,9 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

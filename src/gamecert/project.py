@@ -103,9 +103,6 @@ def _candidate_supports(spec: ProjectionSpec) -> list[list[Monomial]]:
         # counterpart coefficient must be present to be forced to zero too
         union = sorted(set(supports[0]) | set(supports[1]), key=grevlex_key)
         supports = [list(union), list(union)]
-        if spec.preserve_support:
-            # keep only monomials present in either reference payoff
-            pass
     return supports
 
 

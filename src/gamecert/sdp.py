@@ -8,9 +8,10 @@ Problem form (minimization):
 
 "<=" rows are turned into equalities with fresh 1x1 slack blocks before
 solving or exporting.  The search direction is the HKM/XZ scaled Newton
-step with a Mehrotra predictor-corrector; the Schur complement is formed
-densely per block and free variables are handled through an augmented
-system (no PSD splitting).
+step with a Mehrotra predictor-corrector.  Blocks of equal size are
+stacked, so each step of an iteration runs once per block size; the Schur
+complement is formed densely, in Gram form, and free variables are handled
+through an augmented system (no PSD splitting).
 
 SDPA sparse export writes the equality-form problem with the free scalars
 as a trailing negative-size diagonal block; values carry 17 significant
@@ -272,7 +273,10 @@ class _Reduction:
             )
         else:
             # every block died; fall back to the unreduced problem
-            self.reduced = None
+            self.keep_cols = [list(range(d)) for d in problem.block_dims]
+            self.keep_rows = list(range(len(rows)))
+            self.block_map = list(range(len(problem.block_dims)))
+            self.reduced = problem
 
     def inflate_blocks(self, reduced_blocks: list[np.ndarray]) -> list[np.ndarray]:
         out = [np.zeros((d, d)) for d in self.original.block_dims]
@@ -291,62 +295,112 @@ class _Reduction:
 # dense assembly
 
 
+def _T(P: np.ndarray) -> np.ndarray:
+    return np.swapaxes(P, -1, -2)
+
+
+def _sym(P: np.ndarray) -> np.ndarray:
+    return 0.5 * (P + _T(P))
+
+
+def _inner(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
+    return sum(float(np.vdot(Pg, Qg)) for Pg, Qg in zip(P, Q))
+
+
+def _tri_solve(L: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve L x = v (trans=0) or L^T x = v (trans=1) for lower-triangular
+    L, calling LAPACK directly: the scipy wrapper costs more than the solve
+    at these sizes.  Fortran-ordered L avoids a copy."""
+    x, info = sla.lapack.dtrtrs(L, v, lower=1, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+    return x
+
+
 class _Dense:
-    """Dense views of an equality-form problem, one stacked tensor per block."""
+    """Dense views of an equality-form problem, its blocks grouped by size.
+
+    Group g stacks its blocks in their original order: ``C[g]`` is
+    (k, d, d) and ``A[g]`` is (m, k, d, d), so each per-iteration step is
+    one stacked call per block size.  Iterates use the same layout, a list
+    of (k, d, d) stacks; ``slots[b]`` is the (group, position) of block b.
+    """
 
     def __init__(self, prob: SdpProblem):
         self.dims = prob.block_dims
         self.m = prob.n_constraints
         self.nf = prob.n_free
-        self.C = [np.zeros((d, d)) for d in self.dims]
+        sizes = list(dict.fromkeys(self.dims))
+        group = {d: g for g, d in enumerate(sizes)}
+        counts = [0] * len(sizes)
+        self.slots = []
+        for d in self.dims:
+            self.slots.append((group[d], counts[group[d]]))
+            counts[group[d]] += 1
+        self.I = [np.broadcast_to(np.eye(d), (k, d, d)) for d, k in zip(sizes, counts)]
+        self.C = [np.zeros(I.shape) for I in self.I]
         for b, entries in prob.obj_blocks:
+            g, p = self.slots[b]
             for i, j, v in entries:
-                self.C[b][i, j] = v
-                self.C[b][j, i] = v
+                self.C[g][p, i, j] = v
+                self.C[g][p, j, i] = v
         self.cf = np.zeros(self.nf)
         for k, v in prob.obj_free:
             self.cf[k] = v
-        self.A = [np.zeros((self.m, d, d)) for d in self.dims]
+        self.A = [np.zeros((self.m,) + I.shape) for I in self.I]
         self.F = np.zeros((self.m, self.nf))
         self.b = np.zeros(self.m)
         for r, con in enumerate(prob.constraints):
             self.b[r] = con.rhs
             for b_idx, entries in con.blocks:
+                g, p = self.slots[b_idx]
                 for i, j, v in entries:
-                    self.A[b_idx][r, i, j] = v
-                    self.A[b_idx][r, j, i] = v
+                    self.A[g][r, p, i, j] = v
+                    self.A[g][r, p, j, i] = v
             for k, v in con.free:
                 self.F[r, k] = v
-        self.Aflat = [self.A[b].reshape(self.m, -1) for b in range(len(self.dims))]
-        self.norm_b = float(np.max(np.abs(self.b))) if self.m else 0.0
-        self.norm_C = max(
-            [float(np.max(np.abs(C))) if C.size else 0.0 for C in self.C]
-            + [float(np.max(np.abs(self.cf))) if self.nf else 0.0, 0.0]
-        )
-        self.norm_A = max(
-            [float(np.max(np.abs(A))) if A.size else 0.0 for A in self.A]
-            + [float(np.max(np.abs(self.F))) if self.F.size else 0.0, 0.0]
-        )
+        self.Aflat = [A.reshape(self.m, I.size) for A, I in zip(self.A, self.I)]
+        # the Gram-form Schur factor keeps its columns in the original block
+        # order, so its QR sees the same matrix whatever the grouping
+        self.col_order = None
+        if self.slots != sorted(self.slots):
+            first = np.cumsum([0] + [I.size for I in self.I])
+            self.col_order = np.concatenate(
+                [first[g] + p * d * d + np.arange(d * d) for (g, p), d in zip(self.slots, self.dims)]
+            )
+        self.norm_b = float(np.max(np.abs(self.b), initial=0.0))
+        self.norm_C = max(float(np.max(np.abs(P), initial=0.0)) for P in self.C + [self.cf])
+        self.norm_A = max(float(np.max(np.abs(P), initial=0.0)) for P in self.A + [self.F])
 
-    def apply_A(self, X: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.m)
-        for b in range(len(self.dims)):
-            out += self.Aflat[b] @ X[b].reshape(-1)
-        if self.nf:
-            out += self.F @ u
+    def apply_A(self, X: list[np.ndarray], u: np.ndarray | None = None) -> np.ndarray:
+        out = sum(Af @ Xg.reshape(-1) for Af, Xg in zip(self.Aflat, X))
+        if u is not None and self.nf:
+            out = out + self.F @ u
         return out
 
     def apply_At(self, y: np.ndarray) -> list[np.ndarray]:
-        return [
-            np.tensordot(y, self.A[b], axes=(0, 0)) for b in range(len(self.dims))
+        return [(y @ Af).reshape(I.shape) for Af, I in zip(self.Aflat, self.I)]
+
+    def gram_factor(self, Lx: list[np.ndarray], LsInv: list[np.ndarray]) -> np.ndarray:
+        """B with row j the flattened blocks of Lx^T A_j Ls^-T, so that the
+        Schur complement tr(A_i X A_j S^-1) is B B^T."""
+        parts = [
+            (_T(L) @ A @ _T(Li)).reshape(self.m, -1) for L, A, Li in zip(Lx, self.A, LsInv)
         ]
+        B = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return B if self.col_order is None else B[:, self.col_order]
+
+    def unstack(self, P: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-block views of a stacked iterate, in block order."""
+        return [P[g][p] for g, p in self.slots]
 
 
-def _max_step(X: np.ndarray, dX: np.ndarray, Lx: np.ndarray) -> float:
-    """Largest alpha with X + alpha*dX PSD, given X = Lx Lx^T."""
-    W = np.linalg.solve(Lx, np.linalg.solve(Lx, dX).T)
-    W = 0.5 * (W + W.T)
-    lam_min = float(np.linalg.eigvalsh(W)[0])
+def _max_step(Linv: list[np.ndarray], D: list[np.ndarray]) -> float:
+    """Largest alpha with P + alpha*D PSD in every block, given the inverse
+    Cholesky factors of P (P^-1 = Linv^T Linv)."""
+    lam_min = min(
+        float(np.linalg.eigvalsh(_sym(Li @ Dg @ _T(Li)))[:, 0].min()) for Li, Dg in zip(Linv, D)
+    )
     if lam_min >= -1e-13:
         return math.inf
     return -1.0 / lam_min
@@ -361,13 +415,24 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     iterate; the better of the two outcomes is returned.
     """
     opts = options or SolveOptions()
-    first = _solve_once(problem, opts, None)
+    eq = problem.to_equality_form()
+    reduction = _Reduction(eq)
+    if reduction.infeasible:
+        return SdpSolution(
+            status=SdpStatus.PRIMAL_INFEASIBLE,
+            message="a target coefficient is structurally unreachable",
+        )
+    data = _Dense(reduction.reduced)
+    n_orig_blocks = len(problem.block_dims)
+    if data.m == 0:
+        return _solve_unconstrained(problem, data, n_orig_blocks)
+    first, warm = _solve_once(data, reduction, n_orig_blocks, opts, None)
     if (
         first.status == SdpStatus.ITERATION_LIMIT
-        and getattr(first, "_warm", None) is not None
+        and warm is not None
         and first.relative_gap > opts.tol_gap
     ):
-        second = _solve_once(problem, opts, first._warm)
+        second, _ = _solve_once(data, reduction, n_orig_blocks, opts, warm)
         if second.status == SdpStatus.OPTIMAL or (
             second.status == SdpStatus.ITERATION_LIMIT
             and second.relative_gap < first.relative_gap
@@ -377,36 +442,27 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     return first
 
 
-def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
-    eq = problem.to_equality_form()
-    n_orig_blocks = len(problem.block_dims)
-    reduction = _Reduction(eq)
-    if reduction.infeasible:
-        return SdpSolution(
-            status=SdpStatus.PRIMAL_INFEASIBLE,
-            message="a target coefficient is structurally unreachable",
-        )
-    reduced = reduction.reduced if reduction.reduced is not None else eq
-    data = _Dense(reduced)
+def _solve_once(
+    data: _Dense, reduction: _Reduction, n_orig_blocks: int, opts: SolveOptions, warm
+) -> tuple[SdpSolution, tuple | None]:
+    """One descent on the reduced data.  Returns the solution and, when
+    that solution is the best feasible iterate seen, the iterate itself as
+    ``(X, S, y, u, mu)`` in stacked form, the warm start of a restart;
+    otherwise None."""
     m, nf = data.m, data.nf
     nu = sum(data.dims)
 
-    if m == 0:
-        return _solve_unconstrained(problem, data, n_orig_blocks)
-
     if warm is not None:
-        X0, S0, y0, u0, mu0 = warm
+        X0, S0, y, u, mu0 = warm
         shift = math.sqrt(max(mu0, 1e-14))
-        X = [X0[b] + shift * np.eye(data.dims[b]) for b in range(len(data.dims))]
-        S = [S0[b] + shift * np.eye(data.dims[b]) for b in range(len(data.dims))]
-        y = y0.copy()
-        u = u0.copy()
+        X = [Xg + shift * I for Xg, I in zip(X0, data.I)]
+        S = [Sg + shift * I for Sg, I in zip(S0, data.I)]
     else:
         # interior start scaled from the data magnitudes
         xi_p = max(10.0, math.sqrt(max(data.dims)), data.norm_b / max(1.0, data.norm_A))
         xi_d = max(10.0, math.sqrt(max(data.dims)), data.norm_C)
-        X = [xi_p * np.eye(d) for d in data.dims]
-        S = [xi_d * np.eye(d) for d in data.dims]
+        X = [xi_p * I for I in data.I]
+        S = [xi_d * I for I in data.I]
         y = np.zeros(m)
         u = np.zeros(nf)
 
@@ -420,18 +476,44 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
             return SdpSolution(
                 status=SdpStatus.NUMERICAL_FAILURE,
                 message="free-variable columns are linearly dependent",
-            )
+            ), None
         Q1, Q2 = Qf[:, :nf], Qf[:, nf:]
+        Rf_low = np.asfortranarray(Rtri.T)
     else:
-        Q1 = Rtri = None
+        Q1 = Rf_low = None
         Q2 = np.eye(m)
 
     best: SdpSolution | None = None
+    best_warm = None
     best_age = 0
 
-    def finalize_best() -> SdpSolution | None:
+    def build_solution(status, message="", it=0) -> SdpSolution:
+        pobj = _inner(data.C, X) + float(data.cf @ u)
+        dobj = float(data.b @ y)
+        rp = data.b - data.apply_A(X, u)
+        rd = max(
+            float(np.max(np.abs(C - At - Sg))) for C, At, Sg in zip(data.C, data.apply_At(y), S)
+        )
+        rf = float(np.max(np.abs(data.cf - data.F.T @ y))) if nf else 0.0
+        return SdpSolution(
+            status=status,
+            primal_blocks=reduction.inflate_blocks(data.unstack(X))[:n_orig_blocks],
+            free_values=u.copy(),
+            dual_values=reduction.inflate_duals(y),
+            primal_objective=pobj,
+            dual_objective=dobj,
+            primal_residual=float(np.max(np.abs(rp))) / (1.0 + data.norm_b),
+            dual_residual=max(rd, rf) / (1.0 + data.norm_C),
+            relative_gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+            iterations=it,
+            message=message,
+        )
+
+    def stop(status, message, it):
+        """End the descent with the best feasible iterate if there is one,
+        else with the current iterate under ``status``."""
         if best is None:
-            return None
+            return build_solution(status, message, it), None
         if (
             best.relative_gap <= opts.tol_gap
             and best.primal_residual <= opts.tol_feasibility
@@ -442,61 +524,26 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
         else:
             best.status = SdpStatus.ITERATION_LIMIT
             best.message = f"gap stalled at {best.relative_gap:.3e} with feasible iterate"
-        return best
-
-    def build_solution(status, message="", it=0) -> SdpSolution:
-        pobj = sum(float(np.tensordot(data.C[b], X[b])) for b in range(len(data.dims)))
-        pobj += float(data.cf @ u)
-        dobj = float(data.b @ y)
-        rp = data.b - data.apply_A(X, u)
-        At = data.apply_At(y)
-        rd = max(
-            float(np.max(np.abs(data.C[b] - At[b] - S[b]))) for b in range(len(data.dims))
-        )
-        rf = float(np.max(np.abs(data.cf - data.F.T @ y))) if nf else 0.0
-        if reduction.reduced is not None:
-            full_blocks = reduction.inflate_blocks([X[b] for b in range(len(data.dims))])
-            full_y = reduction.inflate_duals(y)
-        else:
-            full_blocks = [X[b].copy() for b in range(len(data.dims))]
-            full_y = y.copy()
-        sol = SdpSolution(
-            status=status,
-            primal_blocks=full_blocks[:n_orig_blocks],
-            free_values=u.copy(),
-            dual_values=full_y,
-            primal_objective=pobj,
-            dual_objective=dobj,
-            primal_residual=float(np.max(np.abs(rp))) / (1.0 + data.norm_b),
-            dual_residual=max(rd, rf) / (1.0 + data.norm_C),
-            relative_gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-            iterations=it,
-            message=message,
-        )
-        return sol
+        return best, best_warm
 
     for it in range(opts.max_iterations):
         if nf:
             # restore F^T y = c_f exactly before measuring residuals
             drift = data.cf - data.F.T @ y
-            y = y + Q1 @ sla.solve_triangular(Rtri.T, drift, lower=True, check_finite=False)
+            y = y + Q1 @ _tri_solve(Rf_low, drift)
 
         # residuals
         rp = data.b - data.apply_A(X, u)
-        At = data.apply_At(y)
-        Rd = [data.C[b] - At[b] - S[b] for b in range(len(data.dims))]
+        Rd = [C - At - Sg for C, At, Sg in zip(data.C, data.apply_At(y), S)]
         rf = data.cf - data.F.T @ y if nf else np.zeros(0)
-        gap = sum(float(np.tensordot(X[b], S[b])) for b in range(len(data.dims)))
+        gap = _inner(X, S)
         mu = gap / nu
 
-        pobj = sum(float(np.tensordot(data.C[b], X[b])) for b in range(len(data.dims)))
-        pobj += float(data.cf @ u)
+        pobj = _inner(data.C, X) + float(data.cf @ u)
         dobj = float(data.b @ y)
 
         err_p = float(np.max(np.abs(rp))) / (1.0 + data.norm_b)
-        err_d = max(
-            float(np.max(np.abs(Rd[b]))) for b in range(len(data.dims))
-        ) / (1.0 + data.norm_C)
+        err_d = max(float(np.max(np.abs(R))) for R in Rd) / (1.0 + data.norm_C)
         err_f = (float(np.max(np.abs(rf))) / (1.0 + data.norm_C)) if nf else 0.0
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
@@ -507,7 +554,7 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
             )
 
         if err_p <= opts.tol_feasibility and max(err_d, err_f) <= opts.tol_feasibility and rel_gap <= opts.tol_gap:
-            return build_solution(SdpStatus.OPTIMAL, "converged", it)
+            return build_solution(SdpStatus.OPTIMAL, "converged", it), None
 
         # remember the feasible iterate with the smallest gap: on degenerate
         # faces the gap can floor out while feasibility stays excellent, and
@@ -515,60 +562,49 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
         if err_p <= opts.tol_feasibility and max(err_d, err_f) <= opts.tol_feasibility:
             if best is None or rel_gap < (1 - 1e-4) * best.relative_gap:
                 best = build_solution(SdpStatus.OPTIMAL, "feasible iterate", it)
-                best._warm = ([Xb.copy() for Xb in X], [Sb.copy() for Sb in S], y.copy(), u.copy(), mu)
+                # iterates are replaced, never written in place: no copies
+                best_warm = (X, S, y, u, mu)
                 best_age = 0
             else:
                 best_age += 1
         elif best is not None:
             best_age += 1
         if best is not None and (best_age >= 10 or err_p > 1e5 * max(best.primal_residual, 1e-13)):
-            return finalize_best()
+            return stop(SdpStatus.ITERATION_LIMIT, "", it)
 
         # divergence-based infeasibility certificates
         scale0 = 1.0 + data.norm_b + data.norm_C
         if dobj > 1e6 * scale0 and float(data.b @ y) > 0:
             yhat = y / float(data.b @ y)
-            Athat = data.apply_At(yhat)
-            lam = max(float(np.linalg.eigvalsh(Athat[b])[-1]) for b in range(len(data.dims)))
+            lam = max(float(np.linalg.eigvalsh(At)[:, -1].max()) for At in data.apply_At(yhat))
             fres = float(np.max(np.abs(data.F.T @ yhat))) if nf else 0.0
             tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(yhat)))) * max(1.0, data.norm_A)
             if lam <= tol_inf and fres <= tol_inf:
-                sol = build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it)
-                return sol
+                return build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it), None
         if pobj < -1e6 * scale0:
-            tr = sum(float(np.trace(X[b])) for b in range(len(data.dims)))
-            Xhat = [X[b] / tr for b in range(len(data.dims))]
+            tr = sum(float(np.einsum("kii->", Xg)) for Xg in X)
+            Xhat = [Xg / tr for Xg in X]
             uhat = u / tr
             ares = float(np.max(np.abs(data.apply_A(Xhat, uhat))))
-            cval = sum(float(np.tensordot(data.C[b], Xhat[b])) for b in range(len(data.dims)))
-            cval += float(data.cf @ uhat)
+            cval = _inner(data.C, Xhat) + float(data.cf @ uhat)
             if ares <= 1e-7 * max(1.0, data.norm_A) and cval < 0:
-                return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it)
+                return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it), None
 
+        # triangular inverses, reused by every step-length bound below
         try:
-            Lx = [np.linalg.cholesky(X[b]) for b in range(len(data.dims))]
-            Ls = [np.linalg.cholesky(S[b]) for b in range(len(data.dims))]
-            Sinv = [
-                np.linalg.solve(Ls[b].T, np.linalg.solve(Ls[b], np.eye(data.dims[b])))
-                for b in range(len(data.dims))
-            ]
+            Lx = [np.linalg.cholesky(Xg) for Xg in X]
+            LxInv = [np.linalg.inv(L) for L in Lx]
+            LsInv = [np.linalg.inv(np.linalg.cholesky(Sg)) for Sg in S]
+            Sinv = [_T(Li) @ Li for Li in LsInv]
         except np.linalg.LinAlgError:
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone", it)
-            return sol
+            return stop(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone", it)
 
         # Schur complement M_ij = tr(A_i X A_j S^-1) in explicit Gram form:
         # with B_j = Lx' A_j Ls^-T, M = B B', and the triangular factor of
         # the reduced system comes from a QR of B' -- the solves then see
         # sqrt(cond(M)) instead of cond(M), which is what keeps the late,
         # degenerate-face iterations from drifting off the affine subspace
-        B_parts = []
-        for b in range(len(data.dims)):
-            LsT_inv = sla.solve_triangular(
-                Ls[b], np.eye(data.dims[b]), lower=True, check_finite=False
-            ).T
-            Bb = np.einsum("ba,jbc,cd->jad", Lx[b], data.A[b], LsT_inv, optimize=True)
-            B_parts.append(Bb.reshape(m, -1))
-        Bfull = np.hstack(B_parts) if len(B_parts) > 1 else B_parts[0]
+        Bfull = data.gram_factor(Lx, LsInv)
         BR = Q2.T @ Bfull if nf else Bfull
 
         m_red = BR.shape[0]
@@ -583,30 +619,22 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
                 delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
                 Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
         except np.linalg.LinAlgError:
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed", it)
-            return sol
+            return stop(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed", it)
+        Rr_low = np.asfortranarray(Rr.T)
 
-        def reduced_solve(h: np.ndarray, g_unused: np.ndarray):
+        def reduced_solve(h: np.ndarray):
             """Solve M dy + F du = h with F^T dy = 0, refining in the
             reduced space via the triangular Gram factor."""
             rhs = Q2.T @ h if nf else h
-            z = sla.solve_triangular(
-                Rr, sla.solve_triangular(Rr.T, rhs, lower=True, check_finite=False),
-                check_finite=False,
-            )
+            z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
             for _ in range(3):
                 res = rhs - BR @ (BR.T @ z)
                 if float(np.max(np.abs(res))) <= 1e-13 * (1.0 + float(np.max(np.abs(rhs)))):
                     break
-                z = z + sla.solve_triangular(
-                    Rr, sla.solve_triangular(Rr.T, res, lower=True, check_finite=False),
-                    check_finite=False,
-                )
+                z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
             dy = Q2 @ z if nf else z
             if nf:
-                du = sla.solve_triangular(
-                    Rtri, Q1.T @ (h - Bfull @ (Bfull.T @ dy)), check_finite=False
-                )
+                du = _tri_solve(Rf_low, Q1.T @ (h - Bfull @ (Bfull.T @ dy)), trans=1)
             else:
                 du = np.zeros(0)
             return dy, du
@@ -616,90 +644,68 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
             space), then polish with exactly-applied residuals: the formed
             Schur matrix only approximates the true operator once X, S are
             ill-conditioned near a degenerate face."""
-            V = []
-            for b in range(len(data.dims)):
-                Vb = (Rc[b] - X[b] @ Rd[b]) @ Sinv[b]
-                V.append(0.5 * (Vb + Vb.T))
-            h = rp.copy()
-            for b in range(len(data.dims)):
-                h -= data.Aflat[b] @ V[b].reshape(-1)
-            dy, du = reduced_solve(h, rf)
+            V = [_sym((R - Xg @ Rdg) @ Si) for R, Xg, Rdg, Si in zip(Rc, X, Rd, Sinv)]
+            dy, du = reduced_solve(rp - data.apply_A(V))
             dAt = data.apply_At(dy)
-            dS = [Rd[b] - dAt[b] for b in range(len(data.dims))]
-            dX = []
-            for b in range(len(data.dims)):
-                corr = X[b] @ dAt[b] @ Sinv[b]
-                dX.append(V[b] + 0.5 * (corr + corr.T))
+            dS = [Rdg - a for Rdg, a in zip(Rd, dAt)]
+            dX = [Vg + _sym(Xg @ a @ Si) for Vg, Xg, a, Si in zip(V, X, dAt, Sinv)]
             for _ in range(2):
                 r1 = rp - data.apply_A(dX, du)
-                r3 = (rf - data.F.T @ dy) if nf else np.zeros(0)
-                err = float(np.max(np.abs(r1))) if m else 0.0
+                err = float(np.max(np.abs(r1)))
                 if nf:
-                    err = max(err, float(np.max(np.abs(r3))))
+                    err = max(err, float(np.max(np.abs(rf - data.F.T @ dy))))
                 if err <= 1e-10 * (1.0 + float(np.max(np.abs(rp)))):
                     break
-                ey, eu = reduced_solve(r1, r3)
+                ey, eu = reduced_solve(r1)
                 eAt = data.apply_At(ey)
                 dy = dy + ey
                 if nf:
                     du = du + eu
-                for b in range(len(data.dims)):
-                    dS[b] = dS[b] - eAt[b]
-                    ec = X[b] @ eAt[b] @ Sinv[b]
-                    dX[b] = dX[b] + 0.5 * (ec + ec.T)
+                dS = [P - a for P, a in zip(dS, eAt)]
+                dX = [P + _sym(Xg @ a @ Si) for P, Xg, a, Si in zip(dX, X, eAt, Sinv)]
             return dX, du, dy, dS
 
         # predictor (affine scaling)
-        Rc_aff = [-(X[b] @ S[b]) for b in range(len(data.dims))]
+        XS = [Xg @ Sg for Xg, Sg in zip(X, S)]
         try:
-            dXa, _, _, dSa = directions(Rc_aff)
+            dXa, _, _, dSa = directions([-P for P in XS])
         except np.linalg.LinAlgError:
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it)
-            return sol
+            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it)
 
-        ap = min(1.0, min((_max_step(X[b], dXa[b], Lx[b]) for b in range(len(data.dims))), default=math.inf))
-        ad = min(1.0, min((_max_step(S[b], dSa[b], Ls[b]) for b in range(len(data.dims))), default=math.inf))
-        gap_aff = sum(
-            float(np.tensordot(X[b] + ap * dXa[b], S[b] + ad * dSa[b]))
-            for b in range(len(data.dims))
+        ap = min(1.0, _max_step(LxInv, dXa))
+        ad = min(1.0, _max_step(LsInv, dSa))
+        gap_aff = _inner(
+            [Xg + ap * D for Xg, D in zip(X, dXa)], [Sg + ad * D for Sg, D in zip(S, dSa)]
         )
         sigma = min(1.0, max(1e-10, (max(gap_aff, 0.0) / gap) ** 3))
 
         # Mehrotra corrector; fall back to plain centering if it shortens
         # the step badly
-        Rc = [
-            sigma * mu * np.eye(data.dims[b]) - X[b] @ S[b] - dXa[b] @ dSa[b]
-            for b in range(len(data.dims))
-        ]
         try:
-            dX, du, dy, dS = directions(Rc)
-            ap_c = min(1.0, min((_max_step(X[b], dX[b], Lx[b]) for b in range(len(data.dims))), default=math.inf))
-            ad_c = min(1.0, min((_max_step(S[b], dS[b], Ls[b]) for b in range(len(data.dims))), default=math.inf))
-            if min(ap_c, ad_c) < 0.2 * min(ap, ad):
-                Rc = [
-                    sigma * mu * np.eye(data.dims[b]) - X[b] @ S[b]
-                    for b in range(len(data.dims))
-                ]
-                dX, du, dy, dS = directions(Rc)
+            dX, du, dy, dS = directions(
+                [sigma * mu * I - P - Da @ Db for I, P, Da, Db in zip(data.I, XS, dXa, dSa)]
+            )
+            step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
+            if min(1.0, step_x, step_s) < 0.2 * min(ap, ad):
+                dX, du, dy, dS = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
+                step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
         except np.linalg.LinAlgError:
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it)
-            return sol
+            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it)
 
         gamma = 0.95 if it < 2 else 0.98
-        ap = min(1.0, gamma * min((_max_step(X[b], dX[b], Lx[b]) for b in range(len(data.dims))), default=math.inf))
-        ad = min(1.0, gamma * min((_max_step(S[b], dS[b], Ls[b]) for b in range(len(data.dims))), default=math.inf))
+        ap = min(1.0, gamma * step_x)
+        ad = min(1.0, gamma * step_s)
         if ap < 1e-10 and ad < 1e-10:
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it)
-            return sol
+            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it)
 
         # eigenvalue-based step bounds can overshoot once the blocks are
         # nearly singular; verify with a Cholesky and back off if needed
         def try_step(mats, dirs, alpha):
             for _ in range(40):
-                trial = [mats[b] + alpha * dirs[b] for b in range(len(data.dims))]
+                trial = [_sym(P + alpha * D) for P, D in zip(mats, dirs)]
                 try:
                     for T in trial:
-                        np.linalg.cholesky(0.5 * (T + T.T))
+                        np.linalg.cholesky(T)
                     return trial, alpha
                 except np.linalg.LinAlgError:
                     alpha *= 0.8
@@ -708,31 +714,24 @@ def _solve_once(problem: SdpProblem, opts: SolveOptions, warm) -> SdpSolution:
         newX, ap = try_step(X, dX, ap)
         newS, ad = try_step(S, dS, ad)
         if newX is None or newS is None:
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it)
-            return sol
-        X = [0.5 * (T + T.T) for T in newX]
-        S = [0.5 * (T + T.T) for T in newS]
+            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it)
+        X, S = newX, newS
         y = y + ad * dy
         if nf:
             u = u + ap * du
 
-        if any(not np.all(np.isfinite(X[b])) or not np.all(np.isfinite(S[b])) for b in range(len(data.dims))):
-            sol = finalize_best() or build_solution(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate", it)
-            return sol
+        if not all(np.all(np.isfinite(P)) for P in X + S):
+            return stop(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate", it)
 
-    done = finalize_best()
-    if done is not None:
-        return done
-    return build_solution(SdpStatus.ITERATION_LIMIT, "iteration limit reached", opts.max_iterations)
+    return stop(SdpStatus.ITERATION_LIMIT, "iteration limit reached", opts.max_iterations)
 
 
 def _solve_unconstrained(problem: SdpProblem, data: _Dense, n_orig_blocks: int) -> SdpSolution:
     """m = 0: optimum is X = 0 iff every C_b is PSD and c_f = 0."""
     if data.nf and np.any(data.cf != 0):
         return SdpSolution(status=SdpStatus.DUAL_INFEASIBLE, message="free objective unbounded")
-    for C in data.C:
-        if C.size and float(np.linalg.eigvalsh(C)[0]) < -1e-12:
-            return SdpSolution(status=SdpStatus.DUAL_INFEASIBLE, message="objective unbounded over the cone")
+    if min((float(np.linalg.eigvalsh(C)[:, 0].min()) for C in data.C), default=0.0) < -1e-12:
+        return SdpSolution(status=SdpStatus.DUAL_INFEASIBLE, message="objective unbounded over the cone")
     return SdpSolution(
         status=SdpStatus.OPTIMAL,
         primal_blocks=[np.zeros((d, d)) for d in problem.block_dims[:n_orig_blocks]],

@@ -128,3 +128,15 @@ def test_gauge_infeasible_exit_three(tmp_path, capsys):
 def test_usage_error_exit_one(capsys):
     assert main(["certify"]) == 1  # missing game argument
     assert main(["frobnicate"]) == 1
+
+
+def test_negative_verify_rejected_before_solving(monkeypatch, capsys):
+    import gamecert.certify
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve must not run")
+
+    monkeypatch.setattr(gamecert.certify, "solve", no_solve)
+    code = main(["certify", "--level", "2", "--verify", "-3", corpus_path("driver.game.json")])
+    assert code == 1
+    assert "--verify" in capsys.readouterr().err

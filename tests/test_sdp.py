@@ -51,6 +51,89 @@ def random_feasible_problem(rng):
     return SdpProblem((k,), 0, ((0, sym_entries(C)),), (), rows)
 
 
+def random_block_problem(rng, dims, n_le=0):
+    """Strictly feasible primal-dual pair over blocks of sizes ``dims``; the
+    last ``n_le`` of its rows are '<=' rows, which become 1x1 slack blocks."""
+    mcon = 8 + n_le
+    pd = lambda d: (lambda B: B @ B.T + np.eye(d))(rng.standard_normal((d, d)))
+    A = [[(lambda B: B + B.T)(rng.standard_normal((d, d))) for d in dims] for _ in range(mcon)]
+    X0 = [pd(d) for d in dims]
+    y0 = rng.standard_normal(mcon)
+    y0[mcon - n_le:] = -0.1 - np.abs(y0[mcon - n_le:])  # slack duals stay interior
+    C = [pd(d) + sum(y0[i] * A[i][b] for i in range(mcon)) for b, d in enumerate(dims)]
+    rows = []
+    for i in range(mcon):
+        le = i >= mcon - n_le
+        rhs = sum(float(np.tensordot(A[i][b], X0[b])) for b in range(len(dims))) + (1.0 if le else 0.0)
+        blocks = tuple((b, sym_entries(A[i][b])) for b in range(len(dims)))
+        rows.append(SdpConstraint(blocks, (), rhs, "<=" if le else "="))
+    obj = tuple((b, sym_entries(C[b])) for b in range(len(dims)))
+    return SdpProblem(tuple(dims), 0, obj, (), tuple(rows))
+
+
+def permute_blocks(prob, perm):
+    """The same program with block ``perm[k]`` stored at position k."""
+    new = {old: k for k, old in enumerate(perm)}
+    move = lambda blocks: tuple((new[b], entries) for b, entries in blocks)
+    rows = tuple(SdpConstraint(move(c.blocks), c.free, c.rhs, c.rel) for c in prob.constraints)
+    return SdpProblem(
+        tuple(prob.block_dims[b] for b in perm), prob.n_free, move(prob.obj_blocks), prob.obj_free, rows
+    )
+
+
+def merge_blocks(prob):
+    """The same program as one block-diagonal block."""
+    offset = np.cumsum((0,) + prob.block_dims)
+    merge = lambda blocks: ((0, tuple(
+        (i + int(offset[b]), j + int(offset[b]), v) for b, entries in blocks for i, j, v in entries
+    )),)
+    rows = tuple(SdpConstraint(merge(c.blocks), c.free, c.rhs, c.rel) for c in prob.constraints)
+    return SdpProblem((int(offset[-1]),), prob.n_free, merge(prob.obj_blocks), prob.obj_free, rows)
+
+
+@pytest.mark.parametrize("dims, n_le, perm", [
+    ((3, 2, 3, 4), 2, (3, 1, 2, 0)),  # a repeated size, lone sizes, 1x1 slacks
+    ((2, 3, 4), 0, (2, 0, 1)),  # every size distinct
+    ((3, 3, 3), 0, (1, 2, 0)),  # every size equal
+])
+def test_block_order_invariance(dims, n_le, perm):
+    prob = random_block_problem(np.random.default_rng(sum(dims)), dims, n_le)
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert len(sol.primal_blocks) == len(dims)
+    permuted = solve(permute_blocks(prob, perm))
+    assert permuted.status == sol.status
+    assert permuted.primal_objective == pytest.approx(sol.primal_objective, abs=1e-9)
+    for k, b in enumerate(perm):
+        assert permuted.primal_blocks[k].shape == (dims[b], dims[b])
+        assert np.allclose(permuted.primal_blocks[k], sol.primal_blocks[b], atol=1e-6)
+    # oracle: one block-diagonal block holds the same program
+    whole = solve(merge_blocks(prob))
+    assert whole.status == SdpStatus.OPTIMAL
+    assert whole.primal_objective == pytest.approx(sol.primal_objective, abs=1e-6)
+
+
+def test_restart_adopted_where_it_helps(monkeypatch, fig3_game):
+    from gamecert import sdp
+    from gamecert.certify import certify_monotone
+
+    descents = []
+    solve_once = sdp._solve_once
+
+    def record(*args):
+        sol, warm = solve_once(*args)
+        descents.append(sol.status)
+        return sol, warm
+
+    monkeypatch.setattr(sdp, "_solve_once", record)
+    result = certify_monotone(fig3_game, 6)
+    # the first descent stalls on the degenerate face; the warm restart
+    # from its best feasible iterate converges and is the one reported
+    assert descents == [SdpStatus.ITERATION_LIMIT, SdpStatus.OPTIMAL]
+    assert result.solver.status == SdpStatus.OPTIMAL.value
+    assert result.lam == pytest.approx(118.0, abs=1e-6)
+
+
 def test_minimum_eigenvalue_probe():
     prob = SdpProblem(
         (2,), 0,
@@ -89,6 +172,17 @@ def test_unbounded_probe():
     )
     sol = solve(prob)
     assert sol.status == SdpStatus.DUAL_INFEASIBLE
+
+
+def test_no_constraints():
+    psd = SdpProblem((2,), 0, ((0, ((0, 0, 1.0), (1, 1, 2.0))),), (), ())
+    sol = solve(psd)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert sol.primal_objective == 0.0 and not sol.primal_blocks[0].any()
+    indefinite = SdpProblem((2,), 0, ((0, ((0, 0, 1.0), (1, 1, -1.0))),), (), ())
+    assert solve(indefinite).status == SdpStatus.DUAL_INFEASIBLE
+    free = SdpProblem((2,), 1, (), ((0, 1.0),), ())
+    assert solve(free).status == SdpStatus.DUAL_INFEASIBLE
 
 
 def test_inequality_rows_via_slack():
