@@ -412,7 +412,9 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
 
     When the first descent stalls on a degenerate face with a feasible
     iterate, one more descent is started from a re-centered copy of that
-    iterate; the better of the two outcomes is returned.
+    iterate.  The second outcome is returned when it converges, or when it
+    stalls with a smaller gap at an iterate whose primal and dual residuals
+    are within ``tol_feasibility``; otherwise the first is.
     """
     opts = options or SolveOptions()
     eq = problem.to_equality_form()
@@ -436,7 +438,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         if second.status == SdpStatus.OPTIMAL or (
             second.status == SdpStatus.ITERATION_LIMIT
             and second.relative_gap < first.relative_gap
-            and second.primal_residual <= 10 * max(first.primal_residual, 1e-14)
+            and max(second.primal_residual, second.dual_residual) <= opts.tol_feasibility
         ):
             return second
     return first
