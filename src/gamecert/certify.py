@@ -29,7 +29,7 @@ from .games import (
     symmetrized_jacobian,
 )
 from .polynomials import Polynomial
-from .sdp import SdpStatus, SolveOptions, solve
+from .sdp import SdpStatus, SolveOptions
 from .sos import (
     Certificate,
     CertificateRejected,
@@ -37,6 +37,7 @@ from .sos import (
     extract_certificate,
     membership_problem,
     round_onto_rows,
+    solve_split,
 )
 
 STRICT_TOL = 1e-6
@@ -161,7 +162,7 @@ def _solve_membership(base, domain, level, opts, label):
         objective=[("lam", 1.0)],
     )
     problem, comp = compile_program(program)
-    sol = solve(problem, opts.solver)
+    sol = solve_split(problem, comp, opts.solver)
     stats = SolverStats(
         status=sol.status.value,
         iterations=sol.iterations,
@@ -175,7 +176,6 @@ def _solve_membership(base, domain, level, opts, label):
         return math.nan, CertStatus.INCONCLUSIVE, None, stats, f"solver stopped: {sol.status.value} ({sol.message})"
     lam = float(sol.free_values[comp.param_index("lam")])
     cert = None
-    diagnostic = ""
     if opts.validate_certificate:
         try:
             cert = extract_certificate(
@@ -186,7 +186,7 @@ def _solve_membership(base, domain, level, opts, label):
             )
         except CertificateRejected as exc:
             return math.nan, CertStatus.INCONCLUSIVE, None, stats, f"certificate rejected: {exc}"
-    return lam, None, cert, stats, diagnostic
+    return lam, None, cert, stats, ""
 
 
 def certify_monotone(

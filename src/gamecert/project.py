@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .certify import CertifyOptions, extended_domain, usable_solution
 from .games import PolynomialGame, player_hessian, quadratic_form, symmetrized_jacobian
 from .polynomials import Monomial, Polynomial, grevlex_key, monomials_upto
-from .sdp import SdpStatus, solve
+from .sdp import SdpStatus
 from .sos import (
     Certificate,
     SosMembership,
@@ -34,6 +34,7 @@ from .sos import (
     compile_program,
     extract_certificate,
     round_onto_rows,
+    solve_split,
 )
 
 
@@ -104,6 +105,20 @@ def _candidate_supports(spec: ProjectionSpec) -> list[list[Monomial]]:
         union = sorted(set(supports[0]) | set(supports[1]), key=grevlex_key)
         supports = [list(union), list(union)]
     return supports
+
+
+def _solve_audited(program: SosProgram, opts: CertifyOptions, infeasible: Exception):
+    """Solve ``program`` and audit its rounded decomposition; raises
+    ``infeasible`` when no decomposition exists, ``ProjectionFailed`` when
+    the solver stops short and ``CertificateRejected`` when the audit fails."""
+    problem, comp = compile_program(program)
+    sol = solve_split(problem, comp, opts.solver)
+    if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
+        raise infeasible
+    if not usable_solution(sol, opts):
+        raise ProjectionFailed(f"solver stopped with status {sol.status.value}: {sol.message}")
+    rounded = round_onto_rows(comp, sol)
+    return sol, extract_certificate(comp, rounded, residual_tol=opts.residual_tol, psd_slack=opts.psd_slack)
 
 
 def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> ProjectionResult:
@@ -196,21 +211,9 @@ def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> Proj
         param_equalities=tuple(equalities),
         param_inequalities=tuple(inequalities),
     )
-    problem, comp = compile_program(program)
-    sol = solve(problem, opts.solver)
-    if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
-        raise ProjectionInfeasible(
-            f"no {spec.kind} candidate at level {spec.level} meets the side constraints"
-        )
-    if not usable_solution(sol, opts):
-        raise ProjectionFailed(f"solver stopped with status {sol.status.value}: {sol.message}")
-
-    cert = extract_certificate(
-        comp,
-        round_onto_rows(comp, sol),
-        residual_tol=opts.residual_tol,
-        psd_slack=opts.psd_slack,
-    )
+    sol, cert = _solve_audited(program, opts, ProjectionInfeasible(
+        f"no {spec.kind} candidate at level {spec.level} meets the side constraints"
+    ))
 
     payoffs = []
     for i in range(game.n_players):
@@ -253,7 +256,9 @@ class GaugeInfeasible(Exception):
 
 def gauge(game: PolynomialGame, level: int, options: CertifyOptions | None = None) -> float:
     """Smallest eps >= 0 making the game certified at ``level`` after adding
-    eps times the quadratic game (payoffs -||x_i||^2)."""
+    eps times the quadratic game (payoffs -||x_i||^2).  The value is only
+    returned after its decomposition passes the certificate audit; a
+    rejected one raises :class:`CertificateRejected`, as in :func:`project`."""
     opts = options or CertifyOptions()
     m = game.n_vars
     base = -quadratic_form(symmetrized_jacobian(game), m)
@@ -274,13 +279,8 @@ def gauge(game: PolynomialGame, level: int, options: CertifyOptions | None = Non
         objective=(("eps", 1.0),),
         param_inequalities=(((("eps", -1.0),), 0.0),),
     )
-    problem, comp = compile_program(program)
-    sol = solve(problem, opts.solver)
-    if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
-        raise GaugeInfeasible(
-            f"no shift makes the game certified at level {level}; "
-            "an Archimedean description (ball constraint) may be missing"
-        )
-    if not usable_solution(sol, opts):
-        raise ProjectionFailed(f"solver stopped with status {sol.status.value}: {sol.message}")
-    return float(sol.free_values[comp.param_index("eps")])
+    _, cert = _solve_audited(program, opts, GaugeInfeasible(
+        f"no shift makes the game certified at level {level}; "
+        "an Archimedean description (ball constraint) may be missing"
+    ))
+    return cert.params["eps"]

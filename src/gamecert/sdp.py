@@ -406,15 +406,20 @@ def _max_step(Linv: list[np.ndarray], D: list[np.ndarray]) -> float:
     return -1.0 / lam_min
 
 
+WARM_PATIENCE = 8  # iterations a warm descent gets to beat the first's feasible gap
+
+
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
     """Run the interior-point iteration; never raises on numerical trouble,
     reporting a diagnosed status instead.
 
     When the first descent stalls on a degenerate face with a feasible
     iterate, one more descent is started from a re-centered copy of that
-    iterate.  The second outcome is returned when it converges, or when it
-    stalls with a smaller gap at an iterate whose primal and dual residuals
-    are within ``tol_feasibility``; otherwise the first is.
+    iterate.  That descent stops after ``WARM_PATIENCE`` iterations unless
+    it has reached a feasible gap below the first's.  Its outcome is
+    returned when it converges, or when it stalls with a smaller gap at an
+    iterate whose primal and dual residuals are within ``tol_feasibility``;
+    otherwise the first descent's is.
     """
     opts = options or SolveOptions()
     eq = problem.to_equality_form()
@@ -429,12 +434,9 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     if data.m == 0:
         return _solve_unconstrained(problem, data, n_orig_blocks)
     first, warm = _solve_once(data, reduction, n_orig_blocks, opts, None)
-    if (
-        first.status == SdpStatus.ITERATION_LIMIT
-        and warm is not None
-        and first.relative_gap > opts.tol_gap
-    ):
-        second, _ = _solve_once(data, reduction, n_orig_blocks, opts, warm)
+    # a returned warm start is a feasible iterate, so IterationLimit means gap > tol_gap
+    if warm is not None and first.status == SdpStatus.ITERATION_LIMIT:
+        second, _ = _solve_once(data, reduction, n_orig_blocks, opts, warm, first.relative_gap)
         if second.status == SdpStatus.OPTIMAL or (
             second.status == SdpStatus.ITERATION_LIMIT
             and second.relative_gap < first.relative_gap
@@ -445,12 +447,12 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
 
 
 def _solve_once(
-    data: _Dense, reduction: _Reduction, n_orig_blocks: int, opts: SolveOptions, warm
+    data: _Dense, reduction: _Reduction, n_orig_blocks: int, opts: SolveOptions, warm, rival_gap=0.0
 ) -> tuple[SdpSolution, tuple | None]:
     """One descent on the reduced data.  Returns the solution and, when
     that solution is the best feasible iterate seen, the iterate itself as
     ``(X, S, y, u, mu)`` in stacked form, the warm start of a restart;
-    otherwise None."""
+    otherwise None.  ``rival_gap`` is the gap a warm descent must beat."""
     m, nf = data.m, data.nf
     nu = sum(data.dims)
 
@@ -573,6 +575,8 @@ def _solve_once(
             best_age += 1
         if best is not None and (best_age >= 10 or err_p > 1e5 * max(best.primal_residual, 1e-13)):
             return stop(SdpStatus.ITERATION_LIMIT, "", it)
+        if warm is not None and it >= WARM_PATIENCE and (best is None or best.relative_gap >= rival_gap):
+            return stop(SdpStatus.ITERATION_LIMIT, "warm descent fell behind", it)
 
         # divergence-based infeasibility certificates
         scale0 = 1.0 + data.norm_b + data.norm_C

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import lsqr
 
 from .games import SemialgebraicSet
 from .polynomials import Monomial, Polynomial, monomials_upto
-from .sdp import SdpConstraint, SdpProblem, SdpSolution
+from .sdp import SdpConstraint, SdpProblem, SdpSolution, SolveOptions, solve
 
 
 def gram_basis(level: int, constraint_degree: int, n_vars: int) -> list[Monomial]:
@@ -335,6 +335,100 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         free_coo=free_coo,
     )
     return problem, comp
+
+
+# ---------------------------------------------------------------------------
+# sign-symmetry split
+
+
+def sign_symmetries(mem: SosMembership) -> np.ndarray:
+    """Rows s spanning the sign flips z_k -> (-1)^(s_k) z_k that leave the
+    target, the parameter polynomials and every g_j and h_j unchanged: the
+    GF(2) null space of their exponent parities, by Gaussian elimination.
+    A monomial's parity class is ``tuple(S @ exps % 2)``."""
+    polys = [mem.base, *(p for _, p in mem.param_polys)]
+    polys += [*mem.domain.inequalities, *mem.domain.equalities]
+    P = np.array([m for p in polys for m in p.terms], dtype=np.int64).reshape(-1, mem.domain.n_vars) % 2
+    pivots: list[int] = []
+    for c in range(P.shape[1]):
+        hit = np.flatnonzero(P[len(pivots):, c])
+        if hit.size == 0:
+            continue
+        r = len(pivots)
+        P[[r, r + hit[0]]] = P[[r + hit[0], r]]
+        P[(P[:, c] == 1) & (np.arange(len(P)) != r)] ^= P[r]
+        pivots.append(c)
+    free = [c for c in range(P.shape[1]) if c not in pivots]
+    S = np.zeros((len(free), P.shape[1]), dtype=np.int64)
+    for k, f in enumerate(free):
+        S[k, f] = 1
+        S[k, pivots] = P[: len(pivots), f]
+    return S
+
+
+def solve_split(
+    problem: SdpProblem, comp: Compilation, options: SolveOptions | None = None
+) -> SdpSolution:
+    """Solve a compiled program through its exact sign-symmetry split.
+
+    Every polynomial of a membership is invariant under the flips of
+    :func:`sign_symmetries`, so averaging any decomposition over them gives
+    one with the same parameters in which each Gram block is block-diagonal
+    by parity class and each equality multiplier has only class-0
+    monomials (Gatermann & Parrilo 2004).  The program restricted to such
+    decompositions has the same optimum: each Gram block is split into its
+    classes, odd multiplier coefficients are dropped, and so are the rows
+    that lose every entry.  The solution of the restricted program is
+    inflated back to ``problem``'s layout, with exact zeros in the cross-
+    class Gram entries, the odd multiplier coefficients and the duals of
+    the dropped rows.
+    """
+    flips = [sign_symmetries(mem) for mem in comp.program.memberships]
+    classes = []  # per restricted block: (original block, its basis indices)
+    where = []    # per original block: basis index -> (restricted block, position)
+    for b, info in enumerate(comp.gram_blocks):
+        groups: dict[tuple, list[int]] = {}
+        for i, mono in enumerate(info.basis):
+            groups.setdefault(tuple(flips[info.membership] @ mono % 2), []).append(i)
+        spots = {}
+        for idx in groups.values():
+            spots.update((i, (len(classes), p)) for p, i in enumerate(idx))
+            classes.append((b, idx))
+        where.append(spots)
+    keep_free = np.ones(problem.n_free, dtype=bool)
+    for info in comp.multipliers:
+        odd = [any(flips[info.membership] @ mono % 2) for mono in info.basis]
+        keep_free[info.offset : info.offset + len(odd)] = np.logical_not(odd)
+    free_pos = np.cumsum(keep_free) - 1
+
+    def restrict(blocks, free):
+        kept: dict[int, list] = {}
+        for b, entries in blocks:
+            for i, j, v in entries:
+                (bi, pi), (bj, pj) = where[b][i], where[b][j]
+                if bi == bj:
+                    kept.setdefault(bi, []).append((pi, pj, v))
+        return tuple(kept.items()), tuple((free_pos[k], v) for k, v in free if keep_free[k])
+
+    rows, keep_rows = [], []
+    for r, con in enumerate(problem.constraints):
+        blocks, free = restrict(con.blocks, con.free)
+        if blocks or free or con.rhs:
+            rows.append(SdpConstraint(blocks, free, con.rhs, con.rel))
+            keep_rows.append(r)
+    dims = tuple(len(idx) for _, idx in classes)
+    obj = restrict(problem.obj_blocks, problem.obj_free)
+    sol = solve(SdpProblem(dims, int(keep_free.sum()), *obj, tuple(rows)), options)
+    if not sol.primal_blocks:
+        return sol
+    blocks = [np.zeros((d, d)) for d in problem.block_dims]
+    for (b, idx), G in zip(classes, sol.primal_blocks):
+        blocks[b][np.ix_(idx, idx)] = G
+    free = np.zeros(problem.n_free)
+    free[keep_free] = sol.free_values
+    duals = np.zeros(problem.n_constraints)
+    duals[keep_rows] = sol.dual_values
+    return replace(sol, primal_blocks=blocks, free_values=free, dual_values=duals)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_negative_verify_rejected_before_solving(monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve must not run")
 
-    monkeypatch.setattr(gamecert.certify, "solve", no_solve)
+    monkeypatch.setattr(gamecert.certify, "solve_split", no_solve)
     code = main(["certify", "--level", "2", "--verify", "-3", corpus_path("driver.game.json")])
     assert code == 1
     assert "--verify" in capsys.readouterr().err

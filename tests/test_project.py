@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,38 @@ def test_gauge_bisection_cross_check(fig1_game):
         else:
             lo = mid
     assert direct == pytest.approx(hi, abs=1e-3)
+
+
+def test_gauge_certificate_is_audited(monkeypatch, fig1_game, fig3_game):
+    import gamecert.project
+    from gamecert.sos import extract_certificate
+
+    audited = []
+
+    def spy(comp, solution, **kwargs):
+        cert = extract_certificate(comp, solution, **kwargs)
+        audited.append(cert)
+        return cert
+
+    monkeypatch.setattr(gamecert.project, "extract_certificate", spy)
+    for game, level in ((fig1_game, 2), (fig3_game, 6)):
+        value = gauge(game, level)
+        cert = audited.pop()
+        assert cert.params["eps"] == value
+        assert cert.identity_residual <= 1e-6
+        assert [b for b, _, _ in cert.gram_matrices][0] == "sigma_0"
+
+
+def test_gauge_rejects_corrupted_certificate(monkeypatch, fig1_game):
+    import gamecert.project
+    from gamecert.sos import CertificateRejected, round_onto_rows
+
+    def corrupt(comp, solution):
+        rounded = round_onto_rows(comp, solution)
+        blocks = [G.copy() for G in rounded.primal_blocks]
+        blocks[0][0, 0] += 0.5
+        return dataclasses.replace(rounded, primal_blocks=blocks)
+
+    monkeypatch.setattr(gamecert.project, "round_onto_rows", corrupt)
+    with pytest.raises(CertificateRejected):
+        gauge(fig1_game, 2)

@@ -134,6 +134,63 @@ def test_restart_adopted_where_it_helps(monkeypatch, fig3_game):
     assert result.lam == pytest.approx(118.0, abs=1e-6)
 
 
+def record_descents(monkeypatch):
+    from gamecert import sdp
+
+    descents = []
+    solve_once = sdp._solve_once
+
+    def record(*args):
+        sol, warm = solve_once(*args)
+        descents.append(sol)
+        return sol, warm
+
+    monkeypatch.setattr(sdp, "_solve_once", record)
+    return descents
+
+
+def test_losing_warm_descent_stops_early(monkeypatch, deg4_game):
+    from gamecert.sdp import WARM_PATIENCE
+    from gamecert.certify import CertStatus, certify_monotone
+
+    descents = record_descents(monkeypatch)
+    result = certify_monotone(deg4_game, 4)
+    # the warm descent of deg4 at level 4 never beats the first one's gap,
+    # so it is cut off after WARM_PATIENCE iterations and the first is kept
+    first, second = descents
+    assert first.status == second.status == SdpStatus.ITERATION_LIMIT
+    assert second.iterations == WARM_PATIENCE
+    assert second.relative_gap >= first.relative_gap
+    assert result.solver.iterations == first.iterations
+    assert result.solver.relative_gap == first.relative_gap
+    assert result.status == CertStatus.STRICTLY_CERTIFIED
+
+
+def test_feasible_stalled_restart_adopted(monkeypatch):
+    from gamecert.certify import CertStatus, certify_monotone
+    from gamecert.games import PolynomialGame, add_ball_constraint, box_set
+    from gamecert.polynomials import Polynomial, monomials_upto
+
+    # draw 11 of the criterion-8 stream of default_rng(7)
+    rng = np.random.default_rng(7)
+    basis = monomials_upto(2, 4)
+    for _ in range(12):
+        payoffs = tuple(
+            Polynomial(2, {m: float(rng.uniform(-1, 1)) for m in basis}) for _ in range(2)
+        )
+    domain = add_ball_constraint(box_set([(0.0, 1.0)] * 2), float(np.sqrt(2.0)))
+    descents = record_descents(monkeypatch)
+    result = certify_monotone(PolynomialGame((1, 1), payoffs, domain), 4)
+    # the first descent stalls above accept_stalled_gap; the warm one stalls
+    # far lower, feasible to tol_feasibility though less so than the first
+    first, second = descents
+    assert first.relative_gap > 1e-4 and second.relative_gap < 1e-4
+    assert second.primal_residual > 10 * first.primal_residual
+    assert max(second.primal_residual, second.dual_residual) <= SolveOptions().tol_feasibility
+    assert result.solver.relative_gap == second.relative_gap
+    assert result.status == CertStatus.STRICTLY_CERTIFIED
+
+
 def test_minimum_eigenvalue_probe():
     prob = SdpProblem(
         (2,), 0,

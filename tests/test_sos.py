@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gamecert.certify import extended_domain, monotone_target
+from gamecert.certify import concave_target, extended_domain, monotone_target
 from gamecert.games import SemialgebraicSet, add_ball_constraint
 from gamecert.polynomials import Polynomial
 from gamecert.sdp import SdpSolution, SdpStatus, solve
@@ -12,6 +12,9 @@ from gamecert.sos import (
     extract_certificate,
     gram_basis,
     membership_problem,
+    round_onto_rows,
+    sign_symmetries,
+    solve_split,
 )
 
 
@@ -157,3 +160,132 @@ def test_compile_unmatchable_monomial():
     program = membership_problem(Polynomial(1, {(3,): 1.0}), domain, 3)
     with pytest.raises(CompileError):
         compile_program(program)
+
+
+# ---------------------------------------------------------------------------
+# sign-symmetry split
+
+
+def bound_membership(base, domain, level):
+    return membership_problem(
+        base, domain, level,
+        param_polys=[("lam", Polynomial.constant(domain.n_vars, 1.0))],
+        objective=[("lam", 1.0)],
+    )
+
+
+def monotone_membership(game, level):
+    return bound_membership(monotone_target(game), extended_domain(game.domain, game.n_vars), level)
+
+
+def concave_membership(game, player, level):
+    domain = extended_domain(game.domain, game.block_sizes[player])
+    return bound_membership(concave_target(game, player), domain, level)
+
+
+def parity_class(flips, mono):
+    return tuple(flips @ np.array(mono) % 2)
+
+
+def restricted_problem(monkeypatch, problem, comp):
+    """Run solve_split and return (its solution, the program it solved)."""
+    import gamecert.sos
+
+    seen = []
+
+    def record(restricted, options=None):
+        seen.append(restricted)
+        return solve(restricted, options)
+
+    monkeypatch.setattr(gamecert.sos, "solve", record)
+    sol = solve_split(problem, comp)
+    return sol, seen[0]
+
+
+def test_sign_symmetries_of_driver_target():
+    # 6 y^2 + lam on [0, 1] x sphere: only y -> -y leaves every polynomial alone
+    program = driver_membership(level=4)
+    flips = sign_symmetries(program.memberships[0])
+    assert flips.tolist() == [[0, 1]]
+    basis = gram_basis(4, 0, 2)
+    classes = {mono: parity_class(flips, mono) for mono in basis}
+    assert [m for m in basis if classes[m] == (0,)] == [(0, 0), (1, 0), (2, 0), (0, 2)]
+    assert [m for m in basis if classes[m] == (1,)] == [(0, 1), (1, 1)]
+
+
+def test_sign_symmetries_null_space(fig1_game, fig3_game):
+    for game, level in ((fig1_game, 2), (fig3_game, 6)):
+        mem = monotone_membership(game, level).memberships[0]
+        flips = sign_symmetries(mem)
+        polys = [mem.base, *mem.domain.inequalities, *mem.domain.equalities]
+        parities = np.array([m for p in polys for m in p.terms]) % 2
+        assert not np.any(parities @ flips.T % 2)
+        # the flips are independent over GF(2) and include y -> -y
+        n, m = mem.domain.n_vars, game.n_vars
+        span = {tuple(np.array(c) @ flips % 2) for c in np.ndindex(*(2,) * len(flips))}
+        assert len(span) == 2 ** len(flips)
+        assert (0,) * m + (1,) * (n - m) in span
+        # and nothing else: every other flip changes some polynomial
+        for s in np.ndindex(*(2,) * n):
+            if tuple(s) not in span:
+                assert np.any(parities @ np.array(s) % 2)
+
+
+def test_odd_target_is_not_split(monkeypatch):
+    # y + x y^2 is not even in y, and x(1 - x) >= 0 is not even in x
+    base = Polynomial(2, {(0, 1): 1.0, (1, 2): 1.0})
+    x = Polynomial.variable(2, 0)
+    sphere = Polynomial(2, {(0, 0): 1.0, (0, 2): -1.0})
+    domain = SemialgebraicSet(2, (x * (Polynomial.constant(2, 1.0) - x),), (sphere,))
+    program = bound_membership(base, domain, 4)
+    assert sign_symmetries(program.memberships[0]).shape == (0, 2)
+    problem, comp = compile_program(program)
+    _, restricted = restricted_problem(monkeypatch, problem, comp)
+    assert restricted == problem
+
+
+def test_compile_keeps_full_shape(monkeypatch, deg4_game):
+    problem, comp = compile_program(monotone_membership(deg4_game, 4))
+    assert problem.block_dims == (45,) + (9,) * 6
+    assert problem.n_constraints == 495 and problem.n_free == 46
+    assert [len(info.basis) for info in comp.multipliers] == [45]
+    _, restricted = restricted_problem(monkeypatch, problem, comp)
+    assert restricted.block_dims == (25, 20) + (5, 4) * 6
+    assert restricted.n_constraints == 255 and restricted.n_free == 26
+
+
+def split_cases(fig3_game, deg4_game):
+    return [
+        ("fig3 L6", compile_program(monotone_membership(fig3_game, 6))),
+        ("deg4 concave L4", compile_program(concave_membership(deg4_game, 0, 4))),
+    ]
+
+
+def test_split_bound_equals_unsplit_bound(fig3_game, deg4_game):
+    for label, (problem, comp) in split_cases(fig3_game, deg4_game):
+        lam = comp.param_index("lam")
+        full = float(solve(problem).free_values[lam])
+        split = float(solve_split(problem, comp).free_values[lam])
+        assert abs(split - full) <= 1e-4 * (1 + abs(full)), label
+
+
+def test_split_solution_has_exact_zeros(fig3_game, deg4_game):
+    for label, (problem, comp) in split_cases(fig3_game, deg4_game):
+        flips = sign_symmetries(comp.program.memberships[0])
+        sol = solve_split(problem, comp)
+        assert sol.status in (SdpStatus.OPTIMAL, SdpStatus.ITERATION_LIMIT), label
+        for candidate in (sol, round_onto_rows(comp, sol)):
+            for info, G in zip(comp.gram_blocks, candidate.primal_blocks):
+                cls = [parity_class(flips, mono) for mono in info.basis]
+                cross = np.array([[a != b for b in cls] for a in cls])
+                assert np.any(cross) and np.all(G[cross] == 0.0), (label, info.multiplier)
+                assert np.any(G[~cross] != 0.0)
+            for info in comp.multipliers:
+                coeffs = candidate.free_values[info.offset : info.offset + len(info.basis)]
+                odd = np.array([any(parity_class(flips, mono)) for mono in info.basis])
+                assert np.any(odd) and np.all(coeffs[odd] == 0.0), label
+            assert len(candidate.primal_blocks) == len(problem.block_dims)
+        cert = extract_certificate(comp, round_onto_rows(comp, sol))
+        assert [b for b, _, _ in cert.memberships[0].gram_matrices] == [
+            info.multiplier for info in comp.gram_blocks
+        ]
