@@ -176,6 +176,7 @@ def _solve_membership(base, domain, level, opts, label):
         return math.nan, CertStatus.INCONCLUSIVE, None, stats, f"solver stopped: {sol.status.value} ({sol.message})"
     lam = float(sol.free_values[comp.param_index("lam")])
     cert = None
+    diagnostic = ""
     if opts.validate_certificate:
         try:
             cert = extract_certificate(
@@ -186,7 +187,7 @@ def _solve_membership(base, domain, level, opts, label):
             )
         except CertificateRejected as exc:
             return math.nan, CertStatus.INCONCLUSIVE, None, stats, f"certificate rejected: {exc}"
-    return lam, None, cert, stats, ""
+    return lam, None, cert, stats, diagnostic
 
 
 def certify_monotone(

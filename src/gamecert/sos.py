@@ -348,7 +348,8 @@ def sign_symmetries(mem: SosMembership) -> np.ndarray:
     A monomial's parity class is ``tuple(S @ exps % 2)``."""
     polys = [mem.base, *(p for _, p in mem.param_polys)]
     polys += [*mem.domain.inequalities, *mem.domain.equalities]
-    P = np.array([m for p in polys for m in p.terms], dtype=np.int64).reshape(-1, mem.domain.n_vars) % 2
+    exps = [m for p in polys for m in p.terms]
+    P = np.array(exps, dtype=np.int64).reshape(-1, mem.domain.n_vars) % 2
     pivots: list[int] = []
     for c in range(P.shape[1]):
         hit = np.flatnonzero(P[len(pivots):, c])
