@@ -33,6 +33,7 @@ from .sdp import SdpStatus, SolveOptions
 from .sos import (
     Certificate,
     CertificateRejected,
+    SosProgram,
     compile_program,
     extract_certificate,
     membership_problem,
@@ -153,15 +154,20 @@ def _classify(lam: float, opts: CertifyOptions) -> CertStatus:
     return CertStatus.INCONCLUSIVE
 
 
-def _solve_membership(base, domain, level, opts, label):
-    program = membership_problem(
+def bound_program(base: Polynomial, domain: SemialgebraicSet, level: int) -> SosProgram:
+    """min lam subject to lam + base in Q_level(domain): the program of one
+    bound, for ``base`` the negated quadratic form of a target."""
+    return membership_problem(
         base=base,
         domain=domain,
         level=level,
         param_polys=[("lam", Polynomial.constant(domain.n_vars, 1.0))],
         objective=[("lam", 1.0)],
     )
-    problem, comp = compile_program(program)
+
+
+def _solve_membership(base, domain, level, opts):
+    problem, comp = compile_program(bound_program(base, domain, level))
     sol = solve_split(problem, comp, opts.solver)
     stats = SolverStats(
         status=sol.status.value,
@@ -201,7 +207,7 @@ def certify_monotone(
     if level < needed:
         raise ValueError(f"level {level} below target degree {needed}")
     domain = extended_domain(game.domain, game.n_vars)
-    lam, status, cert, stats, diag = _solve_membership(base, domain, level, opts, "monotone")
+    lam, status, cert, stats, diag = _solve_membership(base, domain, level, opts)
     if status is None:
         status = _classify(lam, opts)
     return CertResult(
@@ -236,7 +242,7 @@ def certify_concave(
                 f"level {level} below player {i} target degree {base.degree}"
             )
         domain = extended_domain(game.domain, game.block_sizes[i])
-        lam, st, cert, stats, diag = _solve_membership(base, domain, level, opts, f"player {i}")
+        lam, st, cert, stats, diag = _solve_membership(base, domain, level, opts)
         per_player.append((i, lam))
         if diag:
             diagnostics.append(f"player {i}: {diag}")

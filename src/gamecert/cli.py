@@ -248,10 +248,9 @@ def cmd_efg2poly(args) -> int:
 
 def cmd_export_sdpa(args) -> int:
     from . import __version__
-    from .certify import extended_domain, monotone_target
-    from .polynomials import Polynomial
+    from .certify import bound_program, extended_domain, monotone_target
     from .sdp import export_sdpa
-    from .sos import compile_program, membership_problem
+    from .sos import compile_program
 
     game = _load_game(args)
     if args.kind == "monotone":
@@ -259,14 +258,7 @@ def cmd_export_sdpa(args) -> int:
         domain = extended_domain(game.domain, game.n_vars)
     else:
         raise CliError("only --kind monotone is exportable as one SDP")
-    program = membership_problem(
-        base=base,
-        domain=domain,
-        level=args.level,
-        param_polys=[("lam", Polynomial.constant(domain.n_vars, 1.0))],
-        objective=[("lam", 1.0)],
-    )
-    problem, _ = compile_program(program)
+    problem, _ = compile_program(bound_program(base, domain, args.level))
     export_sdpa(problem, args.out)
     report = {
         "command": "export-sdpa",

@@ -13,6 +13,11 @@ stacked, so each step of an iteration runs once per block size; the Schur
 complement is formed densely, in Gram form, and free variables are handled
 through an augmented system (no PSD splitting).
 
+Constraint data has one stored form, COO arrays: ``Gram`` entries
+``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
+col, value)``, a rhs array, a "<=" mask, and the objective in the same
+layout.  :func:`canonical` validates and sorts what every constructor gets.
+
 SDPA sparse export writes the equality-form problem with the free scalars
 as a trailing negative-size diagonal block; values carry 17 significant
 digits so a file round-trips to bit-identical data.
@@ -23,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count, groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,47 +45,80 @@ class SdpStatus(str, Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
-def _canon_block_entries(dim: int, entries) -> tuple[BlockEntry, ...]:
-    out = []
-    for i, j, v in entries:
-        i, j, v = int(i), int(j), float(v)
-        if i > j:
-            i, j = j, i
-        if not (0 <= i <= j < dim):
-            raise ValueError(f"entry ({i},{j}) outside {dim}x{dim} block")
-        if not math.isfinite(v):
-            raise ValueError("non-finite matrix entry")
-        if v != 0.0:
-            out.append((i, j, v))
-    out.sort(key=lambda e: (e[0], e[1]))
-    return tuple(out)
+class Gram(NamedTuple):
+    """Gram-block entries as COO arrays: ``value`` sits at (i, j) and (j, i)
+    of block ``block`` in row ``row``."""
+
+    row: np.ndarray
+    block: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
 
 
-def _canon_blocks(block_dims, blocks) -> tuple[tuple[int, tuple[BlockEntry, ...]], ...]:
-    seen = {}
-    for b, entries in blocks:
-        b = int(b)
-        if not 0 <= b < len(block_dims):
-            raise ValueError(f"block index {b} out of range")
-        seen.setdefault(b, []).extend(entries)
-    out = []
-    for b in sorted(seen):
-        canon = _canon_block_entries(block_dims[b], seen[b])
-        if canon:
-            out.append((b, canon))
-    return tuple(out)
+class Free(NamedTuple):
+    """Free-variable coefficients as COO arrays."""
+
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
 
 
-def _canon_free(n_free, free) -> tuple[tuple[int, float], ...]:
-    acc = {}
-    for k, v in free:
-        k, v = int(k), float(v)
-        if not 0 <= k < n_free:
-            raise ValueError(f"free-variable index {k} out of range")
-        if not math.isfinite(v):
-            raise ValueError("non-finite free coefficient")
-        acc[k] = acc.get(k, 0.0) + v
-    return tuple((k, acc[k]) for k in sorted(acc) if acc[k] != 0.0)
+def make_coo(kind, entries=()):
+    """A ``Gram`` or ``Free`` from index/value tuples in field order."""
+    cols = list(zip(*entries)) or [()] * len(kind._fields)
+    return kind(*(np.array(c, dtype=np.int64) for c in cols[:-1]), np.array(cols[-1], dtype=float))
+
+
+def concat_coo(parts):
+    return type(parts[0])(*map(np.concatenate, zip(*parts)))
+
+
+def _summed(coo, keys, shape):
+    """``coo`` sorted by the flat index of ``keys`` in ``shape``, duplicates
+    summed in input order and zeros dropped; the arrays are read-only."""
+    flat = np.ravel_multi_index(keys, shape)
+    order = np.argsort(flat, kind="stable")
+    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    total = np.add.reduceat(coo.value[order], first)
+    pick = order[first[total != 0]]
+    out = type(coo)(*(k[pick] for k in coo[:-1]), total[total != 0])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def canonical(block_dims, n_free: int, n_rows: int, gram: Gram, free: Free) -> tuple[Gram, Free]:
+    """Validate COO constraint data and bring it to the one canonical form:
+    (j, i) entries folded onto i <= j, entries sorted by (row, block, i, j)
+    and (row, col), duplicates summed and zeros dropped."""
+    dims = np.array(block_dims, dtype=np.int64)
+    row, block, i, j, frow, col = (np.asarray(a, dtype=np.int64) for a in (*gram[:4], *free[:2]))
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    if np.any(bad := (block < 0) | (block >= len(dims))):
+        raise ValueError(f"block index {block[bad][0]} out of range")
+    if np.any(bad := (i < 0) | (j >= dims[block])):
+        k = np.argmax(bad)
+        raise ValueError(f"entry ({i[k]},{j[k]}) outside {dims[block[k]]}x{dims[block[k]]} block")
+    value, fvalue = np.asarray(gram.value, dtype=float), np.asarray(free.value, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError("non-finite matrix entry")
+    if np.any(bad := (col < 0) | (col >= n_free)):
+        raise ValueError(f"free-variable index {col[bad][0]} out of range")
+    if not np.isfinite(fvalue).all():
+        raise ValueError("non-finite free coefficient")
+    # a row's Gram entries in the order of the flattened blocks (vec X_1, ..., vec X_k)
+    off = np.concatenate(([0], np.cumsum(dims * dims)))
+    flat = off[block] + i * dims[block] + j
+    return (_summed(Gram(row, block, i, j, value), (row, flat), (n_rows, off[-1])),
+            _summed(Free(frow, col, fvalue), (frow, col), (n_rows, n_free)))
+
+
+def _from_nested(rows):
+    """COO arrays of nested ``SdpConstraint``-style (blocks, free) rows."""
+    return (make_coo(Gram, [(r, b, i, j, v) for r, (blocks, _) in enumerate(rows)
+                            for b, entries in blocks for i, j, v in entries]),
+            make_coo(Free, [(r, k, v) for r, (_, free) in enumerate(rows) for k, v in free]))
 
 
 @dataclass(frozen=True)
@@ -89,65 +129,77 @@ class SdpConstraint:
     rel: str = "="  # "=" or "<="
 
 
-@dataclass(frozen=True)
 class SdpProblem:
-    """Block SDP data in canonical (sorted, deduplicated) sparse form."""
+    """Block SDP data as COO arrays in the form :func:`canonical` gives.
 
-    block_dims: tuple[int, ...]
-    n_free: int
-    obj_blocks: tuple[tuple[int, tuple[BlockEntry, ...]], ...]
-    obj_free: tuple[tuple[int, float], ...]
-    constraints: tuple[SdpConstraint, ...]
+    ``gram`` and ``free`` hold the constraint rows, ``rhs`` their right-hand
+    sides and ``le`` marks the "<=" rows; ``obj_gram`` and ``obj_free`` hold
+    the objective in the same layout, as row 0.  The positional constructor
+    takes nested ``SdpConstraint`` rows, :meth:`from_arrays` the arrays.
+    """
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
-        if any(d <= 0 for d in dims):
+    def __init__(self, block_dims, n_free, obj_blocks=(), obj_free=(), constraints=()):
+        if unknown := [c.rel for c in constraints if c.rel not in ("=", "<=")]:
+            raise ValueError(f"unknown relation {unknown[0]!r}")
+        self._set(
+            block_dims, n_free,
+            *_from_nested([(c.blocks, c.free) for c in constraints]),
+            [float(c.rhs) for c in constraints], [c.rel == "<=" for c in constraints],
+            *_from_nested([(obj_blocks, obj_free)]),
+        )
+
+    @classmethod
+    def from_arrays(cls, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free) -> "SdpProblem":
+        problem = cls.__new__(cls)
+        problem._set(block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free)
+        return problem
+
+    def _set(self, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free):
+        self.block_dims = tuple(int(d) for d in block_dims)
+        if any(d <= 0 for d in self.block_dims):
             raise ValueError("block dimensions must be positive")
-        object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "n_free", int(self.n_free))
-        object.__setattr__(self, "obj_blocks", _canon_blocks(dims, self.obj_blocks))
-        object.__setattr__(self, "obj_free", _canon_free(self.n_free, self.obj_free))
-        rows = []
-        for con in self.constraints:
-            if con.rel not in ("=", "<="):
-                raise ValueError(f"unknown relation {con.rel!r}")
-            if not math.isfinite(con.rhs):
-                raise ValueError("non-finite right-hand side")
-            rows.append(
-                SdpConstraint(
-                    _canon_blocks(dims, con.blocks),
-                    _canon_free(self.n_free, con.free),
-                    float(con.rhs),
-                    con.rel,
-                )
-            )
-        object.__setattr__(self, "constraints", tuple(rows))
+        self.n_free = int(n_free)
+        self.rhs = np.array(rhs, dtype=float).reshape(-1)
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("non-finite right-hand side")
+        self.le = np.array(le, dtype=bool).reshape(self.rhs.shape)
+        self.gram, self.free = canonical(self.block_dims, self.n_free, len(self.rhs), gram, free)
+        self.obj_gram, self.obj_free = canonical(self.block_dims, self.n_free, 1, obj_gram, obj_free)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SdpProblem):
+            return NotImplemented
+        arrays = lambda p: (*p.gram, *p.free, p.rhs, p.le, *p.obj_gram, *p.obj_free)
+        return (self.block_dims, self.n_free) == (other.block_dims, other.n_free) and all(
+            np.array_equal(a, b) for a, b in zip(arrays(self), arrays(other))
+        )
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
+
+    @property
+    def constraints(self) -> tuple[SdpConstraint, ...]:
+        """The rows as ``SdpConstraint`` tuples, built on each access."""
+        blocks, free = [[] for _ in self.rhs], [[] for _ in self.rhs]
+        for (r, b), entries in groupby(zip(*(a.tolist() for a in self.gram)), key=lambda e: e[:2]):
+            blocks[r].append((b, tuple(e[2:] for e in entries)))
+        for r, k, v in zip(*(a.tolist() for a in self.free)):
+            free[r].append((k, v))
+        rel = ["<=" if le else "=" for le in self.le.tolist()]
+        return tuple(map(SdpConstraint, map(tuple, blocks), map(tuple, free), self.rhs.tolist(), rel))
 
     def to_equality_form(self) -> "SdpProblem":
         """Convert every '<=' row to an equality with a 1x1 slack block."""
-        if all(c.rel == "=" for c in self.constraints):
+        rows = np.flatnonzero(self.le)
+        if not len(rows):
             return self
-        dims = list(self.block_dims)
-        rows = []
-        for con in self.constraints:
-            if con.rel == "=":
-                rows.append(con)
-            else:
-                slack = len(dims)
-                dims.append(1)
-                rows.append(
-                    SdpConstraint(
-                        con.blocks + ((slack, ((0, 0, 1.0),)),),
-                        con.free,
-                        con.rhs,
-                        "=",
-                    )
-                )
-        return SdpProblem(tuple(dims), self.n_free, self.obj_blocks, self.obj_free, tuple(rows))
+        zero = np.zeros(len(rows), dtype=np.int64)
+        slack = Gram(rows, len(self.block_dims) + np.arange(len(rows)), zero, zero, np.ones(len(rows)))
+        return SdpProblem.from_arrays(
+            self.block_dims + (1,) * len(rows), self.n_free, concat_coo([self.gram, slack]),
+            self.free, self.rhs, np.zeros_like(self.le), self.obj_gram, self.obj_free,
+        )
 
 
 @dataclass
@@ -190,93 +242,64 @@ class _Reduction:
 
     def __init__(self, problem: SdpProblem):
         self.original = problem
+        g, m = problem.gram, problem.n_constraints
+        off = np.cumsum((0,) + problem.block_dims)
+        gi, gj = off[g.block] + g.i, off[g.block] + g.j  # columns in one flat index
+        dead = np.zeros(off[-1], dtype=bool)
+        active = np.ones(m, dtype=bool)
+        has_free = np.bincount(problem.free.row, minlength=m) > 0
+        zero_rhs = np.abs(problem.rhs) <= 1e-30
+        diagonal = g.i == g.j
         self.infeasible = False
-        removed: list[set[int]] = [set() for _ in problem.block_dims]
-        rows = list(problem.constraints)
-        active = [True] * len(rows)
+        # removing columns only shrinks a row's live entries, so a row that
+        # qualifies keeps qualifying: sweeping all rows at once against one
+        # dead set reaches the fixed point any row order reaches
+        while True:
+            live = ~dead[gi] & ~dead[gj]
+            count = lambda mask: np.bincount(g.row[live & mask], minlength=m)
+            n_live = count(True)
+            empty = active & ~has_free & (n_live == 0)
+            if np.any(empty & ~zero_rhs):
+                self.infeasible = True
+                break
+            n_pos = count(g.value > 0)
+            forced = (active & ~has_free & zero_rhs & (n_live > 0) & (count(diagonal) == n_live)
+                      & ((n_pos == 0) | (n_pos == n_live)))
+            if not np.any(empty | forced):
+                break
+            dead[gi[live & forced[g.row]]] = True
+            active &= ~(empty | forced)
 
-        def live_entries(con: SdpConstraint):
-            out = []
-            for b, entries in con.blocks:
-                for i, j, v in entries:
-                    if i not in removed[b] and j not in removed[b]:
-                        out.append((b, i, j, v))
-            return out
-
-        changed = True
-        while changed and not self.infeasible:
-            changed = False
-            for r, con in enumerate(rows):
-                if not active[r]:
-                    continue
-                entries = live_entries(con)
-                if not entries and not con.free:
-                    active[r] = False
-                    if abs(con.rhs) > 1e-30:
-                        self.infeasible = True
-                        break
-                    changed = True
-                    continue
-                if con.free or abs(con.rhs) > 1e-30:
-                    continue
-                if not entries:
-                    continue
-                if all(i == j for _, i, j, _ in entries):
-                    signs = {v > 0 for _, _, _, v in entries}
-                    if len(signs) == 1:
-                        for b, i, _, _ in entries:
-                            removed[b].add(i)
-                        active[r] = False
-                        changed = True
-
-        self.keep_cols = [
-            [i for i in range(d) if i not in removed[b]]
-            for b, d in enumerate(problem.block_dims)
-        ]
-        self.keep_rows = [r for r in range(len(rows)) if active[r]]
-        self.block_map = []  # reduced index -> original block
-        dims = []
-        for b, cols in enumerate(self.keep_cols):
-            if cols:
-                self.block_map.append(b)
-                dims.append(len(cols))
-        col_pos = [
-            {i: k for k, i in enumerate(cols)} for cols in self.keep_cols
-        ]
-        block_pos = {b: rb for rb, b in enumerate(self.block_map)}
-
-        def squeeze(blocks):
-            out = []
-            for b, entries in blocks:
-                if b not in block_pos:
-                    continue
-                kept = [
-                    (col_pos[b][i], col_pos[b][j], v)
-                    for i, j, v in entries
-                    if i in col_pos[b] and j in col_pos[b]
-                ]
-                if kept:
-                    out.append((block_pos[b], tuple(kept)))
-            return tuple(out)
-
-        if dims:
-            constraints = tuple(
-                SdpConstraint(squeeze(rows[r].blocks), rows[r].free, rows[r].rhs, rows[r].rel)
-                for r in self.keep_rows
-            )
-            self.reduced = SdpProblem(
-                tuple(dims),
-                problem.n_free,
-                squeeze(problem.obj_blocks),
-                problem.obj_free,
-                constraints,
-            )
-        else:
+        self.keep_cols = [np.flatnonzero(~dead[a:b]) for a, b in zip(off[:-1], off[1:])]
+        self.keep_rows = np.flatnonzero(active)
+        self.block_map = [b for b, cols in enumerate(self.keep_cols) if len(cols)]  # reduced -> original
+        if not self.block_map:
             # every block died; fall back to the unreduced problem
-            self.keep_cols = [list(range(d)) for d in problem.block_dims]
-            self.keep_rows = list(range(len(rows)))
+            self.keep_cols = [np.arange(d) for d in problem.block_dims]
+            self.keep_rows = np.arange(m)
             self.block_map = list(range(len(problem.block_dims)))
             self.reduced = problem
+            return
+        pos = np.zeros(off[-1], dtype=np.int64)  # flat column -> position in its reduced block
+        for a, cols in zip(off, self.keep_cols):
+            pos[a + cols] = np.arange(len(cols))
+        block_pos = np.zeros(len(off) - 1, dtype=np.int64)
+        block_pos[self.block_map] = np.arange(len(self.block_map))
+        row_pos = np.where(active, np.cumsum(active) - 1, -1)
+
+        def squeeze(gram, rows):
+            fi, fj = off[gram.block] + gram.i, off[gram.block] + gram.j
+            k = ~dead[fi] & ~dead[fj] & (rows[gram.row] >= 0)
+            return Gram(rows[gram.row[k]], block_pos[gram.block[k]], pos[fi[k]], pos[fj[k]], gram.value[k])
+
+        f = problem.free
+        k = active[f.row]
+        self.reduced = SdpProblem.from_arrays(
+            [len(self.keep_cols[b]) for b in self.block_map], problem.n_free,
+            squeeze(g, row_pos), Free(row_pos[f.row[k]], f.col[k], f.value[k]),
+            problem.rhs[active], problem.le[active],
+            squeeze(problem.obj_gram, np.zeros(1, dtype=np.int64)), problem.obj_free,
+        )
 
     def inflate_blocks(self, reduced_blocks: list[np.ndarray]) -> list[np.ndarray]:
         out = [np.zeros((d, d)) for d in self.original.block_dims]
@@ -286,7 +309,7 @@ class _Reduction:
         return out
 
     def inflate_duals(self, reduced_y: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.original.constraints))
+        out = np.zeros(self.original.n_constraints)
         out[self.keep_rows] = reduced_y
         return out
 
@@ -338,27 +361,25 @@ class _Dense:
             self.slots.append((group[d], counts[group[d]]))
             counts[group[d]] += 1
         self.I = [np.broadcast_to(np.eye(d), (k, d, d)) for d, k in zip(sizes, counts)]
-        self.C = [np.zeros(I.shape) for I in self.I]
-        for b, entries in prob.obj_blocks:
-            g, p = self.slots[b]
-            for i, j, v in entries:
-                self.C[g][p, i, j] = v
-                self.C[g][p, j, i] = v
+        slot_g, slot_p = np.array(self.slots, dtype=np.int64).reshape(-1, 2).T
+
+        def scatter(stacks, gram, lead):
+            """Write each entry at (i, j) and (j, i) of its block's slot."""
+            g, p = slot_g[gram.block], slot_p[gram.block]
+            for k, P in enumerate(stacks):
+                s = g == k
+                idx = tuple(r[s] for r in lead) + (p[s],)
+                P[idx + (gram.i[s], gram.j[s])] = gram.value[s]
+                P[idx + (gram.j[s], gram.i[s])] = gram.value[s]
+            return stacks
+
+        self.C = scatter([np.zeros(I.shape) for I in self.I], prob.obj_gram, ())
+        self.A = scatter([np.zeros((self.m,) + I.shape) for I in self.I], prob.gram, (prob.gram.row,))
         self.cf = np.zeros(self.nf)
-        for k, v in prob.obj_free:
-            self.cf[k] = v
-        self.A = [np.zeros((self.m,) + I.shape) for I in self.I]
+        self.cf[prob.obj_free.col] = prob.obj_free.value
         self.F = np.zeros((self.m, self.nf))
-        self.b = np.zeros(self.m)
-        for r, con in enumerate(prob.constraints):
-            self.b[r] = con.rhs
-            for b_idx, entries in con.blocks:
-                g, p = self.slots[b_idx]
-                for i, j, v in entries:
-                    self.A[g][r, p, i, j] = v
-                    self.A[g][r, p, j, i] = v
-            for k, v in con.free:
-                self.F[r, k] = v
+        self.F[prob.free.row, prob.free.col] = prob.free.value
+        self.b = prob.rhs.copy()
         self.Aflat = [A.reshape(self.m, I.size) for A, I in zip(self.A, self.I)]
         # the Gram-form Schur factor keeps its columns in the original block
         # order, so its QR sees the same matrix whatever the grouping
@@ -762,10 +783,6 @@ class SdpaParseError(ValueError):
         self.line_no = line_no
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 def export_sdpa(problem: SdpProblem, path: str) -> None:
     """Write the equality-form problem as SDPA sparse text.
 
@@ -774,29 +791,29 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
     upper-triangle nonzero, with matno 0 holding the objective.
     """
     eq = problem.to_equality_form()
-    dims = list(eq.block_dims)
-    nblocks = len(dims) + (1 if eq.n_free else 0)
-    lines = [str(eq.n_constraints), str(nblocks)]
-    sizes = [str(d) for d in dims]
-    if eq.n_free:
-        sizes.append(str(-eq.n_free))
-    lines.append(" ".join(sizes))
-    lines.append(" ".join(_fmt(c.rhs) for c in eq.constraints))
-
-    free_blk = len(dims) + 1  # 1-based index of the free diagonal block
-
-    def emit(matno: int, blocks, free):
-        for b, entries in blocks:
-            for i, j, v in entries:
-                lines.append(f"{matno} {b + 1} {i + 1} {j + 1} {_fmt(v)}")
-        for k, v in free:
-            lines.append(f"{matno} {free_blk} {k + 1} {k + 1} {_fmt(v)}")
-
-    emit(0, eq.obj_blocks, eq.obj_free)
-    for r, con in enumerate(eq.constraints):
-        emit(r + 1, con.blocks, con.free)
+    sizes = list(eq.block_dims) + ([-eq.n_free] if eq.n_free else [])
+    head = [str(eq.n_constraints), str(len(sizes)), " ".join(map(str, sizes)),
+            " ".join("%.16e" % v for v in eq.rhs.tolist())]
+    free_blk = len(eq.block_dims) + 1  # 1-based index of the free diagonal block
+    og, of, g, f = eq.obj_gram, eq.obj_free, eq.gram, eq.free
+    columns = [
+        (og.row, of.row, g.row + 1, f.row + 1),
+        (og.block + 1, np.full(len(of.col), free_blk), g.block + 1, np.full(len(f.col), free_blk)),
+        (og.i + 1, of.col + 1, g.i + 1, f.col + 1),
+        (og.j + 1, of.col + 1, g.j + 1, f.col + 1),
+        (og.value, of.value, g.value, f.value),
+    ]
+    # per matno, its Gram entries and then its free ones, each in stored order
+    order = np.argsort(np.concatenate(columns[0]), kind="stable")
+    flat = [None] * (5 * len(order))
+    for k, parts in enumerate(columns):
+        flat[k::5] = np.concatenate(parts)[order].tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(head) + "\n")
+        fh.write("%d %d %d %d %.16e\n" * len(order) % tuple(flat))
+
+
+_ENTRY = np.dtype([("matno", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("value", float)])
 
 
 def import_sdpa(path: str) -> SdpProblem:
@@ -808,25 +825,22 @@ def import_sdpa(path: str) -> SdpProblem:
     """
     with open(path) as fh:
         raw = fh.readlines()
-    lines = []
-    for no, text in enumerate(raw, start=1):
-        stripped = text.strip()
-        if not stripped or stripped[0] in "*\"":
-            continue
-        lines.append((no, stripped))
+    keep = [text.lstrip()[:1] not in "*\"" for text in raw]  # neither blank nor a comment
+    lines = list(compress(raw, keep))
+    line_no = lambda pos: next(islice(compress(count(1), keep), pos, None))  # of lines[pos]
     if len(lines) < 3:
         raise SdpaParseError(len(raw), "file truncated before the block sizes")
 
     def parse_int(pos, what):
-        no, text = lines[pos]
+        text = lines[pos].strip()
         try:
             return int(text.split()[0])
         except ValueError as exc:
-            raise SdpaParseError(no, f"expected {what}, got {text!r}") from exc
+            raise SdpaParseError(line_no(pos), f"expected {what}, got {text!r}") from exc
 
     m = parse_int(0, "constraint count")
     nblocks = parse_int(1, "block count")
-    no, text = lines[2]
+    no, text = line_no(2), lines[2]
     raw_dims = text.replace(",", " ").replace("{", " ").replace("}", " ").replace("(", " ").replace(")", " ").split()
     if len(raw_dims) != nblocks:
         raise SdpaParseError(no, f"expected {nblocks} block sizes, got {len(raw_dims)}")
@@ -843,13 +857,11 @@ def import_sdpa(path: str) -> SdpProblem:
     dims = tuple(signed_dims)
     free_blk = len(dims) + 1
 
-    if m == 0:
-        rhs = []
-        body_start = 3
-    else:
+    rhs, body_start = [], 3
+    if m:
         if len(lines) < 4:
             raise SdpaParseError(len(raw), "file truncated before the rhs vector")
-        no, text = lines[3]
+        no, text = line_no(3), lines[3]
         rhs_raw = text.replace(",", " ").split()
         if len(rhs_raw) != m:
             raise SdpaParseError(no, f"expected {m} rhs values, got {len(rhs_raw)}")
@@ -859,40 +871,40 @@ def import_sdpa(path: str) -> SdpProblem:
             raise SdpaParseError(no, "rhs values must be numeric") from exc
         body_start = 4
 
-    obj_blocks: dict[int, list] = {}
-    obj_free: list = []
-    con_blocks: list[dict[int, list]] = [dict() for _ in range(m)]
-    con_free: list[list] = [[] for _ in range(m)]
-
-    for no, text in lines[body_start:]:
-        parts = text.split()
-        if len(parts) != 5:
-            raise SdpaParseError(no, f"expected 5 fields, got {len(parts)}")
-        try:
-            matno, blk, i, j = (int(p) for p in parts[:4])
-            value = float(parts[4])
-        except ValueError as exc:
-            raise SdpaParseError(no, "malformed entry line") from exc
-        if not 0 <= matno <= m:
-            raise SdpaParseError(no, f"matrix number {matno} out of range")
-        if blk == free_blk and n_free:
-            if i != j:
-                raise SdpaParseError(no, "free block entries must be diagonal")
-            if not 1 <= i <= n_free:
-                raise SdpaParseError(no, f"free index {i} out of range")
-            target = obj_free if matno == 0 else con_free[matno - 1]
-            target.append((i - 1, value))
-        else:
-            if not 1 <= blk <= len(dims):
-                raise SdpaParseError(no, f"block number {blk} out of range")
-            d = dims[blk - 1]
-            if not (1 <= i <= d and 1 <= j <= d):
-                raise SdpaParseError(no, f"indices ({i},{j}) outside {d}x{d} block")
-            target = obj_blocks if matno == 0 else con_blocks[matno - 1]
-            target.setdefault(blk - 1, []).append((i - 1, j - 1, value))
-
-    constraints = tuple(
-        SdpConstraint(tuple(con_blocks[r].items()), tuple(con_free[r]), rhs[r], "=")
-        for r in range(m)
+    body = lines[body_start:]
+    try:
+        data = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) if body else np.zeros(0, _ENTRY)
+    except ValueError:
+        # name the first line that does not parse
+        for k, text in enumerate(body):
+            parts = text.split()
+            if len(parts) != 5:
+                raise SdpaParseError(line_no(body_start + k), f"expected 5 fields, got {len(parts)}") from None
+            try:
+                np.array([int(p) for p in parts[:4]], dtype=np.int64), float(parts[4])
+            except (ValueError, OverflowError):
+                raise SdpaParseError(line_no(body_start + k), "malformed entry line") from None
+        raise
+    matno, blk, i, j, value = (data[name] for name in _ENTRY.names)
+    free = (blk == free_blk) & (n_free > 0)
+    size = np.array(dims + (0,), dtype=np.int64)[np.clip(blk - 1, 0, len(dims))]
+    checks = (
+        ((matno < 0) | (matno > m), lambda k: f"matrix number {matno[k]} out of range"),
+        (free & (i != j), lambda k: "free block entries must be diagonal"),
+        (free & ((i < 1) | (i > n_free)), lambda k: f"free index {i[k]} out of range"),
+        (~free & ((blk < 1) | (blk > len(dims))), lambda k: f"block number {blk[k]} out of range"),
+        (~free & ((i < 1) | (i > size) | (j < 1) | (j > size)),
+         lambda k: f"indices ({i[k]},{j[k]}) outside {size[k]}x{size[k]} block"),
     )
-    return SdpProblem(dims, n_free, tuple(obj_blocks.items()), tuple(obj_free), constraints)
+    bad = np.any([mask for mask, _ in checks], axis=0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        message = next(text for mask, text in checks if mask[k])
+        raise SdpaParseError(line_no(body_start + k), message(k))
+
+    def part(rows):
+        g, f = rows & ~free, rows & free
+        return (Gram((matno[g] - 1).clip(0), blk[g] - 1, i[g] - 1, j[g] - 1, value[g]),
+                Free((matno[f] - 1).clip(0), i[f] - 1, value[f]))
+
+    return SdpProblem.from_arrays(dims, n_free, *part(matno > 0), rhs, np.zeros(m, dtype=bool), *part(matno == 0))

@@ -19,9 +19,9 @@ between the target and the decomposition.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from scipy.sparse.linalg import lsqr
 
 from .games import SemialgebraicSet
 from .polynomials import Monomial, Polynomial, monomials_upto
-from .sdp import SdpConstraint, SdpProblem, SdpSolution, SolveOptions, solve
+from .sdp import Free, Gram, SdpProblem, SdpSolution, SolveOptions, canonical, concat_coo, make_coo, solve
 
 
 def gram_basis(level: int, constraint_degree: int, n_vars: int) -> list[Monomial]:
@@ -139,8 +139,12 @@ class MultiplierInfo:
 class Compilation:
     """Layout bookkeeping tying SDP variables back to the program.
 
-    ``gram_coo`` and ``free_coo`` record the coefficient-matching rows
-    without their row scaling; ``row_targets`` holds the matching target
+    Row r of the problem matches the coefficient of ``row_monomials[r]``
+    (membership, monomial) for r below ``len(row_monomials)``; the
+    ``n_param_rows`` linear parameter constraints follow.  ``gram`` and
+    ``free`` hold the entries of the coefficient-matching rows before row
+    ``r`` is divided by ``row_scales[r]``, as the problem stores them (same
+    indices, same order); ``row_targets`` holds the matching target
     coefficients of the parameter-free part of each membership.
     """
 
@@ -149,11 +153,11 @@ class Compilation:
     multipliers: list[MultiplierInfo]
     param_offset: int        # free index of the first parameter
     row_monomials: list[tuple[int, Monomial]]
-    row_scales: list[float]
+    row_scales: np.ndarray
     n_param_rows: int
     row_targets: np.ndarray
-    gram_coo: list[tuple[int, int, int, int, float]]  # row, block, i, j, coeff
-    free_coo: list[tuple[int, int, float]]            # row, free index, coeff
+    gram: Gram
+    free: Free
 
     def param_index(self, name: str) -> int:
         return self.param_offset + self.program.params.index(name)
@@ -168,25 +172,31 @@ class Compilation:
         dims = np.array([len(info.basis) for info in self.gram_blocks], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(dims * dims)))
         n_free = self.param_offset + len(self.program.params)
-        g = np.fromiter(chain.from_iterable(self.gram_coo), float, 5 * len(self.gram_coo))
-        g = g.reshape(-1, 5)
-        r, blk, i, j = g[:, :4].astype(np.int64).T
-        off = i != j
-        f = np.fromiter(chain.from_iterable(self.free_coo), float, 3 * len(self.free_coo))
-        f = f.reshape(-1, 3)
-        rows = np.concatenate((r, r[off], f[:, 0].astype(np.int64)))
-        cols = np.concatenate((
-            offsets[blk] + i * dims[blk] + j,
-            (offsets[blk] + j * dims[blk] + i)[off],
-            offsets[-1] + f[:, 1].astype(np.int64),
-        ))
-        vals = np.concatenate((g[:, 4], g[off, 4], f[:, 2]))
+        g, f = self.gram, self.free
+        off = g.i != g.j
+        start, dim = offsets[g.block], dims[g.block]
+        rows = np.concatenate((g.row, g.row[off], f.row))
+        cols = np.concatenate((start + g.i * dim + g.j, (start + g.j * dim + g.i)[off], offsets[-1] + f.col))
+        vals = np.concatenate((g.value, g.value[off], f.value))
         shape = (len(self.row_monomials), int(offsets[-1]) + n_free)
         return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 class CompileError(ValueError):
     pass
+
+
+def _ranks(exps: np.ndarray, level: int) -> np.ndarray:
+    """Index of each exponent row among the monomials of degree <= level in
+    its variables.  Stars and bars places the partial sums of the row, plus
+    k, at increasing positions p_k in [0, n + level), and sum_k C(p_k, k+1)
+    numbers those n-subsets 0, 1, ... (the combinatorial number system)."""
+    n = exps.shape[1]
+    table = np.array(
+        [[math.comb(p, k + 1) if p <= k + level else 0 for k in range(n)] for p in range(n + level)],
+        dtype=np.int64,
+    ).reshape(n + level, n)
+    return table[np.cumsum(exps, axis=1) + np.arange(n), np.arange(n)].sum(axis=1)
 
 
 def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
@@ -222,117 +232,92 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     n_free = n_mult + len(program.params)
     param_col = {name: param_offset + k for k, name in enumerate(program.params)}
 
-    # accumulate rows: (membership, monomial) -> {("B", blk, i, j) | ("F", k): coeff}
-    rows: dict[tuple[int, Monomial], dict] = {}
+    # one candidate row per (membership, monomial of degree <= level), found
+    # from a monomial's exponents through its rank
+    candidates: list[tuple[int, Monomial]] = []
+    row_of_rank = []
     for mi, mem in enumerate(program.memberships):
-        for mono in monomials_upto(mem.domain.n_vars, mem.level):
-            rows[(mi, mono)] = {}
+        monos = monomials_upto(mem.domain.n_vars, mem.level)
+        ranks = _ranks(np.array(monos, dtype=np.int64).reshape(len(monos), mem.domain.n_vars), mem.level)
+        row_of_rank.append(len(candidates) + np.argsort(ranks))  # ranks are a permutation
+        candidates.extend((mi, mono) for mono in monos)
 
-    def add(mi, mono, key, value):
-        row = rows.get((mi, mono))
-        if row is None:
-            raise CompileError(
-                f"monomial {mono} of degree {sum(mono)} exceeds level in membership {mi}"
-            )
-        row[key] = row.get(key, 0.0) + value
+    def rows(mi, exps):
+        mem = program.memberships[mi]
+        exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), mem.domain.n_vars)
+        if np.any(exps.sum(axis=1) > mem.level):
+            raise CompileError(f"a monomial exceeds level {mem.level} in membership {mi}")
+        return row_of_rank[mi][_ranks(exps, mem.level)]
 
+    gram_parts = [make_coo(Gram)]
     for blk, info in enumerate(gram_blocks):
-        mem = program.memberships[info.membership]
-        g_terms = (
-            list(info.constraint.terms.items())
-            if info.constraint is not None
-            else [((0,) * mem.domain.n_vars, 1.0)]
-        )
-        basis = info.basis
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                pair = tuple(x + y for x, y in zip(basis[a], basis[b]))
-                for gt, gc in g_terms:
-                    mono = tuple(x + y for x, y in zip(pair, gt))
-                    add(info.membership, mono, ("B", blk, a, b), gc)
+        one = {(0,) * program.memberships[info.membership].domain.n_vars: 1.0}
+        g_terms = (one if info.constraint is None else info.constraint.terms).items()
+        a, b = np.triu_indices(len(info.basis))
+        basis = np.array(info.basis, dtype=np.int64)
+        for gt, gc in g_terms:
+            r = rows(info.membership, basis[a] + basis[b] + gt)
+            gram_parts.append(Gram(r, np.full(len(r), blk), a, b, np.full(len(r), gc)))
 
+    free_parts = [make_coo(Free)]
     for info in multipliers:
-        mem = program.memberships[info.membership]
-        h = mem.domain.equalities[info.equality]
-        for c, mono_c in enumerate(info.basis):
-            col = info.offset + c
-            for ht, hc in h.terms.items():
-                mono = tuple(x + y for x, y in zip(mono_c, ht))
-                add(info.membership, mono, ("F", col), hc)
+        h = program.memberships[info.membership].domain.equalities[info.equality]
+        basis = np.array(info.basis, dtype=np.int64)
+        for ht, hc in h.terms.items():
+            r = rows(info.membership, basis + ht)
+            free_parts.append(Free(r, info.offset + np.arange(len(r)), np.full(len(r), hc)))
 
-    rhs: dict[tuple[int, Monomial], float] = {}
+    target = np.zeros(len(candidates))
     for mi, mem in enumerate(program.memberships):
-        for mono, coeff in mem.base.terms.items():
-            rhs[(mi, mono)] = coeff
+        target[rows(mi, list(mem.base.terms))] = list(mem.base.terms.values())
         for name, poly in mem.param_polys:
-            col = param_col[name]
-            for mono, coeff in poly.terms.items():
-                add(mi, mono, ("F", col), -coeff)
+            r = rows(mi, list(poly.terms))
+            free_parts.append(Free(r, np.full(len(r), param_col[name]), -np.array(list(poly.terms.values()))))
 
-    constraints: list[SdpConstraint] = []
-    row_monomials: list[tuple[int, Monomial]] = []
-    row_scales: list[float] = []
-    row_targets: list[float] = []
-    gram_coo: list[tuple[int, int, int, int, float]] = []
-    free_coo: list[tuple[int, int, float]] = []
-    for mi, mem in enumerate(program.memberships):
-        for mono in monomials_upto(mem.domain.n_vars, mem.level):
-            entries = rows[(mi, mono)]
-            target = rhs.get((mi, mono), 0.0)
-            if not entries:
-                if abs(target) > 1e-12:
-                    raise CompileError(
-                        f"target monomial {mono} in membership {mi} cannot be matched "
-                        f"by any decomposition term at level {mem.level}"
-                    )
-                continue
-            scale = max(abs(v) for v in entries.values())
-            blocks: dict[int, list] = {}
-            free: list = []
-            r = len(row_monomials)
-            for key, value in entries.items():
-                if key[0] == "B":
-                    _, blk, i, j = key
-                    blocks.setdefault(blk, []).append((i, j, value / scale))
-                    gram_coo.append((r, blk, i, j, value))
-                else:
-                    free.append((key[1], value / scale))
-                    free_coo.append((r, key[1], value))
-            constraints.append(
-                SdpConstraint(tuple(blocks.items()), tuple(free), target / scale, "=")
-            )
-            row_monomials.append((mi, mono))
-            row_scales.append(scale)
-            row_targets.append(target)
+    gram, free = canonical(block_dims, n_free, len(candidates), concat_coo(gram_parts), concat_coo(free_parts))
+    live = (np.bincount(gram.row, minlength=len(candidates)) + np.bincount(free.row, minlength=len(candidates))) > 0
+    unmatched = np.flatnonzero(~live & (np.abs(target) > 1e-12))
+    if len(unmatched):
+        mi, mono = candidates[unmatched[0]]
+        raise CompileError(
+            f"target monomial {mono} in membership {mi} cannot be matched "
+            f"by any decomposition term at level {program.memberships[mi].level}"
+        )
+    renumber = np.cumsum(live) - 1
+    gram, free = gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row])
+    n_rows = int(live.sum())
+    scales = np.zeros(n_rows)
+    np.maximum.at(scales, gram.row, np.abs(gram.value))
+    np.maximum.at(scales, free.row, np.abs(free.value))
+    row_targets = target[live]
 
-    n_param_rows = 0
-    for combo, value, rel in [(c, v, "=") for c, v in program.param_equalities] + [
-        (c, v, "<=") for c, v in program.param_inequalities
-    ]:
+    param_rows = [(c, v, "=") for c, v in program.param_equalities]
+    param_rows += [(c, v, "<=") for c, v in program.param_inequalities]
+    param_free, param_rhs = [], []
+    for r, (combo, value, _) in enumerate(param_rows, start=n_rows):
         if not combo:
             raise CompileError("empty linear parameter constraint")
         scale = max(abs(w) for _, w in combo)
-        free = tuple((param_col[name], w / scale) for name, w in combo)
-        constraints.append(SdpConstraint((), free, value / scale, rel))
-        n_param_rows += 1
+        param_free.extend((r, param_col[name], w / scale) for name, w in combo)
+        param_rhs.append(value / scale)
 
-    objective_free = tuple(
-        (param_col[name], w) for name, w in program.objective
-    )
-    problem = SdpProblem(
-        tuple(block_dims), n_free, (), objective_free, tuple(constraints)
+    problem = SdpProblem.from_arrays(
+        block_dims, n_free, gram._replace(value=gram.value / scales[gram.row]),
+        concat_coo([free._replace(value=free.value / scales[free.row]), make_coo(Free, param_free)]),
+        np.concatenate((row_targets / scales, param_rhs)), [False] * n_rows + [rel == "<=" for *_, rel in param_rows],
+        make_coo(Gram), make_coo(Free, [(0, param_col[name], w) for name, w in program.objective]),
     )
     comp = Compilation(
         program=program,
         gram_blocks=gram_blocks,
         multipliers=multipliers,
         param_offset=param_offset,
-        row_monomials=row_monomials,
-        row_scales=row_scales,
-        n_param_rows=n_param_rows,
-        row_targets=np.array(row_targets),
-        gram_coo=gram_coo,
-        free_coo=free_coo,
+        row_monomials=[candidates[k] for k in np.flatnonzero(live)],
+        row_scales=scales,
+        n_param_rows=len(param_rows),
+        row_targets=row_targets,
+        gram=gram,
+        free=free,
     )
     return problem, comp
 
@@ -385,41 +370,41 @@ def solve_split(
     the dropped rows.
     """
     flips = [sign_symmetries(mem) for mem in comp.program.memberships]
+    off = np.cumsum([0] + [len(info.basis) for info in comp.gram_blocks])
+    rblock = np.zeros(off[-1], dtype=np.int64)  # flat basis index -> restricted block
+    rpos = np.zeros(off[-1], dtype=np.int64)    # flat basis index -> position in it
     classes = []  # per restricted block: (original block, its basis indices)
-    where = []    # per original block: basis index -> (restricted block, position)
     for b, info in enumerate(comp.gram_blocks):
         groups: dict[tuple, list[int]] = {}
         for i, mono in enumerate(info.basis):
             groups.setdefault(tuple(flips[info.membership] @ mono % 2), []).append(i)
-        spots = {}
         for idx in groups.values():
-            spots.update((i, (len(classes), p)) for p, i in enumerate(idx))
+            rblock[off[b] + np.array(idx)] = len(classes)
+            rpos[off[b] + np.array(idx)] = np.arange(len(idx))
             classes.append((b, idx))
-        where.append(spots)
     keep_free = np.ones(problem.n_free, dtype=bool)
     for info in comp.multipliers:
         odd = [any(flips[info.membership] @ mono % 2) for mono in info.basis]
         keep_free[info.offset : info.offset + len(odd)] = np.logical_not(odd)
     free_pos = np.cumsum(keep_free) - 1
 
-    def restrict(blocks, free):
-        kept: dict[int, list] = {}
-        for b, entries in blocks:
-            for i, j, v in entries:
-                (bi, pi), (bj, pj) = where[b][i], where[b][j]
-                if bi == bj:
-                    kept.setdefault(bi, []).append((pi, pj, v))
-        return tuple(kept.items()), tuple((free_pos[k], v) for k, v in free if keep_free[k])
+    def restrict(gram, free):
+        fi, fj = off[gram.block] + gram.i, off[gram.block] + gram.j
+        k = rblock[fi] == rblock[fj]
+        kf = keep_free[free.col]
+        return (Gram(gram.row[k], rblock[fi[k]], rpos[fi[k]], rpos[fj[k]], gram.value[k]),
+                Free(free.row[kf], free_pos[free.col[kf]], free.value[kf]))
 
-    rows, keep_rows = [], []
-    for r, con in enumerate(problem.constraints):
-        blocks, free = restrict(con.blocks, con.free)
-        if blocks or free or con.rhs:
-            rows.append(SdpConstraint(blocks, free, con.rhs, con.rel))
-            keep_rows.append(r)
+    gram, free = restrict(problem.gram, problem.free)
+    m = problem.n_constraints
+    keep = (np.bincount(gram.row, minlength=m) + np.bincount(free.row, minlength=m) > 0) | (problem.rhs != 0)
+    keep_rows = np.flatnonzero(keep)
+    renumber = np.cumsum(keep) - 1
     dims = tuple(len(idx) for _, idx in classes)
-    obj = restrict(problem.obj_blocks, problem.obj_free)
-    sol = solve(SdpProblem(dims, int(keep_free.sum()), *obj, tuple(rows)), options)
+    sol = solve(SdpProblem.from_arrays(
+        dims, int(keep_free.sum()), gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row]),
+        problem.rhs[keep], problem.le[keep], *restrict(problem.obj_gram, problem.obj_free),
+    ), options)
     if not sol.primal_blocks:
         return sol
     blocks = [np.zeros((d, d)) for d in problem.block_dims]

@@ -73,22 +73,24 @@ def random_block_problem(rng, dims, n_le=0):
 
 def permute_blocks(prob, perm):
     """The same program with block ``perm[k]`` stored at position k."""
-    new = {old: k for k, old in enumerate(perm)}
-    move = lambda blocks: tuple((new[b], entries) for b, entries in blocks)
-    rows = tuple(SdpConstraint(move(c.blocks), c.free, c.rhs, c.rel) for c in prob.constraints)
-    return SdpProblem(
-        tuple(prob.block_dims[b] for b in perm), prob.n_free, move(prob.obj_blocks), prob.obj_free, rows
+    new = np.argsort(perm)
+    move = lambda gram: gram._replace(block=new[gram.block])
+    return SdpProblem.from_arrays(
+        tuple(prob.block_dims[b] for b in perm), prob.n_free, move(prob.gram), prob.free,
+        prob.rhs, prob.le, move(prob.obj_gram), prob.obj_free,
     )
 
 
 def merge_blocks(prob):
     """The same program as one block-diagonal block."""
     offset = np.cumsum((0,) + prob.block_dims)
-    merge = lambda blocks: ((0, tuple(
-        (i + int(offset[b]), j + int(offset[b]), v) for b, entries in blocks for i, j, v in entries
-    )),)
-    rows = tuple(SdpConstraint(merge(c.blocks), c.free, c.rhs, c.rel) for c in prob.constraints)
-    return SdpProblem((int(offset[-1]),), prob.n_free, merge(prob.obj_blocks), prob.obj_free, rows)
+    merge = lambda gram: gram._replace(
+        block=0 * gram.block, i=gram.i + offset[gram.block], j=gram.j + offset[gram.block]
+    )
+    return SdpProblem.from_arrays(
+        (int(offset[-1]),), prob.n_free, merge(prob.gram), prob.free,
+        prob.rhs, prob.le, merge(prob.obj_gram), prob.obj_free,
+    )
 
 
 @pytest.mark.parametrize("dims, n_le, perm", [
@@ -191,6 +193,62 @@ def test_feasible_stalled_restart_adopted(monkeypatch):
     assert result.status == CertStatus.STRICTLY_CERTIFIED
 
 
+def forced_zero_reference(problem):
+    """Forced-zero elimination row by row, each row seeing the columns
+    removed by the rows before it: (dead columns per block, active rows,
+    infeasible)."""
+    removed = [set() for _ in problem.block_dims]
+    rows = problem.constraints
+    active = [True] * len(rows)
+    changed = True
+    while changed:
+        changed = False
+        for r, con in enumerate(rows):
+            if not active[r]:
+                continue
+            live = [(b, i, j, v) for b, entries in con.blocks for i, j, v in entries
+                    if i not in removed[b] and j not in removed[b]]
+            if not live and not con.free:
+                active[r] = False
+                if abs(con.rhs) > 1e-30:
+                    return removed, active, True
+                changed = True
+            elif not con.free and abs(con.rhs) <= 1e-30 and all(i == j for _, i, j, _ in live):
+                if len({v > 0 for *_, v in live}) == 1:
+                    for b, i, _, _ in live:
+                        removed[b].add(i)
+                    active[r] = False
+                    changed = True
+    return removed, active, False
+
+
+def test_facial_reduction_matches_row_by_row_elimination(fig3_game, deg4_game):
+    from gamecert.certify import bound_program, concave_target, extended_domain, monotone_target
+    from gamecert.sdp import _Reduction
+    from gamecert.sos import compile_program
+
+    cases = [
+        bound_program(monotone_target(fig3_game), extended_domain(fig3_game.domain, fig3_game.n_vars), 6),
+        bound_program(monotone_target(deg4_game), extended_domain(deg4_game.domain, deg4_game.n_vars), 4),
+        bound_program(concave_target(deg4_game, 0), extended_domain(deg4_game.domain, deg4_game.block_sizes[0]), 4),
+    ]
+    for program in cases:
+        problem = compile_program(program)[0].to_equality_form()
+        removed, active, infeasible = forced_zero_reference(problem)
+        reduction = _Reduction(problem)
+        assert not infeasible and not reduction.infeasible
+        assert any(removed)
+        for b, d in enumerate(problem.block_dims):
+            assert reduction.keep_cols[b].tolist() == [i for i in range(d) if i not in removed[b]]
+        assert reduction.keep_rows.tolist() == [r for r, a in enumerate(active) if a]
+    # an unreachable nonzero coefficient is infeasible either way
+    prob = SdpProblem((2,), 0, (), (), (
+        SdpConstraint(((0, ((0, 0, 1.0),)),), (), 0.0),
+        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 1.0))),), (), 1.0),
+    ))
+    assert forced_zero_reference(prob)[2] and _Reduction(prob).infeasible
+
+
 def test_minimum_eigenvalue_probe():
     prob = SdpProblem(
         (2,), 0,
@@ -287,6 +345,75 @@ def test_validation():
         SdpProblem((2,), 0, (), (), (SdpConstraint((), (), 0.0, ">="),))
 
 
+def test_canonical_form_folds_sums_and_drops():
+    # (1, 0) folds onto (0, 1), the two (0, 0) entries and the two free
+    # entries are summed, and (1, 1) and the objective cancel to exact zeros
+    prob = SdpProblem(
+        (2,), 2, (), ((1, 2.0), (1, -2.0)),
+        (SdpConstraint(
+            ((0, ((1, 0, 3.0), (0, 0, 1.0), (1, 1, 1.0), (0, 0, 0.5))), (0, ((1, 1, -1.0),))),
+            ((0, 1.0), (0, 1.0)), 2.0,
+        ),),
+    )
+    (con,) = prob.constraints
+    assert con.blocks == ((0, ((0, 0, 1.5), (0, 1, 3.0))),)
+    assert con.free == ((0, 2.0),)
+    assert len(prob.obj_free.value) == 0
+    assert prob == SdpProblem(
+        (2,), 2, (), (), (SdpConstraint(((0, ((0, 1, 3.0), (0, 0, 1.5))),), ((0, 2.0),), 2.0),)
+    )
+
+
+def test_equality_is_exact_and_a_bool():
+    A = np.array([[0.0, 10.0], [10.0, 0.0]])
+    a, b = lambda_max_problem(A), lambda_max_problem(A)
+    assert (a == b) is True and (a != b) is False
+    nudged = A.copy()
+    nudged[0, 1] = nudged[1, 0] = np.nextafter(10.0, 11.0)
+    assert (a == lambda_max_problem(nudged)) is False
+    le = SdpProblem(a.block_dims, a.n_free, (), ((0, 1.0),), tuple(
+        SdpConstraint(c.blocks, c.free, c.rhs, "<=") for c in a.constraints
+    ))
+    assert (a == le) is False
+    assert (a == "not a problem") is False
+
+
+def test_constraints_view_returns_input_rows():
+    rows = (
+        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 2.0))), (1, ((0, 0, -1.0),))), ((1, 0.5),), 3.0, "<="),
+        SdpConstraint((), ((0, 1.0),), 0.0, "="),
+        SdpConstraint(((1, ((0, 0, 4.0),)),), (), -1.0, "="),
+        SdpConstraint((), (), 0.0, "="),
+    )
+    prob = SdpProblem((2, 1), 2, (), (), rows)
+    assert prob.n_constraints == 4
+    assert prob.constraints == rows
+
+
+def test_validation_of_arrays():
+    from gamecert.sdp import Free, Gram, make_coo
+
+    def build(gram=(), free=(), rhs=(0.0,)):
+        return SdpProblem.from_arrays(
+            (2,), 1, make_coo(Gram, gram), make_coo(Free, free), rhs, [False] * len(rhs),
+            make_coo(Gram), make_coo(Free),
+        )
+
+    assert build([(0, 0, 1, 0, 1.0)]).gram.i.tolist() == [0]
+    with pytest.raises(ValueError, match="block index 1"):
+        build([(0, 1, 0, 0, 1.0)])
+    with pytest.raises(ValueError, match="outside 2x2"):
+        build([(0, 0, 0, 2, 1.0)])
+    with pytest.raises(ValueError, match="non-finite matrix entry"):
+        build([(0, 0, 0, 0, math.inf)])
+    with pytest.raises(ValueError, match="free-variable index 1"):
+        build(free=[(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="non-finite free coefficient"):
+        build(free=[(0, 0, math.nan)])
+    with pytest.raises(ValueError, match="non-finite right-hand side"):
+        build(rhs=[math.inf])
+
+
 def test_sdpa_round_trip_lambda_max(tmp_path):
     A = np.array([[0.0, 10.0], [10.0, 0.0]])
     prob = lambda_max_problem(A)
@@ -353,6 +480,61 @@ def test_sdpa_parse_errors(tmp_path):
     bad.write_text("x\n")
     with pytest.raises(SdpaParseError):
         import_sdpa(str(bad))
+
+
+SDPA_LINES = [
+    '"two rows, one 2x2 block and one free scalar',
+    "2 = mDIM",
+    "2 = nBLOCK",
+    "{2, -1}",
+    "1.0, 2.0",
+    "* objective: the free scalar",
+    "0 2 1 1 1.0",
+    "1 1 1 1 1.0",
+    "",
+    "1 1 1 2 0.5",
+    "* row 2",
+    "2 1 2 2 1.0",
+    "2 2 1 1 -1.0",
+]
+
+
+def test_sdpa_comments_and_punctuation_parse(tmp_path):
+    path = tmp_path / "ok.dat-s"
+    path.write_text("\n".join(SDPA_LINES) + "\n")
+    prob = import_sdpa(str(path))
+    assert prob == SdpProblem((2,), 1, (), ((0, 1.0),), (
+        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 0.5))),), (), 1.0),
+        SdpConstraint(((0, ((1, 1, 1.0),)),), ((0, -1.0),), 2.0),
+    ))
+
+
+@pytest.mark.parametrize("line_no, text, complaint", [
+    (10, "1 1 1 2", "expected 5 fields, got 4"),
+    (12, "2 1 2 2 1.0 7", "expected 5 fields, got 6"),
+    (10, "1 1 1.5 2 0.5", "malformed entry line"),
+    (8, "1 1 1 1 x", "malformed entry line"),
+    (10, "1 1 1 99999999999999999999 0.5", "malformed entry line"),
+    (12, "3 1 2 2 1.0", "matrix number 3 out of range"),
+    (7, "-1 2 1 1 1.0", "matrix number -1 out of range"),
+    (13, "2 3 1 1 -1.0", "block number 3 out of range"),
+    (8, "1 0 1 1 1.0", "block number 0 out of range"),
+    (10, "1 1 1 3 0.5", "indices (1,3) outside 2x2 block"),
+    (12, "2 1 0 2 1.0", "indices (0,2) outside 2x2 block"),
+    (13, "2 2 1 2 -1.0", "free block entries must be diagonal"),
+    (7, "0 2 2 2 1.0", "free index 2 out of range"),
+    (5, "1.0", "expected 2 rhs values, got 1"),
+    (5, "1.0 2.0 3.0", "expected 2 rhs values, got 3"),
+])
+def test_sdpa_parse_error_reports_its_line(tmp_path, line_no, text, complaint):
+    lines = list(SDPA_LINES)
+    lines[line_no - 1] = text
+    path = tmp_path / "bad.dat-s"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SdpaParseError) as err:
+        import_sdpa(str(path))
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {complaint}"
 
 
 def test_solution_invariant_on_optimal():

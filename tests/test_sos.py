@@ -289,3 +289,71 @@ def test_split_solution_has_exact_zeros(fig3_game, deg4_game):
         assert [b for b, _, _ in cert.memberships[0].gram_matrices] == [
             info.multiplier for info in comp.gram_blocks
         ]
+
+
+# ---------------------------------------------------------------------------
+# compiled rows against the symbolic expansion
+
+
+class _Captured(Exception):
+    pass
+
+
+def concave_projection_program(monkeypatch, game, level):
+    """The program ``project`` builds for a concave projection, one
+    membership per player, captured before it is solved."""
+    import gamecert.project as gproject
+
+    seen = []
+
+    def capture(program, opts, infeasible):
+        seen.append(program)
+        raise _Captured
+
+    monkeypatch.setattr(gproject, "_solve_audited", capture)
+    with pytest.raises(_Captured):
+        gproject.project(gproject.ProjectionSpec(game, level, kind="concave"))
+    return seen[0]
+
+
+def test_compiled_rows_match_symbolic_expansion(monkeypatch, fig1_game, fig3_game, deg4_game):
+    from gamecert.sos import MembershipCertificate, reconstruct_expansion
+
+    programs = {
+        "fig3 L6": monotone_membership(fig3_game, 6),
+        "deg4 L4": monotone_membership(deg4_game, 4),
+        "fig1 concave projection L2": concave_projection_program(monkeypatch, fig1_game, 2),
+    }
+    assert len(programs["fig1 concave projection L2"].memberships) == 2
+    rng = np.random.default_rng(5)
+    for label, program in programs.items():
+        problem, comp = compile_program(program)
+        grams = [(lambda B: B + B.T)(rng.standard_normal((d, d))) for d in problem.block_dims]
+        free = rng.standard_normal(problem.n_free)
+        x = np.concatenate([G.ravel() for G in grams] + [free])
+        rows = comp.row_targets - comp.coeff_matrix @ x
+        params = {name: free[comp.param_index(name)] for name in program.params}
+        for mi, mem in enumerate(program.memberships):
+            cert = MembershipCertificate(
+                label=mem.label,
+                level=mem.level,
+                gram_matrices=[
+                    (info.multiplier, info.basis, G)
+                    for info, G in zip(comp.gram_blocks, grams) if info.membership == mi
+                ],
+                free_multipliers=[
+                    (info.equality, Polynomial(mem.domain.n_vars, dict(
+                        zip(info.basis, free[info.offset : info.offset + len(info.basis)])
+                    )))
+                    for info in comp.multipliers if info.membership == mi
+                ],
+                identity_residual=0.0,
+            )
+            target = mem.base
+            for name, poly in mem.param_polys:
+                target = target + poly.scale(params[name])
+            residual = target - reconstruct_expansion(comp, cert, mi)
+            mine = {mono: rows[r] for r, (m, mono) in enumerate(comp.row_monomials) if m == mi}
+            assert set(residual.terms) <= set(mine), label
+            worst = max(abs(v - residual.coeff(mono)) for mono, v in mine.items())
+            assert worst <= 1e-12, (label, mi, worst)
