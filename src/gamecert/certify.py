@@ -13,6 +13,9 @@ An optimal value below -strict_tol certifies strict monotonicity (resp.
 concavity); a value within +/-cert_tol certifies the non-strict property;
 anything larger is inconclusive (the hierarchy only gives upper bounds on
 the true maximal eigenvalue).
+
+:func:`target` and :func:`solve_audited` are the one path from a game to an
+audited certificate; ``project`` and ``export-sdpa`` go through them too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .games import (
     symmetrized_jacobian,
 )
 from .polynomials import Polynomial
-from .sdp import SdpStatus, SolveOptions
+from .sdp import SdpSolution, SdpStatus, SolveOptions
 from .sos import (
     Certificate,
     CertificateRejected,
@@ -56,7 +59,6 @@ class CertStatus(str, Enum):
 class CertifyOptions:
     strict_tol: float = STRICT_TOL
     cert_tol: float = CERT_TOL
-    validate_certificate: bool = True
     residual_tol: float = 1e-6
     psd_slack: float = 1e-7
     # a feasible iterate whose duality gap floors out above tol_gap still
@@ -133,16 +135,21 @@ def concave_target(game: PolynomialGame, player: int) -> Polynomial:
     return -quadratic_form(player_hessian(game, player), game.n_vars)
 
 
+def target(game: PolynomialGame, player: int | None = None) -> tuple[Polynomial, SemialgebraicSet]:
+    """The polynomial a bound certifies and the set it lives on: the
+    monotone target over X x B^n for ``player`` None, else that player's
+    concave target over X x B^(m_i).  Both are linear in the payoffs, so
+    the targets of unit games give the directions of a coefficient search."""
+    if player is None:
+        return monotone_target(game), extended_domain(game.domain, game.n_vars)
+    return concave_target(game, player), extended_domain(game.domain, game.block_sizes[player])
+
+
 def min_admissible_level(game: PolynomialGame, kind: str = "monotone") -> int:
     """Smallest level the target degree admits (also bounded below by the
     constraint degrees)."""
-    if kind == "monotone":
-        deg = monotone_target(game).degree
-    else:
-        deg = max(
-            (concave_target(game, i).degree for i in range(game.n_players)),
-            default=0,
-        )
+    players = [None] if kind == "monotone" else range(game.n_players)
+    deg = max((target(game, p)[0].degree for p in players), default=0)
     return max(deg, 2, game.domain.max_constraint_degree())
 
 
@@ -166,34 +173,58 @@ def bound_program(base: Polynomial, domain: SemialgebraicSet, level: int) -> Sos
     )
 
 
-def _solve_membership(base, domain, level, opts):
-    problem, comp = compile_program(bound_program(base, domain, level))
+@dataclass
+class Solved:
+    """One solve and audit: the solver's outcome, with the audited
+    certificate, or with the audit's verdict when it refused one."""
+
+    solution: SdpSolution
+    certificate: Certificate | None = None
+    rejected: CertificateRejected | None = None
+
+
+def solve_audited(program: SosProgram, opts: CertifyOptions) -> Solved:
+    """Compile ``program``, solve it through its sign-symmetry split and,
+    when the solution is usable, round it onto the coefficient rows and
+    audit the decomposition.  Every certificate of certify, project and
+    gauge comes from here."""
+    problem, comp = compile_program(program)
     sol = solve_split(problem, comp, opts.solver)
-    stats = SolverStats(
-        status=sol.status.value,
-        iterations=sol.iterations,
-        primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual,
-        relative_gap=sol.relative_gap,
-    )
-    if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
-        return math.inf, CertStatus.INFEASIBLE, None, stats, "no decomposition at any bound"
     if not usable_solution(sol, opts):
-        return math.nan, CertStatus.INCONCLUSIVE, None, stats, f"solver stopped: {sol.status.value} ({sol.message})"
-    lam = float(sol.free_values[comp.param_index("lam")])
-    cert = None
-    diagnostic = ""
-    if opts.validate_certificate:
-        try:
-            cert = extract_certificate(
-                comp,
-                round_onto_rows(comp, sol),
-                residual_tol=opts.residual_tol,
-                psd_slack=opts.psd_slack,
-            )
-        except CertificateRejected as exc:
-            return math.nan, CertStatus.INCONCLUSIVE, None, stats, f"certificate rejected: {exc}"
-    return lam, None, cert, stats, diagnostic
+        return Solved(sol)
+    try:
+        rounded = round_onto_rows(comp, sol)
+        return Solved(sol, extract_certificate(comp, rounded, residual_tol=opts.residual_tol, psd_slack=opts.psd_slack))
+    except CertificateRejected as exc:
+        return Solved(sol, rejected=exc)
+
+
+def _certify(game: PolynomialGame, level: int, player: int | None, opts: CertifyOptions) -> CertResult:
+    """The level-``level`` bound of one target (see :func:`target`)."""
+    base, domain = target(game, player)
+    if level < base.degree:
+        who = "" if player is None else f"player {player} "
+        raise ValueError(f"level {level} below {who}target degree {base.degree}")
+    run = solve_audited(bound_program(base, domain, level), opts)
+    sol, cert = run.solution, run.certificate
+    lam, diagnostic = math.nan, ""  # a nan bound classifies as Inconclusive
+    if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
+        lam, diagnostic = math.inf, "no decomposition at any bound"
+    elif run.rejected is not None:
+        diagnostic = f"certificate rejected: {run.rejected}"
+    elif cert is None:
+        diagnostic = f"solver stopped: {sol.status.value} ({sol.message})"
+    else:
+        lam = cert.params["lam"]
+    return CertResult(
+        kind="monotone" if player is None else "concave",
+        level=level,
+        lam=lam,
+        status=CertStatus.INFEASIBLE if lam == math.inf else _classify(lam, opts),
+        certificate=cert,
+        solver=SolverStats(sol.status.value, sol.iterations, sol.primal_residual, sol.dual_residual, sol.relative_gap),
+        diagnostic=diagnostic,
+    )
 
 
 def certify_monotone(
@@ -201,24 +232,7 @@ def certify_monotone(
 ) -> CertResult:
     """Optimal level-``level`` upper bound on max_x lambda_max(Js(x)) with a
     validated decomposition certificate."""
-    opts = options or CertifyOptions()
-    base = monotone_target(game)
-    needed = base.degree
-    if level < needed:
-        raise ValueError(f"level {level} below target degree {needed}")
-    domain = extended_domain(game.domain, game.n_vars)
-    lam, status, cert, stats, diag = _solve_membership(base, domain, level, opts)
-    if status is None:
-        status = _classify(lam, opts)
-    return CertResult(
-        kind="monotone",
-        level=level,
-        lam=lam,
-        status=status,
-        certificate=cert,
-        solver=stats,
-        diagnostic=diag,
-    )
+    return _certify(game, level, None, options or CertifyOptions())
 
 
 def certify_concave(
@@ -227,46 +241,33 @@ def certify_concave(
     """Per-player Hessian bounds; the reported value is the worst player's."""
     opts = options or CertifyOptions()
     per_player: list[tuple[int, float]] = []
-    worst = -math.inf
-    worst_cert = None
-    worst_stats = None
-    diagnostics = []
-    status = None
+    results: list[tuple[int, CertResult]] = []
     for i in range(game.n_players):
         if game.block_sizes[i] == 0:
             per_player.append((i, -math.inf))
             continue
-        base = concave_target(game, i)
-        if level < base.degree:
-            raise ValueError(
-                f"level {level} below player {i} target degree {base.degree}"
-            )
-        domain = extended_domain(game.domain, game.block_sizes[i])
-        lam, st, cert, stats, diag = _solve_membership(base, domain, level, opts)
-        per_player.append((i, lam))
-        if diag:
-            diagnostics.append(f"player {i}: {diag}")
-        if st == CertStatus.INFEASIBLE:
-            status = CertStatus.INFEASIBLE
-        if st == CertStatus.INCONCLUSIVE and status != CertStatus.INFEASIBLE:
-            status = CertStatus.INCONCLUSIVE
-        if math.isnan(lam):
+        result = _certify(game, level, i, opts)
+        per_player.append((i, result.lam))
+        results.append((i, result))
+    # a player without a bound makes the worst one nan; the certificate and
+    # solver statistics reported are those of the worst player before it
+    worst, chosen = -math.inf, None
+    for _, result in results:
+        if math.isnan(result.lam):
             worst = math.nan
-        elif worst is not math.nan and lam > worst:
-            worst = lam
-            worst_cert = cert
-            worst_stats = stats
-    if status is None:
-        status = _classify(worst, opts)
+            break
+        if result.lam > worst:
+            worst, chosen = result.lam, result
+    infeasible = any(result.status == CertStatus.INFEASIBLE for _, result in results)
     return CertResult(
         kind="concave",
         level=level,
         lam=worst,
-        status=status,
-        certificate=worst_cert,
+        status=CertStatus.INFEASIBLE if infeasible else _classify(worst, opts),
+        certificate=chosen.certificate if chosen else None,
         per_player=per_player,
-        solver=worst_stats,
-        diagnostic="; ".join(diagnostics),
+        solver=chosen.solver if chosen else None,
+        diagnostic="; ".join(f"player {i}: {r.diagnostic}" for i, r in results if r.diagnostic),
     )
 
 

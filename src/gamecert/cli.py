@@ -13,6 +13,7 @@ reproducible runs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -97,13 +98,7 @@ def _result_json(result) -> dict:
     if result.per_player is not None:
         out["per_player"] = [{"player": i, "lambda": lam} for i, lam in result.per_player]
     if result.solver is not None:
-        out["solver"] = {
-            "status": result.solver.status,
-            "iterations": result.solver.iterations,
-            "primal_residual": result.solver.primal_residual,
-            "dual_residual": result.solver.dual_residual,
-            "relative_gap": result.solver.relative_gap,
-        }
+        out["solver"] = dataclasses.asdict(result.solver)
     if result.diagnostic:
         out["diagnostic"] = result.diagnostic
     return out
@@ -248,17 +243,14 @@ def cmd_efg2poly(args) -> int:
 
 def cmd_export_sdpa(args) -> int:
     from . import __version__
-    from .certify import bound_program, extended_domain, monotone_target
+    from .certify import bound_program, target
     from .sdp import export_sdpa
     from .sos import compile_program
 
     game = _load_game(args)
-    if args.kind == "monotone":
-        base = monotone_target(game)
-        domain = extended_domain(game.domain, game.n_vars)
-    else:
+    if args.kind != "monotone":
         raise CliError("only --kind monotone is exportable as one SDP")
-    problem, _ = compile_program(bound_program(base, domain, args.level))
+    problem, _ = compile_program(bound_program(*target(game), args.level))
     export_sdpa(problem, args.out)
     report = {
         "command": "export-sdpa",

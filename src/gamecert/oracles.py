@@ -364,10 +364,18 @@ def check_certificate_sampled(
 ) -> tuple[bool, float]:
     """Audit a decomposition numerically: evaluate the identity mismatch at
     sampled points of the extended set and check every Gram block stays PSD
-    up to slack.  Returns (ok, worst violation)."""
-    from .sos import MembershipCertificate  # local import to avoid a cycle
+    up to slack.  Returns (ok, worst violation).  ``certificate`` is one
+    membership, or a certificate that has exactly one."""
+    from .sos import Certificate, MembershipCertificate  # local import to avoid a cycle
 
-    mem = certificate.memberships[0] if hasattr(certificate, "memberships") else certificate
+    mem = certificate
+    if isinstance(certificate, Certificate):
+        if len(certificate.memberships) != 1:
+            raise ValueError(
+                f"certificate has {len(certificate.memberships)} memberships; audit each "
+                "MembershipCertificate against its own target and domain"
+            )
+        (mem,) = certificate.memberships
     assert isinstance(mem, MembershipCertificate)
     # Gram blocks of one size share a stacked eigenvalue call
     by_size: dict[int, list[np.ndarray]] = {}

@@ -23,19 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import CertifyOptions, extended_domain, usable_solution
-from .games import PolynomialGame, player_hessian, quadratic_form, symmetrized_jacobian
+from .certify import CertifyOptions, Solved, solve_audited, target
+from .games import PolynomialGame, quadratic_reference_game
 from .polynomials import Monomial, Polynomial, grevlex_key, monomials_upto
 from .sdp import SdpStatus
-from .sos import (
-    Certificate,
-    SosMembership,
-    SosProgram,
-    compile_program,
-    extract_certificate,
-    round_onto_rows,
-    solve_split,
-)
+from .sos import Certificate, SosMembership, SosProgram
 
 
 class ProjectionInfeasible(Exception):
@@ -107,18 +99,18 @@ def _candidate_supports(spec: ProjectionSpec) -> list[list[Monomial]]:
     return supports
 
 
-def _solve_audited(program: SosProgram, opts: CertifyOptions, infeasible: Exception):
-    """Solve ``program`` and audit its rounded decomposition; raises
-    ``infeasible`` when no decomposition exists, ``ProjectionFailed`` when
-    the solver stops short and ``CertificateRejected`` when the audit fails."""
-    problem, comp = compile_program(program)
-    sol = solve_split(problem, comp, opts.solver)
+def _certificate(run: Solved, infeasible: Exception) -> Certificate:
+    """The audited certificate of ``run``; raises ``infeasible`` when no
+    decomposition exists, ``ProjectionFailed`` when the solver stopped short
+    and ``CertificateRejected`` when the audit failed."""
+    sol = run.solution
     if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
         raise infeasible
-    if not usable_solution(sol, opts):
+    if run.rejected is not None:
+        raise run.rejected
+    if run.certificate is None:
         raise ProjectionFailed(f"solver stopped with status {sol.status.value}: {sol.message}")
-    rounded = round_onto_rows(comp, sol)
-    return sol, extract_certificate(comp, rounded, residual_tol=opts.residual_tol, psd_slack=opts.psd_slack)
+    return run.certificate
 
 
 def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> ProjectionResult:
@@ -139,50 +131,25 @@ def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> Proj
             params.append(_param_name(i, mono))
             param_meta.append((i, mono))
 
-    # membership targets, affine in the candidate coefficients
-    def target_polys(kind_player: int | None):
-        """kind_player None -> monotone target; else that player's Hessian
-        target.  Returns (base, [(param, poly), ...])."""
-        sphere_dim = m if kind_player is None else game.block_sizes[kind_player]
-
-        def form(g: PolynomialGame) -> Polynomial:
-            if kind_player is None:
-                return -quadratic_form(symmetrized_jacobian(g), m)
-            return -quadratic_form(player_hessian(g, kind_player), m)
-
-        zero_payoffs = tuple(Polynomial.zero(m) for _ in range(game.n_players))
-        base_game = PolynomialGame(game.block_sizes, zero_payoffs, game.domain)
-        base = form(base_game)
+    # membership targets, affine in the candidate coefficients: the target
+    # of a unit game is the direction of its coefficient
+    zero_payoffs = tuple(Polynomial.zero(m) for _ in range(game.n_players))
+    base_game = PolynomialGame(game.block_sizes, zero_payoffs, game.domain)
+    players = [None] if spec.kind == "monotone" else [p for p in range(game.n_players) if game.block_sizes[p]]
+    memberships = []
+    for p in players:
+        base, dom = target(base_game, p)
         for i, mono in frozen:
             coeff = game.payoffs[i].coeff(mono)
             if coeff:
-                base = base + form(_unit_game(game, i, mono)).scale(coeff)
+                base = base + target(_unit_game(game, i, mono), p)[0].scale(coeff)
         pairs = []
         for i, mono in param_meta:
-            contrib = form(_unit_game(game, i, mono))
-            if not contrib.is_zero():
-                pairs.append((_param_name(i, mono), contrib))
-        return base, pairs, sphere_dim
-
-    memberships = []
-    if spec.kind == "monotone":
-        base, pairs, sdim = target_polys(None)
-        dom = extended_domain(game.domain, sdim)
-        memberships.append(
-            SosMembership(base.lift(dom.n_vars) if base.n_vars != dom.n_vars else base,
-                          dom, spec.level,
-                          tuple((n, p) for n, p in pairs), label="monotone")
-        )
-    else:
-        for p in range(game.n_players):
-            if game.block_sizes[p] == 0:
-                continue
-            base, pairs, sdim = target_polys(p)
-            dom = extended_domain(game.domain, sdim)
-            memberships.append(
-                SosMembership(base, dom, spec.level,
-                              tuple((n, q) for n, q in pairs), label=f"player {p}")
-            )
+            direction, _ = target(_unit_game(game, i, mono), p)
+            if not direction.is_zero():
+                pairs.append((_param_name(i, mono), direction))
+        label = "monotone" if p is None else f"player {p}"
+        memberships.append(SosMembership(base, dom, spec.level, tuple(pairs), label=label))
 
     inequalities = []
     for i, mono in param_meta:
@@ -211,7 +178,8 @@ def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> Proj
         param_equalities=tuple(equalities),
         param_inequalities=tuple(inequalities),
     )
-    sol, cert = _solve_audited(program, opts, ProjectionInfeasible(
+    run = solve_audited(program, opts)
+    cert = _certificate(run, ProjectionInfeasible(
         f"no {spec.kind} candidate at level {spec.level} meets the side constraints"
     ))
 
@@ -235,7 +203,7 @@ def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> Proj
         certificate=cert,
         epigraph_value=float(cert.params["dist"]),
         payoff_deltas=deltas,
-        solver_iterations=sol.iterations,
+        solver_iterations=run.solution.iterations,
     )
 
 
@@ -260,17 +228,10 @@ def gauge(game: PolynomialGame, level: int, options: CertifyOptions | None = Non
     returned after its decomposition passes the certificate audit; a
     rejected one raises :class:`CertificateRejected`, as in :func:`project`."""
     opts = options or CertifyOptions()
-    m = game.n_vars
-    base = -quadratic_form(symmetrized_jacobian(game), m)
-    dom = extended_domain(game.domain, m)
-    # the quadratic game's symmetrized Jacobian is -2I, so its contribution
-    # to -y^T Js y is +2 eps ||y||^2
-    terms = {}
-    for k in range(m):
-        e = [0] * dom.n_vars
-        e[m + k] = 2
-        terms[tuple(e)] = 2.0
-    eps_poly = Polynomial(dom.n_vars, terms)
+    base, dom = target(game)
+    # the quadratic game's symmetrized Jacobian is -2I, so its target is
+    # +2 ||y||^2: the direction of eps
+    eps_poly, _ = target(quadratic_reference_game(game))
     program = SosProgram(
         memberships=(
             SosMembership(base, dom, level, (("eps", eps_poly),), label="gauge"),
@@ -279,7 +240,7 @@ def gauge(game: PolynomialGame, level: int, options: CertifyOptions | None = Non
         objective=(("eps", 1.0),),
         param_inequalities=(((("eps", -1.0),), 0.0),),
     )
-    _, cert = _solve_audited(program, opts, GaugeInfeasible(
+    cert = _certificate(solve_audited(program, opts), GaugeInfeasible(
         f"no shift makes the game certified at level {level}; "
         "an Archimedean description (ball constraint) may be missing"
     ))

@@ -206,17 +206,24 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     multipliers: list[MultiplierInfo] = []
     block_dims: list[int] = []
     n_mult = 0
+    # multipliers of equal degree share a basis; build each one once
+    bases: dict[tuple[int, int], tuple[Monomial, ...]] = {}
+
+    def upto(n: int, degree: int) -> tuple[Monomial, ...]:
+        if (n, degree) not in bases:
+            bases[n, degree] = tuple(monomials_upto(n, degree))
+        return bases[n, degree]
+
     for mi, mem in enumerate(program.memberships):
         n = mem.domain.n_vars
-        basis0 = gram_basis(mem.level, 0, n)
-        if basis0:
-            gram_blocks.append(GramBlockInfo(mi, "sigma_0", None, tuple(basis0)))
-            block_dims.append(len(basis0))
-        for j, g in enumerate(mem.domain.inequalities):
-            basis = gram_basis(mem.level, g.degree, n)
-            if basis:
-                gram_blocks.append(GramBlockInfo(mi, f"sigma_{j + 1}", g, tuple(basis)))
-                block_dims.append(len(basis))
+        for j, g in enumerate((None, *mem.domain.inequalities)):
+            degree = 0 if g is None else g.degree
+            if mem.level < degree:
+                gram_basis(mem.level, degree, n)  # warns that this multiplier has no basis
+                continue
+            basis = upto(n, (mem.level - degree) // 2)
+            gram_blocks.append(GramBlockInfo(mi, f"sigma_{j}", g, basis))
+            block_dims.append(len(basis))
         for j, h in enumerate(mem.domain.equalities):
             if mem.level < h.degree:
                 warnings.warn(
@@ -224,8 +231,8 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
                     stacklevel=2,
                 )
                 continue
-            basis = monomials_upto(n, mem.level - h.degree)
-            multipliers.append(MultiplierInfo(mi, j, tuple(basis), n_mult))
+            basis = upto(n, mem.level - h.degree)
+            multipliers.append(MultiplierInfo(mi, j, basis, n_mult))
             n_mult += len(basis)
 
     param_offset = n_mult
@@ -237,7 +244,7 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     candidates: list[tuple[int, Monomial]] = []
     row_of_rank = []
     for mi, mem in enumerate(program.memberships):
-        monos = monomials_upto(mem.domain.n_vars, mem.level)
+        monos = upto(mem.domain.n_vars, mem.level)
         ranks = _ranks(np.array(monos, dtype=np.int64).reshape(len(monos), mem.domain.n_vars), mem.level)
         row_of_rank.append(len(candidates) + np.argsort(ranks))  # ranks are a permutation
         candidates.extend((mi, mono) for mono in monos)
@@ -464,14 +471,6 @@ class Certificate:
     @property
     def identity_residual(self) -> float:
         return max(m.identity_residual for m in self.memberships)
-
-    @property
-    def gram_matrices(self):
-        return self.memberships[0].gram_matrices
-
-    @property
-    def free_multipliers(self):
-        return self.memberships[0].free_multipliers
 
 
 def reconstruct_expansion(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gamecert.certify import certify_monotone, extended_domain, monotone_target
+from gamecert.certify import certify_monotone, extended_domain, monotone_target, target
 from gamecert.games import quadratic_reference_game
 from gamecert.oracles import (
     JACOBI_SLICE,
@@ -15,6 +15,7 @@ from gamecert.oracles import (
     sample_max_eigenvalue,
 )
 from gamecert.polynomials import Polynomial
+from gamecert.project import ProjectionSpec, project
 
 
 def test_jacobi_known_values():
@@ -200,6 +201,20 @@ def test_certificate_sampling_audit(fig1_game):
         result.certificate, target, domain, n_samples=200
     )
     assert not ok_bad and worst_bad > 1e-5
+
+
+def test_sampled_audit_takes_one_membership_at_a_time(fig1_game):
+    result = project(ProjectionSpec(fig1_game, 2, kind="concave"))
+    cert = result.certificate
+    assert [mem.label for mem in cert.memberships] == ["player 0", "player 1"]
+    base, domain = target(result.game, 0)
+    with pytest.raises(ValueError, match="2 memberships; audit each MembershipCertificate"):
+        check_certificate_sampled(cert, base, domain, n_samples=100)
+    # the projected game's concave targets are the ones its memberships certify
+    for player, mem in enumerate(cert.memberships):
+        base, domain = target(result.game, player)
+        ok, worst = check_certificate_sampled(mem, base, domain, n_samples=300)
+        assert ok and worst <= 1e-5
 
 
 def test_per_player_sampling(fig1_game):

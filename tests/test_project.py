@@ -122,7 +122,7 @@ def test_gauge_bisection_cross_check(fig1_game):
 
 
 def test_gauge_certificate_is_audited(monkeypatch, fig1_game, fig3_game):
-    import gamecert.project
+    import gamecert.certify
     from gamecert.sos import extract_certificate
 
     audited = []
@@ -132,17 +132,17 @@ def test_gauge_certificate_is_audited(monkeypatch, fig1_game, fig3_game):
         audited.append(cert)
         return cert
 
-    monkeypatch.setattr(gamecert.project, "extract_certificate", spy)
+    monkeypatch.setattr(gamecert.certify, "extract_certificate", spy)
     for game, level in ((fig1_game, 2), (fig3_game, 6)):
         value = gauge(game, level)
         cert = audited.pop()
         assert cert.params["eps"] == value
         assert cert.identity_residual <= 1e-6
-        assert [b for b, _, _ in cert.gram_matrices][0] == "sigma_0"
+        assert [b for b, _, _ in cert.memberships[0].gram_matrices][0] == "sigma_0"
 
 
 def test_gauge_rejects_corrupted_certificate(monkeypatch, fig1_game):
-    import gamecert.project
+    import gamecert.certify
     from gamecert.sos import CertificateRejected, round_onto_rows
 
     def corrupt(comp, solution):
@@ -151,6 +151,6 @@ def test_gauge_rejects_corrupted_certificate(monkeypatch, fig1_game):
         blocks[0][0, 0] += 0.5
         return dataclasses.replace(rounded, primal_blocks=blocks)
 
-    monkeypatch.setattr(gamecert.project, "round_onto_rows", corrupt)
+    monkeypatch.setattr(gamecert.certify, "round_onto_rows", corrupt)
     with pytest.raises(CertificateRejected):
         gauge(fig1_game, 2)

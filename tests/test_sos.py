@@ -306,11 +306,11 @@ def concave_projection_program(monkeypatch, game, level):
 
     seen = []
 
-    def capture(program, opts, infeasible):
+    def capture(program, opts):
         seen.append(program)
         raise _Captured
 
-    monkeypatch.setattr(gproject, "_solve_audited", capture)
+    monkeypatch.setattr(gproject, "solve_audited", capture)
     with pytest.raises(_Captured):
         gproject.project(gproject.ProjectionSpec(game, level, kind="concave"))
     return seen[0]
