@@ -13,7 +13,6 @@ reproducible runs).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -98,7 +97,13 @@ def _result_json(result) -> dict:
     if result.per_player is not None:
         out["per_player"] = [{"player": i, "lambda": lam} for i, lam in result.per_player]
     if result.solver is not None:
-        out["solver"] = dataclasses.asdict(result.solver)
+        out["solver"] = {
+            "status": result.solver.status,
+            "iterations": result.solver.iterations,
+            "primal_residual": result.solver.primal_residual,
+            "dual_residual": result.solver.dual_residual,
+            "relative_gap": result.solver.relative_gap,
+        }
     if result.diagnostic:
         out["diagnostic"] = result.diagnostic
     return out
