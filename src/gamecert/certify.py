@@ -249,12 +249,12 @@ def certify_concave(
         result = _certify(game, level, i, opts)
         per_player.append((i, result.lam))
         results.append((i, result))
-    # a player without a bound makes the worst one nan; the certificate and
-    # solver statistics reported are those of the worst player before it
+    # a player without a bound makes the worst one nan, and its solver
+    # statistics (and no certificate) are the ones reported
     worst, chosen = -math.inf, None
     for _, result in results:
         if math.isnan(result.lam):
-            worst = math.nan
+            worst, chosen = math.nan, result
             break
         if result.lam > worst:
             worst, chosen = result.lam, result

@@ -229,11 +229,3 @@ def quadratic_reference_game(game: PolynomialGame) -> PolynomialGame:
             terms[tuple(e)] = -1.0
         payoffs.append(Polynomial(n, terms))
     return PolynomialGame(game.block_sizes, tuple(payoffs), game.domain)
-
-
-def add_games(a: PolynomialGame, b: PolynomialGame, weight: float = 1.0) -> PolynomialGame:
-    """Payoff-wise sum a + weight*b over a's domain."""
-    if a.block_sizes != b.block_sizes:
-        raise ValueError("games must share the same player blocks")
-    payoffs = tuple(u + v.scale(weight) for u, v in zip(a.payoffs, b.payoffs))
-    return PolynomialGame(a.block_sizes, payoffs, a.domain)

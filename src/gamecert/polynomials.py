@@ -269,10 +269,6 @@ class Polynomial:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def coefficient_vector(self, basis: Sequence[Monomial]) -> np.ndarray:
-        """Coefficients against an explicit monomial basis (absent -> 0)."""
-        return np.array([self.terms.get(tuple(m), 0.0) for m in basis])
-
 
 def allclose(p: Polynomial, q: Polynomial, tol: float = 1e-12) -> bool:
     """Coefficient-wise comparison of two polynomials."""
@@ -314,9 +310,6 @@ class PolyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
         i, j = ij
         return self.entries[i][j]
-
-    def max_entry_degree(self) -> int:
-        return max(p.degree for row in self.entries for p in row)
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         out = np.empty((self.dim, self.dim))

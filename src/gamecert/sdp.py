@@ -26,7 +26,7 @@ digits so a file round-trips to bit-identical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress, count, groupby, islice
 from typing import NamedTuple
@@ -207,7 +207,6 @@ class SolveOptions:
     tol_feasibility: float = 1e-8
     tol_gap: float = 1e-8
     max_iterations: int = 200
-    verbose: bool = False
 
 
 @dataclass
@@ -226,11 +225,69 @@ class SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# facial reduction
+# restriction and facial reduction
 
 
-class _Reduction:
-    """Forced-zero elimination for equality-form problems.
+ZERO_RHS = 1e-30  # a rhs at most this large counts as zero
+
+
+class Restriction:
+    """``original`` restricted to a smaller block layout, and the way back.
+
+    Gram column ``c`` of the flattened blocks (the columns of block 0, then
+    those of block 1, ...) moves to position ``pos[c]`` of restricted block
+    ``block[c]``, or is dropped when ``block[c] < 0``; the columns of one
+    restricted block come from one original block, and an entry joining two
+    restricted blocks is dropped.  Free variable k stays when
+    ``keep_free[k]``.  A row stays while it keeps an entry or has a rhs
+    above ``ZERO_RHS``.  ``problem`` is the restricted problem; :meth:`inflate` maps its
+    solution back, with exact zeros in whatever was dropped.
+    """
+
+    def __init__(self, original: SdpProblem, block: np.ndarray, pos: np.ndarray, keep_free: np.ndarray):
+        self.original, self.block, self.pos, self.keep_free = original, block, pos, keep_free
+        self.off = np.cumsum((0,) + original.block_dims)
+        free_pos = np.cumsum(keep_free) - 1
+
+        def restrict(gram, free):
+            fi, fj = self.off[gram.block] + gram.i, self.off[gram.block] + gram.j
+            k = (block[fi] >= 0) & (block[fi] == block[fj])
+            kf = keep_free[free.col]
+            return (Gram(gram.row[k], block[fi[k]], pos[fi[k]], pos[fj[k]], gram.value[k]),
+                    Free(free.row[kf], free_pos[free.col[kf]], free.value[kf]))
+
+        gram, free = restrict(original.gram, original.free)
+        m = original.n_constraints
+        keep = (np.bincount(gram.row, minlength=m) + np.bincount(free.row, minlength=m) > 0) | (
+            np.abs(original.rhs) > ZERO_RHS)
+        self.rows = np.flatnonzero(keep)
+        renumber = np.cumsum(keep) - 1
+        self.problem = SdpProblem.from_arrays(
+            np.bincount(block[block >= 0]), int(keep_free.sum()),
+            gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row]),
+            original.rhs[keep], original.le[keep], *restrict(original.obj_gram, original.obj_free),
+        )
+
+    def inflate(self, sol: SdpSolution) -> SdpSolution:
+        """``sol``, a solution of ``problem``, in the layout of ``original``."""
+        if not sol.primal_blocks:
+            return sol
+        blocks = [np.zeros((d, d)) for d in self.original.block_dims]
+        for r, G in enumerate(sol.primal_blocks):
+            cols = np.flatnonzero(self.block == r)
+            b = np.searchsorted(self.off, cols[0], side="right") - 1
+            idx, at = cols - self.off[b], self.pos[cols]
+            blocks[b][np.ix_(idx, idx)] = G[np.ix_(at, at)]
+        free = np.zeros(self.original.n_free)
+        free[self.keep_free] = sol.free_values
+        duals = np.zeros(self.original.n_constraints)
+        duals[self.rows] = sol.dual_values
+        return replace(sol, primal_blocks=blocks, free_values=free, dual_values=duals)
+
+
+def _facial_reduction(problem: SdpProblem) -> Restriction | None:
+    """Forced-zero elimination for an equality-form problem, or None when a
+    nonzero coefficient is structurally unreachable.
 
     A zero-rhs row whose entries are all diagonal with one sign forces those
     diagonal entries, and by PSD-ness the whole rows/columns, to zero: the
@@ -239,79 +296,40 @@ class _Reduction:
     problem (decomposition SDPs produce such rows for every monomial that
     squares can reach but the target cannot contain).
     """
+    g, m = problem.gram, problem.n_constraints
+    off = np.cumsum((0,) + problem.block_dims)
+    gi, gj = off[g.block] + g.i, off[g.block] + g.j  # columns in one flat index
+    dead = np.zeros(off[-1], dtype=bool)
+    active = np.ones(m, dtype=bool)
+    has_free = np.bincount(problem.free.row, minlength=m) > 0
+    zero_rhs = np.abs(problem.rhs) <= ZERO_RHS
+    diagonal = g.i == g.j
+    # removing columns only shrinks a row's live entries, so a row that
+    # qualifies keeps qualifying: sweeping all rows at once against one
+    # dead set reaches the fixed point any row order reaches
+    while True:
+        live = ~dead[gi] & ~dead[gj]
+        count = lambda mask: np.bincount(g.row[live & mask], minlength=m)
+        n_live = count(True)
+        empty = active & ~has_free & (n_live == 0)
+        if np.any(empty & ~zero_rhs):
+            return None
+        n_pos = count(g.value > 0)
+        forced = (active & ~has_free & zero_rhs & (n_live > 0) & (count(diagonal) == n_live)
+                  & ((n_pos == 0) | (n_pos == n_live)))
+        if not np.any(empty | forced):
+            break
+        dead[gi[live & forced[g.row]]] = True
+        active &= ~(empty | forced)
 
-    def __init__(self, problem: SdpProblem):
-        self.original = problem
-        g, m = problem.gram, problem.n_constraints
-        off = np.cumsum((0,) + problem.block_dims)
-        gi, gj = off[g.block] + g.i, off[g.block] + g.j  # columns in one flat index
-        dead = np.zeros(off[-1], dtype=bool)
-        active = np.ones(m, dtype=bool)
-        has_free = np.bincount(problem.free.row, minlength=m) > 0
-        zero_rhs = np.abs(problem.rhs) <= 1e-30
-        diagonal = g.i == g.j
-        self.infeasible = False
-        # removing columns only shrinks a row's live entries, so a row that
-        # qualifies keeps qualifying: sweeping all rows at once against one
-        # dead set reaches the fixed point any row order reaches
-        while True:
-            live = ~dead[gi] & ~dead[gj]
-            count = lambda mask: np.bincount(g.row[live & mask], minlength=m)
-            n_live = count(True)
-            empty = active & ~has_free & (n_live == 0)
-            if np.any(empty & ~zero_rhs):
-                self.infeasible = True
-                break
-            n_pos = count(g.value > 0)
-            forced = (active & ~has_free & zero_rhs & (n_live > 0) & (count(diagonal) == n_live)
-                      & ((n_pos == 0) | (n_pos == n_live)))
-            if not np.any(empty | forced):
-                break
-            dead[gi[live & forced[g.row]]] = True
-            active &= ~(empty | forced)
-
-        self.keep_cols = [np.flatnonzero(~dead[a:b]) for a, b in zip(off[:-1], off[1:])]
-        self.keep_rows = np.flatnonzero(active)
-        self.block_map = [b for b, cols in enumerate(self.keep_cols) if len(cols)]  # reduced -> original
-        if not self.block_map:
-            # every block died; fall back to the unreduced problem
-            self.keep_cols = [np.arange(d) for d in problem.block_dims]
-            self.keep_rows = np.arange(m)
-            self.block_map = list(range(len(problem.block_dims)))
-            self.reduced = problem
-            return
-        pos = np.zeros(off[-1], dtype=np.int64)  # flat column -> position in its reduced block
-        for a, cols in zip(off, self.keep_cols):
-            pos[a + cols] = np.arange(len(cols))
-        block_pos = np.zeros(len(off) - 1, dtype=np.int64)
-        block_pos[self.block_map] = np.arange(len(self.block_map))
-        row_pos = np.where(active, np.cumsum(active) - 1, -1)
-
-        def squeeze(gram, rows):
-            fi, fj = off[gram.block] + gram.i, off[gram.block] + gram.j
-            k = ~dead[fi] & ~dead[fj] & (rows[gram.row] >= 0)
-            return Gram(rows[gram.row[k]], block_pos[gram.block[k]], pos[fi[k]], pos[fj[k]], gram.value[k])
-
-        f = problem.free
-        k = active[f.row]
-        self.reduced = SdpProblem.from_arrays(
-            [len(self.keep_cols[b]) for b in self.block_map], problem.n_free,
-            squeeze(g, row_pos), Free(row_pos[f.row[k]], f.col[k], f.value[k]),
-            problem.rhs[active], problem.le[active],
-            squeeze(problem.obj_gram, np.zeros(1, dtype=np.int64)), problem.obj_free,
-        )
-
-    def inflate_blocks(self, reduced_blocks: list[np.ndarray]) -> list[np.ndarray]:
-        out = [np.zeros((d, d)) for d in self.original.block_dims]
-        for rb, b in enumerate(self.block_map):
-            cols = self.keep_cols[b]
-            out[b][np.ix_(cols, cols)] = reduced_blocks[rb]
-        return out
-
-    def inflate_duals(self, reduced_y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.original.n_constraints)
-        out[self.keep_rows] = reduced_y
-        return out
+    if dead.all():
+        dead[:] = False  # every block died; keep the unreduced problem
+    col_block = np.repeat(np.arange(len(problem.block_dims)), problem.block_dims)
+    before = np.concatenate(([0], np.cumsum(~dead)))  # live columns before each column
+    alive = before[off[1:]] > before[off[:-1]]  # blocks that keep a column
+    block = np.where(dead, -1, (np.cumsum(alive) - 1)[col_block])
+    pos = before[:-1] - before[off[:-1]][col_block]
+    return Restriction(problem, block, pos, np.ones(problem.n_free, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -443,37 +461,37 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     otherwise the first descent's is.
     """
     opts = options or SolveOptions()
-    eq = problem.to_equality_form()
-    reduction = _Reduction(eq)
-    if reduction.infeasible:
+    reduction = _facial_reduction(problem.to_equality_form())
+    if reduction is None:
         return SdpSolution(
             status=SdpStatus.PRIMAL_INFEASIBLE,
             message="a target coefficient is structurally unreachable",
         )
-    data = _Dense(reduction.reduced)
-    n_orig_blocks = len(problem.block_dims)
+    data = _Dense(reduction.problem)
     if data.m == 0:
-        return _solve_unconstrained(problem, data, n_orig_blocks)
-    first, warm = _solve_once(data, reduction, n_orig_blocks, opts, None)
-    # a returned warm start is a feasible iterate, so IterationLimit means gap > tol_gap
-    if warm is not None and first.status == SdpStatus.ITERATION_LIMIT:
-        second, _ = _solve_once(data, reduction, n_orig_blocks, opts, warm, first.relative_gap)
-        if second.status == SdpStatus.OPTIMAL or (
-            second.status == SdpStatus.ITERATION_LIMIT
-            and second.relative_gap < first.relative_gap
-            and max(second.primal_residual, second.dual_residual) <= opts.tol_feasibility
-        ):
-            return second
-    return first
+        sol = _solve_unconstrained(data)
+    else:
+        sol, warm = _solve_once(data, opts, None)
+        # a returned warm start is a feasible iterate, so IterationLimit means gap > tol_gap
+        if warm is not None and sol.status == SdpStatus.ITERATION_LIMIT:
+            second, _ = _solve_once(data, opts, warm, sol.relative_gap)
+            if second.status == SdpStatus.OPTIMAL or (
+                second.status == SdpStatus.ITERATION_LIMIT
+                and second.relative_gap < sol.relative_gap
+                and max(second.primal_residual, second.dual_residual) <= opts.tol_feasibility
+            ):
+                sol = second
+    sol = reduction.inflate(sol)
+    del sol.primal_blocks[len(problem.block_dims):]  # the slack blocks of "<=" rows
+    return sol
 
 
-def _solve_once(
-    data: _Dense, reduction: _Reduction, n_orig_blocks: int, opts: SolveOptions, warm, rival_gap=0.0
-) -> tuple[SdpSolution, tuple | None]:
-    """One descent on the reduced data.  Returns the solution and, when
-    that solution is the best feasible iterate seen, the iterate itself as
-    ``(X, S, y, u, mu)`` in stacked form, the warm start of a restart;
-    otherwise None.  ``rival_gap`` is the gap a warm descent must beat."""
+def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[SdpSolution, tuple | None]:
+    """One descent on the reduced data, reported in its layout.  Returns
+    the solution and, when that solution is the best feasible iterate seen,
+    the iterate itself as ``(X, S, y, u, mu)`` in stacked form, the warm
+    start of a restart; otherwise None.  ``rival_gap`` is the gap a warm
+    descent must beat."""
     m, nf = data.m, data.nf
     nu = sum(data.dims)
 
@@ -522,9 +540,9 @@ def _solve_once(
         rf = float(np.max(np.abs(data.cf - data.F.T @ y))) if nf else 0.0
         return SdpSolution(
             status=status,
-            primal_blocks=reduction.inflate_blocks(data.unstack(X))[:n_orig_blocks],
+            primal_blocks=data.unstack(X),
             free_values=u.copy(),
-            dual_values=reduction.inflate_duals(y),
+            dual_values=y,
             primal_objective=pobj,
             dual_objective=dobj,
             primal_residual=float(np.max(np.abs(rp))) / (1.0 + data.norm_b),
@@ -571,12 +589,6 @@ def _solve_once(
         err_d = max(float(np.max(np.abs(R))) for R in Rd) / (1.0 + data.norm_C)
         err_f = (float(np.max(np.abs(rf))) / (1.0 + data.norm_C)) if nf else 0.0
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-        if opts.verbose:
-            print(
-                f"iter {it:3d}  mu {mu:9.2e}  gap {rel_gap:9.2e}  "
-                f"rp {err_p:9.2e}  rd {max(err_d, err_f):9.2e}  pobj {pobj:+.8e}"
-            )
 
         if err_p <= opts.tol_feasibility and max(err_d, err_f) <= opts.tol_feasibility and rel_gap <= opts.tol_gap:
             return build_solution(SdpStatus.OPTIMAL, "converged", it), None
@@ -753,7 +765,7 @@ def _solve_once(
     return stop(SdpStatus.ITERATION_LIMIT, "iteration limit reached", opts.max_iterations)
 
 
-def _solve_unconstrained(problem: SdpProblem, data: _Dense, n_orig_blocks: int) -> SdpSolution:
+def _solve_unconstrained(data: _Dense) -> SdpSolution:
     """m = 0: optimum is X = 0 iff every C_b is PSD and c_f = 0."""
     if data.nf and np.any(data.cf != 0):
         return SdpSolution(status=SdpStatus.DUAL_INFEASIBLE, message="free objective unbounded")
@@ -761,7 +773,7 @@ def _solve_unconstrained(problem: SdpProblem, data: _Dense, n_orig_blocks: int) 
         return SdpSolution(status=SdpStatus.DUAL_INFEASIBLE, message="objective unbounded over the cone")
     return SdpSolution(
         status=SdpStatus.OPTIMAL,
-        primal_blocks=[np.zeros((d, d)) for d in problem.block_dims[:n_orig_blocks]],
+        primal_blocks=[np.zeros((d, d)) for d in data.dims],
         free_values=np.zeros(data.nf),
         dual_values=np.zeros(0),
         primal_objective=0.0,

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import lsqr
 
 from .games import SemialgebraicSet
 from .polynomials import Monomial, Polynomial, monomials_upto
-from .sdp import Free, Gram, SdpProblem, SdpSolution, SolveOptions, canonical, concat_coo, make_coo, solve
+from .sdp import Free, Gram, Restriction, SdpProblem, SdpSolution, SolveOptions, canonical, concat_coo, make_coo, solve
 
 
 def gram_basis(level: int, constraint_degree: int, n_vars: int) -> list[Monomial]:
@@ -371,57 +371,30 @@ def solve_split(
     monomials (Gatermann & Parrilo 2004).  The program restricted to such
     decompositions has the same optimum: each Gram block is split into its
     classes, odd multiplier coefficients are dropped, and so are the rows
-    that lose every entry.  The solution of the restricted program is
-    inflated back to ``problem``'s layout, with exact zeros in the cross-
-    class Gram entries, the odd multiplier coefficients and the duals of
-    the dropped rows.
+    that lose every entry.  An :class:`~gamecert.sdp.Restriction`, the one
+    facial reduction uses too, builds the restricted program and inflates
+    its solution back to ``problem``'s layout, with exact zeros in the
+    cross-class Gram entries, the odd multiplier coefficients and the duals
+    of the dropped rows.
     """
     flips = [sign_symmetries(mem) for mem in comp.program.memberships]
     off = np.cumsum([0] + [len(info.basis) for info in comp.gram_blocks])
-    rblock = np.zeros(off[-1], dtype=np.int64)  # flat basis index -> restricted block
-    rpos = np.zeros(off[-1], dtype=np.int64)    # flat basis index -> position in it
-    classes = []  # per restricted block: (original block, its basis indices)
+    block = np.zeros(off[-1], dtype=np.int64)  # flat basis index -> restricted block
+    pos = np.zeros(off[-1], dtype=np.int64)    # flat basis index -> position in it
+    n_blocks = 0
     for b, info in enumerate(comp.gram_blocks):
         groups: dict[tuple, list[int]] = {}
         for i, mono in enumerate(info.basis):
-            groups.setdefault(tuple(flips[info.membership] @ mono % 2), []).append(i)
-        for idx in groups.values():
-            rblock[off[b] + np.array(idx)] = len(classes)
-            rpos[off[b] + np.array(idx)] = np.arange(len(idx))
-            classes.append((b, idx))
+            groups.setdefault(tuple(flips[info.membership] @ mono % 2), []).append(off[b] + i)
+        for cols in groups.values():
+            block[cols], pos[cols] = n_blocks, np.arange(len(cols))
+            n_blocks += 1
     keep_free = np.ones(problem.n_free, dtype=bool)
     for info in comp.multipliers:
         odd = [any(flips[info.membership] @ mono % 2) for mono in info.basis]
         keep_free[info.offset : info.offset + len(odd)] = np.logical_not(odd)
-    free_pos = np.cumsum(keep_free) - 1
-
-    def restrict(gram, free):
-        fi, fj = off[gram.block] + gram.i, off[gram.block] + gram.j
-        k = rblock[fi] == rblock[fj]
-        kf = keep_free[free.col]
-        return (Gram(gram.row[k], rblock[fi[k]], rpos[fi[k]], rpos[fj[k]], gram.value[k]),
-                Free(free.row[kf], free_pos[free.col[kf]], free.value[kf]))
-
-    gram, free = restrict(problem.gram, problem.free)
-    m = problem.n_constraints
-    keep = (np.bincount(gram.row, minlength=m) + np.bincount(free.row, minlength=m) > 0) | (problem.rhs != 0)
-    keep_rows = np.flatnonzero(keep)
-    renumber = np.cumsum(keep) - 1
-    dims = tuple(len(idx) for _, idx in classes)
-    sol = solve(SdpProblem.from_arrays(
-        dims, int(keep_free.sum()), gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row]),
-        problem.rhs[keep], problem.le[keep], *restrict(problem.obj_gram, problem.obj_free),
-    ), options)
-    if not sol.primal_blocks:
-        return sol
-    blocks = [np.zeros((d, d)) for d in problem.block_dims]
-    for (b, idx), G in zip(classes, sol.primal_blocks):
-        blocks[b][np.ix_(idx, idx)] = G
-    free = np.zeros(problem.n_free)
-    free[keep_free] = sol.free_values
-    duals = np.zeros(problem.n_constraints)
-    duals[keep_rows] = sol.dual_values
-    return replace(sol, primal_blocks=blocks, free_values=free, dual_values=duals)
+    split = Restriction(problem, block, pos, keep_free)
+    return split.inflate(solve(split.problem, options))
 
 
 # ---------------------------------------------------------------------------

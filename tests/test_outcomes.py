@@ -35,6 +35,10 @@ def test_concave_reports_each_stopped_player(deg4_game):
     assert result.status == CertStatus.INCONCLUSIVE
     assert math.isnan(result.lam)
     assert result.diagnostic == f"player 0: {STOPPED}; player 1: {STOPPED}"
+    # the report describes the solve that failed
+    assert result.solver.status == "IterationLimit"
+    assert result.solver.iterations == 2
+    assert result.certificate is None
 
 
 def test_project_and_gauge_raise_on_a_stopped_solver(fig1_game):

@@ -224,7 +224,7 @@ def forced_zero_reference(problem):
 
 def test_facial_reduction_matches_row_by_row_elimination(fig3_game, deg4_game):
     from gamecert.certify import bound_program, concave_target, extended_domain, monotone_target
-    from gamecert.sdp import _Reduction
+    from gamecert.sdp import _facial_reduction
     from gamecert.sos import compile_program
 
     cases = [
@@ -235,18 +235,36 @@ def test_facial_reduction_matches_row_by_row_elimination(fig3_game, deg4_game):
     for program in cases:
         problem = compile_program(program)[0].to_equality_form()
         removed, active, infeasible = forced_zero_reference(problem)
-        reduction = _Reduction(problem)
-        assert not infeasible and not reduction.infeasible
+        reduction = _facial_reduction(problem)
+        assert not infeasible and reduction is not None
         assert any(removed)
-        for b, d in enumerate(problem.block_dims):
-            assert reduction.keep_cols[b].tolist() == [i for i in range(d) if i not in removed[b]]
-        assert reduction.keep_rows.tolist() == [r for r, a in enumerate(active) if a]
+        for b, (start, d) in enumerate(zip(reduction.off, problem.block_dims)):
+            kept = reduction.block[start:start + d] >= 0
+            assert np.flatnonzero(kept).tolist() == [i for i in range(d) if i not in removed[b]]
+        assert reduction.rows.tolist() == [r for r, a in enumerate(active) if a]
     # an unreachable nonzero coefficient is infeasible either way
     prob = SdpProblem((2,), 0, (), (), (
         SdpConstraint(((0, ((0, 0, 1.0),)),), (), 0.0),
         SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 1.0))),), (), 1.0),
     ))
-    assert forced_zero_reference(prob)[2] and _Reduction(prob).infeasible
+    assert forced_zero_reference(prob)[2] and _facial_reduction(prob) is None
+
+
+def test_every_block_dead_keeps_the_unreduced_problem():
+    from gamecert.games import box_set
+    from gamecert.polynomials import Polynomial
+    from gamecert.sdp import _facial_reduction
+    from gamecert.sos import compile_program, membership_problem, solve_split
+
+    # a zero target on [0, 1] forces every Gram column to zero
+    problem, comp = compile_program(membership_problem(Polynomial.zero(1), box_set([(0, 1)]), 2))
+    reduction = _facial_reduction(problem.to_equality_form())
+    assert reduction.problem == problem.to_equality_form()
+    assert reduction.rows.tolist() == list(range(problem.n_constraints))
+    sol = solve_split(problem, comp)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert max(float(np.max(np.abs(G))) for G in sol.primal_blocks) < 1e-8
+    assert len(sol.dual_values) == problem.n_constraints
 
 
 def test_minimum_eigenvalue_probe():
@@ -298,6 +316,19 @@ def test_no_constraints():
     assert solve(indefinite).status == SdpStatus.DUAL_INFEASIBLE
     free = SdpProblem((2,), 1, (), ((0, 1.0),), ())
     assert solve(free).status == SdpStatus.DUAL_INFEASIBLE
+
+
+@pytest.mark.parametrize("rel", ["=", "<="])
+def test_every_row_reduced_away_keeps_one_dual_per_row(rel):
+    # X[1,1] (plus a slack for "<=") = 0 forces column 1 out, and the row with it
+    prob = SdpProblem(
+        (2,), 0, ((0, ((0, 0, 1.0), (1, 1, 1.0))),), (),
+        (SdpConstraint(((0, ((1, 1, 1.0),)),), (), 0.0, rel),),
+    )
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert len(sol.dual_values) == prob.n_constraints
+    assert [G.shape for G in sol.primal_blocks] == [(2, 2)]
 
 
 def test_inequality_rows_via_slack():
