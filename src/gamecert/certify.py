@@ -9,8 +9,8 @@ pseudogradient dimension; Js is the symmetrized Jacobian.  Concavity runs
 one query per player with the own-block payoff Hessian and a sphere of
 that player's block dimension, and reports the worst player bound.
 
-An optimal value below -strict_tol certifies strict monotonicity (resp.
-concavity); a value within +/-cert_tol certifies the non-strict property;
+An optimal value below -STRICT_TOL certifies strict monotonicity (resp.
+concavity); a value within +/-CERT_TOL certifies the non-strict property;
 anything larger is inconclusive (the hierarchy only gives upper bounds on
 the true maximal eigenvalue).
 
@@ -21,7 +21,7 @@ audited certificate; ``project`` and ``export-sdpa`` go through them too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .games import (
@@ -46,6 +46,9 @@ from .sos import (
 
 STRICT_TOL = 1e-6
 CERT_TOL = 1e-6
+# a feasible iterate whose duality gap floors out above the solver's tol
+# still proves the bound it attains; accept it when the gap is below this
+ACCEPT_STALLED_GAP = 1e-4
 
 
 class CertStatus(str, Enum):
@@ -55,19 +58,7 @@ class CertStatus(str, Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass
-class CertifyOptions:
-    strict_tol: float = STRICT_TOL
-    cert_tol: float = CERT_TOL
-    residual_tol: float = 1e-6
-    psd_slack: float = 1e-7
-    # a feasible iterate whose duality gap floors out above tol_gap still
-    # proves the bound it attains; accept it when the gap is below this
-    accept_stalled_gap: float = 1e-4
-    solver: SolveOptions = field(default_factory=SolveOptions)
-
-
-def usable_solution(sol, opts: "CertifyOptions") -> bool:
+def usable_solution(sol, options: SolveOptions | None = None) -> bool:
     """An SDP outcome we can read a certified bound from: fully converged,
     or feasible to solver tolerance with only the gap stalled.
 
@@ -78,11 +69,12 @@ def usable_solution(sol, opts: "CertifyOptions") -> bool:
     """
     if sol.status == SdpStatus.OPTIMAL:
         return True
+    tol = (options or SolveOptions()).tol
     return (
         sol.status == SdpStatus.ITERATION_LIMIT
-        and sol.primal_residual <= 10 * opts.solver.tol_feasibility
-        and sol.dual_residual <= 10 * opts.solver.tol_feasibility
-        and sol.relative_gap <= opts.accept_stalled_gap
+        and sol.primal_residual <= 10 * tol
+        and sol.dual_residual <= 10 * tol
+        and sol.relative_gap <= ACCEPT_STALLED_GAP
     )
 
 
@@ -153,10 +145,10 @@ def min_admissible_level(game: PolynomialGame, kind: str = "monotone") -> int:
     return max(deg, 2, game.domain.max_constraint_degree())
 
 
-def _classify(lam: float, opts: CertifyOptions) -> CertStatus:
-    if lam < -opts.strict_tol:
+def _classify(lam: float) -> CertStatus:
+    if lam < -STRICT_TOL:
         return CertStatus.STRICTLY_CERTIFIED
-    if lam <= opts.cert_tol:
+    if lam <= CERT_TOL:
         return CertStatus.CERTIFIED
     return CertStatus.INCONCLUSIVE
 
@@ -183,29 +175,28 @@ class Solved:
     rejected: CertificateRejected | None = None
 
 
-def solve_audited(program: SosProgram, opts: CertifyOptions) -> Solved:
+def solve_audited(program: SosProgram, options: SolveOptions | None = None) -> Solved:
     """Compile ``program``, solve it through its sign-symmetry split and,
     when the solution is usable, round it onto the coefficient rows and
     audit the decomposition.  Every certificate of certify, project and
     gauge comes from here."""
     problem, comp = compile_program(program)
-    sol = solve_split(problem, comp, opts.solver)
-    if not usable_solution(sol, opts):
+    sol = solve_split(problem, comp, options)
+    if not usable_solution(sol, options):
         return Solved(sol)
     try:
-        rounded = round_onto_rows(comp, sol)
-        return Solved(sol, extract_certificate(comp, rounded, residual_tol=opts.residual_tol, psd_slack=opts.psd_slack))
+        return Solved(sol, extract_certificate(comp, round_onto_rows(comp, sol)))
     except CertificateRejected as exc:
         return Solved(sol, rejected=exc)
 
 
-def _certify(game: PolynomialGame, level: int, player: int | None, opts: CertifyOptions) -> CertResult:
+def _certify(game: PolynomialGame, level: int, player: int | None, options: SolveOptions | None) -> CertResult:
     """The level-``level`` bound of one target (see :func:`target`)."""
     base, domain = target(game, player)
     if level < base.degree:
         who = "" if player is None else f"player {player} "
         raise ValueError(f"level {level} below {who}target degree {base.degree}")
-    run = solve_audited(bound_program(base, domain, level), opts)
+    run = solve_audited(bound_program(base, domain, level), options)
     sol, cert = run.solution, run.certificate
     lam, diagnostic = math.nan, ""  # a nan bound classifies as Inconclusive
     if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
@@ -220,33 +211,28 @@ def _certify(game: PolynomialGame, level: int, player: int | None, opts: Certify
         kind="monotone" if player is None else "concave",
         level=level,
         lam=lam,
-        status=CertStatus.INFEASIBLE if lam == math.inf else _classify(lam, opts),
+        status=CertStatus.INFEASIBLE if lam == math.inf else _classify(lam),
         certificate=cert,
         solver=SolverStats(sol.status.value, sol.iterations, sol.primal_residual, sol.dual_residual, sol.relative_gap),
         diagnostic=diagnostic,
     )
 
 
-def certify_monotone(
-    game: PolynomialGame, level: int, options: CertifyOptions | None = None
-) -> CertResult:
+def certify_monotone(game: PolynomialGame, level: int, options: SolveOptions | None = None) -> CertResult:
     """Optimal level-``level`` upper bound on max_x lambda_max(Js(x)) with a
     validated decomposition certificate."""
-    return _certify(game, level, None, options or CertifyOptions())
+    return _certify(game, level, None, options)
 
 
-def certify_concave(
-    game: PolynomialGame, level: int, options: CertifyOptions | None = None
-) -> CertResult:
+def certify_concave(game: PolynomialGame, level: int, options: SolveOptions | None = None) -> CertResult:
     """Per-player Hessian bounds; the reported value is the worst player's."""
-    opts = options or CertifyOptions()
     per_player: list[tuple[int, float]] = []
     results: list[tuple[int, CertResult]] = []
     for i in range(game.n_players):
         if game.block_sizes[i] == 0:
             per_player.append((i, -math.inf))
             continue
-        result = _certify(game, level, i, opts)
+        result = _certify(game, level, i, options)
         per_player.append((i, result.lam))
         results.append((i, result))
     # a player without a bound makes the worst one nan, and its solver
@@ -263,7 +249,7 @@ def certify_concave(
         kind="concave",
         level=level,
         lam=worst,
-        status=CertStatus.INFEASIBLE if infeasible else _classify(worst, opts),
+        status=CertStatus.INFEASIBLE if infeasible else _classify(worst),
         certificate=chosen.certificate if chosen else None,
         per_player=per_player,
         solver=chosen.solver if chosen else None,
@@ -275,7 +261,7 @@ def run_hierarchy(
     game: PolynomialGame,
     levels,
     kind: str = "monotone",
-    options: CertifyOptions | None = None,
+    options: SolveOptions | None = None,
     stop_on_strict: bool = False,
 ) -> list[CertResult]:
     """Run certification across levels; per-level failures are recorded and

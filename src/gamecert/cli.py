@@ -60,17 +60,7 @@ def _emit(report: dict, out_path: str | None) -> None:
 def _solver_options(args):
     from .sdp import SolveOptions
 
-    return SolveOptions(
-        tol_feasibility=args.sdp_tol,
-        tol_gap=args.sdp_tol,
-        max_iterations=args.sdp_max_iter,
-    )
-
-
-def _certify_options(args):
-    from .certify import CertifyOptions
-
-    return CertifyOptions(solver=_solver_options(args))
+    return SolveOptions(tol=args.sdp_tol, max_iterations=args.sdp_max_iter)
 
 
 def _load_game(args):
@@ -127,7 +117,7 @@ def cmd_certify(args) -> int:
 
     game = _load_game(args)
     levels = _parse_levels(args)
-    results = run_hierarchy(game, levels, kind=args.kind, options=_certify_options(args))
+    results = run_hierarchy(game, levels, kind=args.kind, options=_solver_options(args))
     report = {
         "command": "certify",
         "version": __version__,
@@ -185,7 +175,7 @@ def cmd_project(args) -> int:
         "out": args.out,
     }
     try:
-        result = project(spec, _certify_options(args))
+        result = project(spec, _solver_options(args))
     except ProjectionInfeasible as exc:
         _emit(
             {
@@ -288,7 +278,7 @@ def cmd_gauge(args) -> int:
         "sdp_max_iter": args.sdp_max_iter,
     }
     try:
-        value = gauge(game, args.level, _certify_options(args))
+        value = gauge(game, args.level, _solver_options(args))
     except GaugeInfeasible as exc:
         _emit(
             {

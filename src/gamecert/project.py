@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import CertifyOptions, Solved, solve_audited, target
+from .certify import Solved, solve_audited, target
 from .games import PolynomialGame, quadratic_reference_game
 from .polynomials import Monomial, Polynomial, grevlex_key, monomials_upto
-from .sdp import SdpStatus
+from .sdp import SdpStatus, SolveOptions
 from .sos import Certificate, SosMembership, SosProgram
 
 
@@ -113,10 +113,9 @@ def _certificate(run: Solved, infeasible: Exception) -> Certificate:
     return run.certificate
 
 
-def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> ProjectionResult:
+def project(spec: ProjectionSpec, options: SolveOptions | None = None) -> ProjectionResult:
     """Solve the single-SDP projection and return the modified game, its
     distance to the reference, and the validated certificate."""
-    opts = options or CertifyOptions()
     game = spec.game
     m = game.n_vars
     frozen = set(spec.frozen)
@@ -178,7 +177,7 @@ def project(spec: ProjectionSpec, options: CertifyOptions | None = None) -> Proj
         param_equalities=tuple(equalities),
         param_inequalities=tuple(inequalities),
     )
-    run = solve_audited(program, opts)
+    run = solve_audited(program, options)
     cert = _certificate(run, ProjectionInfeasible(
         f"no {spec.kind} candidate at level {spec.level} meets the side constraints"
     ))
@@ -222,12 +221,11 @@ class GaugeInfeasible(Exception):
     pass
 
 
-def gauge(game: PolynomialGame, level: int, options: CertifyOptions | None = None) -> float:
+def gauge(game: PolynomialGame, level: int, options: SolveOptions | None = None) -> float:
     """Smallest eps >= 0 making the game certified at ``level`` after adding
     eps times the quadratic game (payoffs -||x_i||^2).  The value is only
     returned after its decomposition passes the certificate audit; a
     rejected one raises :class:`CertificateRejected`, as in :func:`project`."""
-    opts = options or CertifyOptions()
     base, dom = target(game)
     # the quadratic game's symmetrized Jacobian is -2I, so its target is
     # +2 ||y||^2: the direction of eps
@@ -240,7 +238,7 @@ def gauge(game: PolynomialGame, level: int, options: CertifyOptions | None = Non
         objective=(("eps", 1.0),),
         param_inequalities=(((("eps", -1.0),), 0.0),),
     )
-    cert = _certificate(solve_audited(program, opts), GaugeInfeasible(
+    cert = _certificate(solve_audited(program, options), GaugeInfeasible(
         f"no shift makes the game certified at level {level}; "
         "an Archimedean description (ball constraint) may be missing"
     ))

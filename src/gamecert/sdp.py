@@ -156,6 +156,8 @@ class SdpProblem:
 
     def _set(self, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free):
         self.block_dims = tuple(int(d) for d in block_dims)
+        if not self.block_dims:
+            raise ValueError("a problem needs at least one PSD block")
         if any(d <= 0 for d in self.block_dims):
             raise ValueError("block dimensions must be positive")
         self.n_free = int(n_free)
@@ -204,8 +206,7 @@ class SdpProblem:
 
 @dataclass
 class SolveOptions:
-    tol_feasibility: float = 1e-8
-    tol_gap: float = 1e-8
+    tol: float = 1e-8  # on the scaled residuals and the relative gap
     max_iterations: int = 200
 
 
@@ -457,8 +458,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     iterate.  That descent stops after ``WARM_PATIENCE`` iterations unless
     it has reached a feasible gap below the first's.  Its outcome is
     returned when it converges, or when it stalls with a smaller gap at an
-    iterate whose primal and dual residuals are within ``tol_feasibility``;
-    otherwise the first descent's is.
+    iterate whose primal and dual residuals are within ``tol``; otherwise
+    the first descent's is.  Running out of memory is a NumericalFailure.
     """
     opts = options or SolveOptions()
     reduction = _facial_reduction(problem.to_equality_form())
@@ -467,20 +468,23 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             status=SdpStatus.PRIMAL_INFEASIBLE,
             message="a target coefficient is structurally unreachable",
         )
-    data = _Dense(reduction.problem)
-    if data.m == 0:
-        sol = _solve_unconstrained(data)
-    else:
-        sol, warm = _solve_once(data, opts, None)
-        # a returned warm start is a feasible iterate, so IterationLimit means gap > tol_gap
-        if warm is not None and sol.status == SdpStatus.ITERATION_LIMIT:
-            second, _ = _solve_once(data, opts, warm, sol.relative_gap)
-            if second.status == SdpStatus.OPTIMAL or (
-                second.status == SdpStatus.ITERATION_LIMIT
-                and second.relative_gap < sol.relative_gap
-                and max(second.primal_residual, second.dual_residual) <= opts.tol_feasibility
-            ):
-                sol = second
+    try:
+        data = _Dense(reduction.problem)
+        if data.m == 0:
+            sol = _solve_unconstrained(data)
+        else:
+            sol, warm = _solve_once(data, opts, None)
+            # a returned warm start is a feasible iterate, so IterationLimit means gap > tol
+            if warm is not None and sol.status == SdpStatus.ITERATION_LIMIT:
+                second, _ = _solve_once(data, opts, warm, sol.relative_gap)
+                if second.status == SdpStatus.OPTIMAL or (
+                    second.status == SdpStatus.ITERATION_LIMIT
+                    and second.relative_gap < sol.relative_gap
+                    and max(second.primal_residual, second.dual_residual) <= opts.tol
+                ):
+                    sol = second
+    except MemoryError as exc:
+        sol = SdpSolution(status=SdpStatus.NUMERICAL_FAILURE, message=f"out of memory: {exc}")
     sol = reduction.inflate(sol)
     del sol.primal_blocks[len(problem.block_dims):]  # the slack blocks of "<=" rows
     return sol
@@ -515,7 +519,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
     if nf:
         Qf, Rf = np.linalg.qr(data.F, mode="complete")
         Rtri = Rf[:nf, :]
-        if float(np.min(np.abs(np.diag(Rtri)))) < 1e-12 * max(1.0, float(np.max(np.abs(Rtri)))):
+        if nf > m or float(np.min(np.abs(np.diag(Rtri)))) < 1e-12 * max(1.0, float(np.max(np.abs(Rtri)))):
             return SdpSolution(
                 status=SdpStatus.NUMERICAL_FAILURE,
                 message="free-variable columns are linearly dependent",
@@ -530,14 +534,23 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
     best_warm = None
     best_age = 0
 
-    def build_solution(status, message="", it=0) -> SdpSolution:
+    def measure():
+        """The current iterate's residuals (rp, Rd, rf), objectives, scaled
+        primal and dual residuals and relative gap."""
+        rp = data.b - data.apply_A(X, u)
+        Rd = [C - At - Sg for C, At, Sg in zip(data.C, data.apply_At(y), S)]
+        rf = data.cf - data.F.T @ y if nf else np.zeros(0)
         pobj = _inner(data.C, X) + float(data.cf @ u)
         dobj = float(data.b @ y)
-        rp = data.b - data.apply_A(X, u)
-        rd = max(
-            float(np.max(np.abs(C - At - Sg))) for C, At, Sg in zip(data.C, data.apply_At(y), S)
-        )
-        rf = float(np.max(np.abs(data.cf - data.F.T @ y))) if nf else 0.0
+        err_p = float(np.max(np.abs(rp))) / (1.0 + data.norm_b)
+        err_d = max(float(np.max(np.abs(R))) for R in Rd) / (1.0 + data.norm_C)
+        err_f = (float(np.max(np.abs(rf))) / (1.0 + data.norm_C)) if nf else 0.0
+        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        return rp, Rd, rf, pobj, dobj, err_p, max(err_d, err_f), rel_gap
+
+    def build_solution(status, message, it, measures=None) -> SdpSolution:
+        """The current iterate, with its ``measures`` when the loop has them."""
+        pobj, dobj, err_p, err_d, rel_gap = (measures or measure())[3:]
         return SdpSolution(
             status=status,
             primal_blocks=data.unstack(X),
@@ -545,23 +558,19 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             dual_values=y,
             primal_objective=pobj,
             dual_objective=dobj,
-            primal_residual=float(np.max(np.abs(rp))) / (1.0 + data.norm_b),
-            dual_residual=max(rd, rf) / (1.0 + data.norm_C),
-            relative_gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+            primal_residual=err_p,
+            dual_residual=err_d,
+            relative_gap=rel_gap,
             iterations=it,
             message=message,
         )
 
-    def stop(status, message, it):
+    def stop(status, message, it, measures=None):
         """End the descent with the best feasible iterate if there is one,
         else with the current iterate under ``status``."""
         if best is None:
-            return build_solution(status, message, it), None
-        if (
-            best.relative_gap <= opts.tol_gap
-            and best.primal_residual <= opts.tol_feasibility
-            and best.dual_residual <= opts.tol_feasibility
-        ):
+            return build_solution(status, message, it, measures), None
+        if best.relative_gap <= opts.tol and best.primal_residual <= opts.tol and best.dual_residual <= opts.tol:
             best.status = SdpStatus.OPTIMAL
             best.message = "converged"
         else:
@@ -575,30 +584,20 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             drift = data.cf - data.F.T @ y
             y = y + Q1 @ _tri_solve(Rf_low, drift)
 
-        # residuals
-        rp = data.b - data.apply_A(X, u)
-        Rd = [C - At - Sg for C, At, Sg in zip(data.C, data.apply_At(y), S)]
-        rf = data.cf - data.F.T @ y if nf else np.zeros(0)
+        measures = measure()
+        rp, Rd, rf, pobj, dobj, err_p, err_d, rel_gap = measures
         gap = _inner(X, S)
         mu = gap / nu
 
-        pobj = _inner(data.C, X) + float(data.cf @ u)
-        dobj = float(data.b @ y)
-
-        err_p = float(np.max(np.abs(rp))) / (1.0 + data.norm_b)
-        err_d = max(float(np.max(np.abs(R))) for R in Rd) / (1.0 + data.norm_C)
-        err_f = (float(np.max(np.abs(rf))) / (1.0 + data.norm_C)) if nf else 0.0
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-        if err_p <= opts.tol_feasibility and max(err_d, err_f) <= opts.tol_feasibility and rel_gap <= opts.tol_gap:
-            return build_solution(SdpStatus.OPTIMAL, "converged", it), None
+        if err_p <= opts.tol and err_d <= opts.tol and rel_gap <= opts.tol:
+            return build_solution(SdpStatus.OPTIMAL, "converged", it, measures), None
 
         # remember the feasible iterate with the smallest gap: on degenerate
         # faces the gap can floor out while feasibility stays excellent, and
         # iterating past that point only does damage
-        if err_p <= opts.tol_feasibility and max(err_d, err_f) <= opts.tol_feasibility:
+        if err_p <= opts.tol and err_d <= opts.tol:
             if best is None or rel_gap < (1 - 1e-4) * best.relative_gap:
-                best = build_solution(SdpStatus.OPTIMAL, "feasible iterate", it)
+                best = build_solution(SdpStatus.OPTIMAL, "feasible iterate", it, measures)
                 # iterates are replaced, never written in place: no copies
                 best_warm = (X, S, y, u, mu)
                 best_age = 0
@@ -607,9 +606,9 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
         elif best is not None:
             best_age += 1
         if best is not None and (best_age >= 10 or err_p > 1e5 * max(best.primal_residual, 1e-13)):
-            return stop(SdpStatus.ITERATION_LIMIT, "", it)
+            return stop(SdpStatus.ITERATION_LIMIT, "", it, measures)
         if warm is not None and it >= WARM_PATIENCE and (best is None or best.relative_gap >= rival_gap):
-            return stop(SdpStatus.ITERATION_LIMIT, "warm descent fell behind", it)
+            return stop(SdpStatus.ITERATION_LIMIT, "warm descent fell behind", it, measures)
 
         # divergence-based infeasibility certificates
         scale0 = 1.0 + data.norm_b + data.norm_C
@@ -619,7 +618,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             fres = float(np.max(np.abs(data.F.T @ yhat))) if nf else 0.0
             tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(yhat)))) * max(1.0, data.norm_A)
             if lam <= tol_inf and fres <= tol_inf:
-                return build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it), None
+                return build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it, measures), None
         if pobj < -1e6 * scale0:
             tr = sum(float(np.einsum("kii->", Xg)) for Xg in X)
             Xhat = [Xg / tr for Xg in X]
@@ -627,7 +626,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             ares = float(np.max(np.abs(data.apply_A(Xhat, uhat))))
             cval = _inner(data.C, Xhat) + float(data.cf @ uhat)
             if ares <= 1e-7 * max(1.0, data.norm_A) and cval < 0:
-                return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it), None
+                return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it, measures), None
 
         # triangular inverses, reused by every step-length bound below
         try:
@@ -636,7 +635,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             LsInv = [np.linalg.inv(np.linalg.cholesky(Sg)) for Sg in S]
             Sinv = [_T(Li) @ Li for Li in LsInv]
         except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone", it)
+            return stop(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone", it, measures)
 
         # Schur complement M_ij = tr(A_i X A_j S^-1) in explicit Gram form:
         # with B_j = Lx' A_j Ls^-T, M = B B', and the triangular factor of
@@ -650,7 +649,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
         try:
             Rr = np.linalg.qr(BR.T, mode="r")
             diag = np.abs(np.diag(Rr)) if Rr.shape[0] == m_red else np.zeros(1)
-            if Rr.shape[0] != m_red or float(np.min(diag)) < 1e-13 * float(np.max(diag, initial=1.0)):
+            if float(np.min(diag, initial=math.inf)) < 1e-13 * float(np.max(diag, initial=1.0)):
                 # redundant constraints: redo with a tiny Tikhonov tail so
                 # the factor is square and positive definite; refinement
                 # against the true Gram absorbs the perturbation
@@ -658,19 +657,20 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
                 delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
                 Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
         except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed", it)
+            return stop(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed", it, measures)
         Rr_low = np.asfortranarray(Rr.T)
 
         def reduced_solve(h: np.ndarray):
             """Solve M dy + F du = h with F^T dy = 0, refining in the
             reduced space via the triangular Gram factor."""
-            rhs = Q2.T @ h if nf else h
-            z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
-            for _ in range(3):
-                res = rhs - BR @ (BR.T @ z)
-                if float(np.max(np.abs(res))) <= 1e-13 * (1.0 + float(np.max(np.abs(rhs)))):
-                    break
-                z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
+            rhs = z = Q2.T @ h if nf else h  # empty when the free columns fill the rows
+            if m_red:
+                z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
+                for _ in range(3):
+                    res = rhs - BR @ (BR.T @ z)
+                    if float(np.max(np.abs(res))) <= 1e-13 * (1.0 + float(np.max(np.abs(rhs)))):
+                        break
+                    z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
             dy = Q2 @ z if nf else z
             if nf:
                 du = _tri_solve(Rf_low, Q1.T @ (h - Bfull @ (Bfull.T @ dy)), trans=1)
@@ -709,7 +709,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
         try:
             dXa, _, _, dSa = directions([-P for P in XS])
         except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it)
+            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it, measures)
 
         ap = min(1.0, _max_step(LxInv, dXa))
         ad = min(1.0, _max_step(LsInv, dSa))
@@ -729,13 +729,13 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
                 dX, du, dy, dS = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
                 step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
         except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it)
+            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it, measures)
 
         gamma = 0.95 if it < 2 else 0.98
         ap = min(1.0, gamma * step_x)
         ad = min(1.0, gamma * step_s)
         if ap < 1e-10 and ad < 1e-10:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it)
+            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it, measures)
 
         # eigenvalue-based step bounds can overshoot once the blocks are
         # nearly singular; verify with a Cholesky and back off if needed
@@ -753,7 +753,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
         newX, ap = try_step(X, dX, ap)
         newS, ad = try_step(S, dS, ad)
         if newX is None or newS is None:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it)
+            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it, measures)
         X, S = newX, newS
         y = y + ad * dy
         if nf:

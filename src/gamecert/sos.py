@@ -400,6 +400,9 @@ def solve_split(
 # ---------------------------------------------------------------------------
 # certificates
 
+RESIDUAL_TOL = 1e-6  # largest identity coefficient mismatch a certificate may have
+PSD_SLACK = 1e-7     # how far below zero a Gram eigenvalue may sit
+
 
 class CertificateRejected(Exception):
     def __init__(self, residual: float, detail: str = ""):
@@ -470,7 +473,7 @@ def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     The solver calls an iterate feasible relative to the size of the target
     coefficients, while the certificate gates in :func:`extract_certificate`
     are absolute, so a usable iterate can miss the identity by more than
-    ``residual_tol`` depending on floating-point rounding.  This applies the
+    ``RESIDUAL_TOL`` depending on floating-point rounding.  This applies the
     minimum-norm (Frobenius on the Gram blocks) least-squares correction of
     the Gram entries and equality-multiplier coefficients that cancels the
     identity residual (Peyrl & Parrilo 2008; Löfberg 2009).
@@ -497,16 +500,11 @@ def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     return replace(solution, primal_blocks=rounded, free_values=rounded_free)
 
 
-def extract_certificate(
-    comp: Compilation,
-    solution: SdpSolution,
-    residual_tol: float = 1e-6,
-    psd_slack: float = 1e-7,
-) -> Certificate:
+def extract_certificate(comp: Compilation, solution: SdpSolution) -> Certificate:
     """Read Gram matrices and multipliers back from a solution, rebuild the
     decomposition identity symbolically, and reject it if the worst
-    coefficient mismatch exceeds ``residual_tol`` or a Gram block has an
-    eigenvalue below ``-psd_slack``.
+    coefficient mismatch exceeds ``RESIDUAL_TOL`` or a Gram block has an
+    eigenvalue below ``-PSD_SLACK``.
 
     Both gates are absolute: the residual is the largest
     ``|target - expansion|`` coefficient in polynomial units, with no
@@ -528,7 +526,7 @@ def extract_certificate(
             G = np.asarray(solution.primal_blocks[blk])
             grams.append((info.multiplier, info.basis, G))
             min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
-            if min_eig < -psd_slack:
+            if min_eig < -PSD_SLACK:
                 raise CertificateRejected(
                     -min_eig, f"Gram block {info.multiplier} has eigenvalue {min_eig:.3e}"
                 )
@@ -552,7 +550,7 @@ def extract_certificate(
         expansion = reconstruct_expansion(comp, cert_mem, mi)
         residual = (target - expansion).max_abs_coeff()
         cert_mem.identity_residual = residual
-        if residual > residual_tol:
+        if residual > RESIDUAL_TOL:
             raise CertificateRejected(residual, mem.label or f"membership {mi}")
         mem_certs.append(cert_mem)
     optimum = sum(w * params[name] for name, w in program.objective)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gamecert.certify import (
-    CertifyOptions,
     CertStatus,
     certify_concave,
     certify_monotone,
@@ -20,6 +19,7 @@ from gamecert.oracles import jacobi_eigenvalues
 from gamecert.polynomials import Polynomial
 from gamecert.sdp import solve
 from gamecert.sos import (
+    PSD_SLACK,
     CertificateRejected,
     compile_program,
     extract_certificate,
@@ -118,7 +118,7 @@ def test_regularize_shift_and_strictification(fig1_game):
     zero = PolynomialGame((1, 1), (Polynomial.zero(2),) * 2, box_set([(0, 1)] * 2))
     certified = certify_monotone(zero, 2)
     assert certified.status == CertStatus.CERTIFIED
-    eps = 1e-3  # > 2 * strict_tol
+    eps = 1e-3  # > 2 * STRICT_TOL
     strict = certify_monotone(regularize(zero, eps), 2)
     assert strict.status == CertStatus.STRICTLY_CERTIFIED
     assert strict.lam == pytest.approx(certified.lam - eps, abs=1e-6)
@@ -166,7 +166,6 @@ def test_rounding_repairs_a_feasible_iterate_the_audit_rejects(deg4_game):
     fixed Gram perturbation inside that band must fail the audit as it
     stands and pass it after rounding onto the coefficient rows, with the
     bound untouched."""
-    opts = CertifyOptions()
     domain = extended_domain(deg4_game.domain, deg4_game.n_vars)
     # the bound is held at -0.5, above its optimum near -1, so the live Gram
     # directions are strictly inside the cone and the check is about the rows
@@ -179,8 +178,8 @@ def test_rounding_repairs_a_feasible_iterate_the_audit_rejects(deg4_game):
         param_inequalities=[((("lam", -1.0),), 0.5)],
     )
     problem, comp = compile_program(program)
-    sol = solve(problem, opts.solver)
-    assert usable_solution(sol, opts)
+    sol = solve(problem)
+    assert usable_solution(sol)
     lam = float(sol.free_values[comp.param_index("lam")])
 
     perturbed = []
@@ -189,14 +188,13 @@ def test_rounding_repairs_a_feasible_iterate_the_audit_rejects(deg4_game):
         perturbed.append(G + 1e-6 * np.outer(live, live))
     noisy = dataclasses.replace(sol, primal_blocks=perturbed)
 
-    audit = dict(residual_tol=opts.residual_tol, psd_slack=opts.psd_slack)
     with pytest.raises(CertificateRejected) as rejected:
-        extract_certificate(comp, noisy, **audit)
+        extract_certificate(comp, noisy)
     assert 1e-6 < rejected.value.residual <= 1.1e-5
 
-    cert = extract_certificate(comp, round_onto_rows(comp, noisy), **audit)
+    cert = extract_certificate(comp, round_onto_rows(comp, noisy))
     assert cert.identity_residual <= 1e-8
     assert cert.params == {"lam": lam}
     for mem in cert.memberships:
         for _, _, G in mem.gram_matrices:
-            assert float(np.linalg.eigvalsh(G)[0]) >= -opts.psd_slack
+            assert float(np.linalg.eigvalsh(G)[0]) >= -PSD_SLACK

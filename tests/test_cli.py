@@ -32,6 +32,20 @@ def test_certify_fig1_exit_two(capsys):
     assert report["results"][0]["lambda"] == pytest.approx(10.0, abs=1e-3)
 
 
+def test_solver_flags_reach_the_solver(capsys):
+    def solve_fig1(*flags):
+        code, out = run_cli(capsys, "certify", "--level", "2", *flags, corpus_path("fig1.game.json"))
+        assert code == 2
+        return json.loads(out)["results"][0]
+
+    capped = solve_fig1("--sdp-max-iter", "2")
+    assert capped["solver"]["iterations"] == 2
+    assert capped["diagnostic"] == "solver stopped: IterationLimit (iteration limit reached)"
+    loose, default = solve_fig1("--sdp-tol", "1e-4"), solve_fig1()
+    assert loose["status"] == default["status"] == "Inconclusive"
+    assert loose["solver"]["iterations"] < default["solver"]["iterations"]
+
+
 def test_certify_malformed_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+import gamecert.sdp
 import gamecert.sos
-from gamecert.certify import CertifyOptions, CertStatus, certify_concave, certify_monotone
+from gamecert.certify import CertStatus, certify_concave, certify_monotone
 from gamecert.project import ProjectionFailed, ProjectionSpec, gauge, project
 from gamecert.sdp import SolveOptions
 from gamecert.sos import CertificateRejected
@@ -17,7 +18,7 @@ STOPPED = "solver stopped: IterationLimit (iteration limit reached)"
 
 
 def two_iterations():
-    return CertifyOptions(solver=SolveOptions(max_iterations=2))
+    return SolveOptions(max_iterations=2)
 
 
 def test_certify_reports_a_stopped_solver(fig1_game):
@@ -47,6 +48,17 @@ def test_project_and_gauge_raise_on_a_stopped_solver(fig1_game):
         project(ProjectionSpec(fig1_game, 2), two_iterations())
     with pytest.raises(ProjectionFailed, match=message):
         gauge(fig1_game, 2, two_iterations())
+
+
+def test_certify_reports_running_out_of_memory(monkeypatch, driver_game):
+    def exhausted(problem):
+        raise MemoryError("Unable to allocate 2.71 GiB")
+
+    monkeypatch.setattr(gamecert.sdp, "_Dense", exhausted)
+    result = certify_monotone(driver_game, 2)
+    assert result.status == CertStatus.INCONCLUSIVE
+    assert math.isnan(result.lam)
+    assert result.diagnostic == "solver stopped: NumericalFailure (out of memory: Unable to allocate 2.71 GiB)"
 
 
 @pytest.fixture

@@ -183,12 +183,12 @@ def test_feasible_stalled_restart_adopted(monkeypatch):
     domain = add_ball_constraint(box_set([(0.0, 1.0)] * 2), float(np.sqrt(2.0)))
     descents = record_descents(monkeypatch)
     result = certify_monotone(PolynomialGame((1, 1), payoffs, domain), 4)
-    # the first descent stalls above accept_stalled_gap; the warm one stalls
-    # far lower, feasible to tol_feasibility though less so than the first
+    # the first descent stalls above ACCEPT_STALLED_GAP; the warm one stalls
+    # far lower, feasible to tol though less so than the first
     first, second = descents
     assert first.relative_gap > 1e-4 and second.relative_gap < 1e-4
     assert second.primal_residual > 10 * first.primal_residual
-    assert max(second.primal_residual, second.dual_residual) <= SolveOptions().tol_feasibility
+    assert max(second.primal_residual, second.dual_residual) <= SolveOptions().tol
     assert result.solver.relative_gap == second.relative_gap
     assert result.status == CertStatus.STRICTLY_CERTIFIED
 
@@ -318,6 +318,30 @@ def test_no_constraints():
     assert solve(free).status == SdpStatus.DUAL_INFEASIBLE
 
 
+def free_columns_problem(n_free, obj_free):
+    """X + u_1 + ... + u_n = 1 on a 1x1 block, minimizing ``obj_free . u``."""
+    from gamecert.sdp import Free, Gram, make_coo
+
+    return SdpProblem.from_arrays(
+        (1,), n_free, make_coo(Gram, [(0, 0, 0, 0, 1.0)]),
+        make_coo(Free, [(0, k, 1.0) for k in range(n_free)]), [1.0], [False],
+        make_coo(Gram), make_coo(Free, [(0, k, c) for k, c in enumerate(obj_free)]),
+    )
+
+
+def test_free_columns_filling_the_rows(capfd):
+    # one free column per row leaves an empty reduced Schur system
+    assert solve(free_columns_problem(1, [1.0])).status == SdpStatus.DUAL_INFEASIBLE
+    sol = solve(free_columns_problem(1, [-1.0]))
+    assert sol.status == SdpStatus.OPTIMAL
+    assert sol.primal_objective == pytest.approx(-1.0, abs=1e-8)
+    # more free columns than rows cannot be independent
+    sol = solve(free_columns_problem(2, [1.0, 0.0]))
+    assert sol.status == SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == "free-variable columns are linearly dependent"
+    assert capfd.readouterr().err == ""  # no LAPACK complaint either
+
+
 @pytest.mark.parametrize("rel", ["=", "<="])
 def test_every_row_reduced_away_keeps_one_dual_per_row(rel):
     # X[1,1] (plus a slack for "<=") = 0 forces column 1 out, and the row with it
@@ -368,6 +392,8 @@ def test_determinism():
 def test_validation():
     with pytest.raises(ValueError):
         SdpProblem((0,), 0, (), (), ())
+    with pytest.raises(ValueError, match="at least one PSD block"):
+        SdpProblem((), 1, (), ((0, 1.0),), (SdpConstraint((), ((0, 1.0),), 1.0),))
     with pytest.raises(ValueError):
         SdpProblem((2,), 0, ((0, ((0, 3, 1.0),)),), (), ())
     with pytest.raises(ValueError):
@@ -574,6 +600,4 @@ def test_solution_invariant_on_optimal():
     for _ in range(5):
         sol = solve(random_feasible_problem(rng), opts)
         if sol.status == SdpStatus.OPTIMAL:
-            assert max(sol.primal_residual, sol.dual_residual, sol.relative_gap) <= max(
-                opts.tol_feasibility, opts.tol_gap
-            )
+            assert max(sol.primal_residual, sol.dual_residual, sol.relative_gap) <= opts.tol
