@@ -127,21 +127,26 @@ def concave_target(game: PolynomialGame, player: int) -> Polynomial:
     return -quadratic_form(player_hessian(game, player), game.n_vars)
 
 
+def target_polynomial(game: PolynomialGame, player: int | None = None) -> Polynomial:
+    """The polynomial a bound certifies: the monotone target for ``player``
+    None, else that player's concave target.  Both are linear in the
+    payoffs, so the targets of unit games give the directions of a
+    coefficient search."""
+    return monotone_target(game) if player is None else concave_target(game, player)
+
+
 def target(game: PolynomialGame, player: int | None = None) -> tuple[Polynomial, SemialgebraicSet]:
-    """The polynomial a bound certifies and the set it lives on: the
-    monotone target over X x B^n for ``player`` None, else that player's
-    concave target over X x B^(m_i).  Both are linear in the payoffs, so
-    the targets of unit games give the directions of a coefficient search."""
-    if player is None:
-        return monotone_target(game), extended_domain(game.domain, game.n_vars)
-    return concave_target(game, player), extended_domain(game.domain, game.block_sizes[player])
+    """The polynomial a bound certifies and the set it lives on: X x B^n
+    for ``player`` None, else X x B^(m_i)."""
+    sphere_dim = game.n_vars if player is None else game.block_sizes[player]
+    return target_polynomial(game, player), extended_domain(game.domain, sphere_dim)
 
 
 def min_admissible_level(game: PolynomialGame, kind: str = "monotone") -> int:
     """Smallest level the target degree admits (also bounded below by the
     constraint degrees)."""
     players = [None] if kind == "monotone" else range(game.n_players)
-    deg = max((target(game, p)[0].degree for p in players), default=0)
+    deg = max((target_polynomial(game, p).degree for p in players), default=0)
     return max(deg, 2, game.domain.max_constraint_degree())
 
 

@@ -2,11 +2,12 @@
 self-contained eigensolver.
 
 Everything here deliberately avoids the symbolic certification path: the
-eigensolver is cyclic Jacobi (not the SDP), derivatives are checked by
-central finite differences, and membership certificates are audited by
-pointwise evaluation.  Each check works on whole arrays: the eigensolver
-takes an (N, k, k) stack, and points are drawn and tested for membership a
-block at a time.
+eigensolver is round-robin Jacobi (not the SDP, and no LAPACK eigen-routine),
+derivatives are checked by central finite differences, and membership
+certificates are audited by pointwise evaluation.  Each check works on whole
+arrays: the eigensolver takes an (N, k, k) stack and rotates it lanes last,
+as (k, k, N), and points are drawn and tested for membership a block at a
+time.
 
 Sampling is reproducible and counter-based.  Attempt i of a seed takes its
 coordinates from row i mod SAMPLE_BLOCK of block i // SAMPLE_BLOCK, where
@@ -39,14 +40,23 @@ JACOBI_SLICE = 2048
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
+    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations,
     ascending.  Deterministic and dependency-free on purpose: this is the
     reference the SDP route is checked against.
 
     ``matrix`` is one (k, k) matrix or an (N, k, k) stack; the result has
-    shape (k,) or (N, k).  Every matrix of a stack goes through the same
-    sweeps it would get alone, until it converges, so row i of a stacked
-    call equals the call on matrix i bit for bit.
+    shape (k,) or (N, k).  A sweep visits every pair (p, q) once, in the
+    k - 1 rounds (k for odd k) of the round-robin tournament (Brent & Luk,
+    SIAM J. Sci. Stat. Comput. 6(1), 1985); the pairs of one round are
+    disjoint, so their rotations commute and are applied together.  A
+    matrix stops rotating once every off-diagonal entry is at most
+    ``tol`` times its largest entry in magnitude.
+
+    The stack is worked on lanes last, as (k, k, N), so that each entry is
+    a contiguous vector over the matrices.  Every matrix of a stack goes
+    through the same elementwise operations it would get alone, until it
+    converges, so row i of a stacked call equals the call on matrix i bit
+    for bit.
     """
     stack = np.asarray(matrix, dtype=float)
     single = stack.ndim == 2
@@ -57,65 +67,105 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     values = np.empty(stack.shape[:2])
     for start in range(0, stack.shape[0], JACOBI_SLICE):
         part = slice(start, start + JACOBI_SLICE)
-        values[part] = _jacobi_sweeps(np.array(stack[part]), tol, max_sweeps)
+        values[part] = _jacobi_sweeps(np.array(stack[part].transpose(1, 2, 0), order="C"), tol, max_sweeps)
     return values[0] if single else values
 
 
+def _round_robin(k: int) -> np.ndarray:
+    """The move between two rounds of the circle method on 0..k-1: in every
+    round position j meets position k//2 + j, for j < k//2, and an odd k
+    leaves its last position idle.  Entry (i, j) of the next round's layout
+    is entry ``order[i * k + j]`` of this one, counted row by row.
+
+    The n = k + k % 2 seats of the method hold the positions: seat 0 stays
+    put, every other player moves one seat on, and seat j meets seat
+    n-1-j.  An odd k seats a phantom at seat 0, and whoever meets it sits
+    the round out.  After n - 1 rounds every pair has met once and the
+    layout is back where it started."""
+    n, half = k + k % 2, k // 2
+    if k % 2:
+        seat = np.r_[1 : half + 1, n - 2 : half : -1, n - 1]
+    else:
+        seat = np.r_[0:half, n - 1 : half - 1 : -1]
+    position = np.zeros(n, dtype=int)
+    position[seat] = np.arange(k)
+    came_from = np.r_[0, n - 1, 1 : n - 1]  # the seat whose player moves to seat t
+    step = position[came_from[seat]]
+    return (step[:, None] * k + step).ravel()
+
+
 def _jacobi_sweeps(A: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of the stack A, which is
-    overwritten; converged matrices leave the working stack."""
-    n = A.shape[1]
-    At = A.transpose(0, 2, 1)
+    """Ascending eigenvalues of each matrix of the lanes-last stack A,
+    shape (k, k, N), which is overwritten; converged matrices leave the
+    working stack.  Returns shape (N, k)."""
+    k = A.shape[0]
+    At = A.transpose(1, 0, 2)
     work = np.abs(A)
-    size = work.max(axis=(1, 2))
+    size = work.max(axis=(0, 1), initial=0.0)
     np.abs(np.subtract(A, At, out=work), out=work)
-    if np.any(work.max(axis=(1, 2)) > 1e-10 * (1.0 + size)):
+    if np.any(work.max(axis=(0, 1), initial=0.0) > 1e-10 * (1.0 + size)):
         raise ValueError("matrix is not symmetric")
     A = np.multiply(np.add(A, At, out=work), 0.5, out=A)
     del work, At
+    order = _round_robin(k)
     scale = np.where(size > 0.0, size, 1.0)
-    values = np.empty(A.shape[:2])
-    # A holds the matrices still rotating; lanes[j] is the stack index of A[j]
-    lanes = np.arange(A.shape[0])
+    values = np.empty((A.shape[2], k))
+    diagonal = np.arange(k)
+    # A holds the matrices still rotating; lanes[j] is the stack index of A[..., j]
+    lanes = np.arange(A.shape[2])
     for _ in range(max_sweeps):
-        diag = np.diagonal(A, axis1=1, axis2=2)
-        off = np.sqrt(np.maximum(0.0, (A * A).sum(axis=(1, 2)) - (diag**2).sum(axis=1)))
-        running = off > tol * scale[lanes]
+        # the largest off-diagonal magnitude: a maximum, so it is exact and
+        # sees no other lane, and it reaches zero as the matrix converges
+        off = np.abs(A)
+        off[diagonal, diagonal] = 0.0
+        running = off.max(axis=(0, 1), initial=0.0) > tol * scale[lanes]
+        del off
         if not running.all():
-            values[lanes[~running]] = diag[~running]
-            del diag  # a view that would keep the uncompacted stack alive
-            A, lanes = A[running], lanes[running]
+            values[lanes[~running]] = A[diagonal, diagonal][:, ~running].T
+            A, lanes = A[:, :, running], lanes[running]
             if not lanes.size:
                 break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q].copy()
-                live = np.abs(apq) > 1e-300
-                if not live.any():
-                    continue
-                # masked lanes get harmless operands, so they raise no warning
-                theta = (A[:, q, q] - A[:, p, p]) / (2.0 * np.where(live, apq, 1.0))
-                huge = np.abs(theta) > 1e150
-                moderate = np.where(huge, 0.0, theta)
-                t = np.where(
-                    huge,
-                    1.0 / (2.0 * np.where(huge, theta, 1.0)),
-                    np.copysign(1.0, moderate) / (np.abs(moderate) + np.sqrt(moderate * moderate + 1.0)),
-                )
-                c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
-                s = t[:, None] * c
-                lane = live[:, None]
-                col_p, col_q = A[:, :, p].copy(), A[:, :, q].copy()
-                A[:, :, p] = np.where(lane, c * col_p - s * col_q, col_p)
-                A[:, :, q] = np.where(lane, s * col_p + c * col_q, col_q)
-                row_p, row_q = A[:, p, :].copy(), A[:, q, :].copy()
-                A[:, p, :] = np.where(lane, c * row_p - s * row_q, row_p)
-                A[:, q, :] = np.where(lane, s * row_p + c * row_q, row_q)
-                A[:, p, q] = A[:, q, p] = np.where(live, 0.0, apq)
+        for _ in range(k - 1 + k % 2):
+            _rotate(A)
+            A = A.reshape(k * k, -1).take(order, axis=0).reshape(A.shape)
     else:  # max_sweeps ran out: take the diagonals as they stand
-        values[lanes] = np.diagonal(A, axis1=1, axis2=2)
+        values[lanes] = A[diagonal, diagonal].T
     values.sort(axis=1)
     return values
+
+
+def _rotate(A: np.ndarray) -> None:
+    """One round on the lanes-last stack A of order k: the rotations that
+    zero A[j, k//2 + j] in every lane, for each j < k//2.  The pairs are
+    disjoint, so the rotations commute: they update the columns of every
+    pair, then the rows, with one pass over each half.  An entry at most
+    1e-300 in magnitude is left alone: its lane gets c = 1 and s = 0.  No
+    round is skipped, so a lane sees the same operations alone or in a
+    stack."""
+    half = A.shape[0] // 2
+    p, q = np.arange(half), np.arange(half, 2 * half)
+    diagonal = np.diagonal(A, axis1=0, axis2=1).T
+    apq = A[p, q]
+    live = np.abs(apq) > 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the lanes this yields inf or nan in are overwritten below
+        theta = (diagonal[half : 2 * half] - diagonal[:half]) / (2.0 * apq)
+        t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        huge = np.abs(theta) > 1e150
+        t[huge] = 1.0 / (2.0 * theta[huge])
+    t[~live] = 0.0
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    columns = (A[:, :half], A[:, half : 2 * half], c, s)
+    rows = (A[:half], A[half : 2 * half], c[:, None], s[:, None])
+    for x, y, c, s in (columns, rows):
+        u = c * x
+        u -= s * y
+        y *= c
+        y += s * x
+        x[...] = u
+    apq[live] = 0.0
+    A[p, q] = A[q, p] = apq
 
 
 def infer_bounding_box(domain: SemialgebraicSet) -> list[tuple[float, float]] | None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import Solved, solve_audited, target
+from .certify import Solved, solve_audited, target, target_polynomial
 from .games import PolynomialGame, quadratic_reference_game
 from .polynomials import Monomial, Polynomial, grevlex_key, monomials_upto
 from .sdp import SdpStatus, SolveOptions
@@ -141,10 +141,10 @@ def project(spec: ProjectionSpec, options: SolveOptions | None = None) -> Projec
         for i, mono in frozen:
             coeff = game.payoffs[i].coeff(mono)
             if coeff:
-                base = base + target(_unit_game(game, i, mono), p)[0].scale(coeff)
+                base = base + target_polynomial(_unit_game(game, i, mono), p).scale(coeff)
         pairs = []
         for i, mono in param_meta:
-            direction, _ = target(_unit_game(game, i, mono), p)
+            direction = target_polynomial(_unit_game(game, i, mono), p)
             if not direction.is_zero():
                 pairs.append((_param_name(i, mono), direction))
         label = "monotone" if p is None else f"player {p}"
@@ -229,7 +229,7 @@ def gauge(game: PolynomialGame, level: int, options: SolveOptions | None = None)
     base, dom = target(game)
     # the quadratic game's symmetrized Jacobian is -2I, so its target is
     # +2 ||y||^2: the direction of eps
-    eps_poly, _ = target(quadratic_reference_game(game))
+    eps_poly = target_polynomial(quadratic_reference_game(game))
     program = SosProgram(
         memberships=(
             SosMembership(base, dom, level, (("eps", eps_poly),), label="gauge"),

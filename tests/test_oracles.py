@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gamecert import oracles
 from gamecert.certify import certify_monotone, extended_domain, monotone_target, target
 from gamecert.games import quadratic_reference_game
 from gamecert.oracles import (
@@ -48,13 +49,47 @@ def _symmetric_stack(rng, n, k):
 
 def test_jacobi_stack_rows_equal_single_calls():
     rng = np.random.default_rng(11)
-    for n, k in ((40, 1), (40, 2), (40, 4), (15, 7), (JACOBI_SLICE + 3, 3)):
+    for n, k in ((40, 1), (40, 2), (40, 4), (15, 7), (JACOBI_SLICE + 3, 3), (20, 5), (20, 8), (20, 9), (20, 16)):
         stack = _symmetric_stack(rng, n, k)
         stack[::5] = np.diag(rng.standard_normal(k))  # converge before the first sweep
+        # nearly diagonal lanes converge a few sweeps before the others
+        stack[2::5] = np.diag(rng.standard_normal(k)) + 1e-7 * _symmetric_stack(rng, len(stack[2::5]), k)
         stacked = jacobi_eigenvalues(stack)
         assert stacked.shape == (n, k)
-        for i in (0, 1, 5, n // 2, n - 1):
+        for i in (0, 1, 2, 5, 7, n // 2, n - 1):
             assert stacked[i].tobytes() == jacobi_eigenvalues(stack[i]).tobytes()
+        if k > 1:
+            # the sweep each lane converges at: the fewest sweeps that give its final values
+            final = [row.tobytes() for row in stacked]
+            done = np.full(n, -1)
+            for sweeps in range(12):
+                early = jacobi_eigenvalues(stack, max_sweeps=sweeps)
+                done[(done < 0) & [row.tobytes() == f for row, f in zip(early, final)]] = sweeps
+            assert (done >= 0).all() and len(set(done.tolist())) >= min(k, 3)
+
+
+def test_jacobi_stop_test_sees_convergence(monkeypatch):
+    """The stop test reads the off-diagonal entries, so a lane stops within
+    a few sweeps whatever its order; a test that subtracts the diagonal from
+    the whole norm floors near sqrt(eps) times it and runs every sweep."""
+    rounds = []
+    rotate = oracles._rotate
+
+    def counted(A):
+        rounds.append(1)
+        rotate(A)
+
+    monkeypatch.setattr(oracles, "_rotate", counted)
+    rng = np.random.default_rng(3)
+    for k in [*range(1, 51), 240]:
+        B = rng.standard_normal((k, k))
+        A = B + B.T
+        values = jacobi_eigenvalues(A, max_sweeps=20)
+        rounds.clear()
+        assert values.tobytes() == jacobi_eigenvalues(A, max_sweeps=100).tobytes()
+        assert len(rounds) <= 20 * (k - 1 + k % 2)
+        ref = np.linalg.eigvalsh(A)
+        assert np.max(np.abs(values - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
 
 
 def test_jacobi_stack_matches_lapack():
@@ -200,6 +235,20 @@ def test_certificate_sampling_audit(fig1_game):
     ok_bad, worst_bad = check_certificate_sampled(
         result.certificate, target, domain, n_samples=200
     )
+    assert not ok_bad and worst_bad > 1e-5
+
+
+def test_certificate_sampling_audit_large_blocks(deg4_game):
+    """deg4's level-4 certificate has a 45x45 sigma_0 and six 9x9 blocks."""
+    result = certify_monotone(deg4_game, 4)
+    (mem,) = result.certificate.memberships
+    assert sorted(G.shape[0] for _, _, G in mem.gram_matrices) == [9] * 6 + [45]
+    base, domain = target(deg4_game)
+    target_poly = Polynomial.constant(base.n_vars, result.lam) + base
+    ok, worst = check_certificate_sampled(result.certificate, target_poly, domain)
+    assert ok and worst <= 1e-5
+    mem.gram_matrices[0][2][0, 0] += 0.5
+    ok_bad, worst_bad = check_certificate_sampled(result.certificate, target_poly, domain)
     assert not ok_bad and worst_bad > 1e-5
 
 
