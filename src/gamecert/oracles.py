@@ -305,7 +305,9 @@ def sample_max_eigenvalue(
 ) -> SampleReport:
     """Lower-bound max_x lambda_max by sampling the domain and running the
     Jacobi eigensolver on the evaluated matrix (symmetrized Jacobian, or
-    the worst per-player Hessian)."""
+    the worst per-player Hessian).  A matrix whose entries all have degree
+    0 takes one value everywhere, so it is evaluated and solved at the first
+    point only, where the full stack has its first maximum too."""
     points, rate = sample_domain_points(game.domain, n_samples, bounding_box, seed)
     if kind == "monotone":
         matrices = [symmetrized_jacobian(game)]
@@ -316,7 +318,8 @@ def sample_max_eigenvalue(
     best = -math.inf
     best_point = None
     for M in matrices:
-        lam = jacobi_eigenvalues(M.evaluate_many(points))[:, -1]
+        constant = all(p.degree == 0 for row in M.entries for p in row)
+        lam = jacobi_eigenvalues(M.evaluate_many(points[:1] if constant else points))[:, -1]
         idx = int(np.argmax(lam))
         if lam[idx] > best:
             best = float(lam[idx])

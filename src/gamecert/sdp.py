@@ -16,11 +16,13 @@ through an augmented system (no PSD splitting).
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
 col, value)``, a rhs array, a "<=" mask, and the objective in the same
-layout.  :func:`canonical` validates and sorts what every constructor gets.
+layout.  :func:`canonical` validates and sorts what every constructor gets;
+read-only input already in canonical order is kept as it is, not copied.
 
 SDPA sparse export writes the equality-form problem with the free scalars
 as a trailing negative-size diagonal block; values carry 17 significant
-digits so a file round-trips to bit-identical data.
+digits so a file round-trips to bit-identical data.  Export and import
+stream the entry lines in chunks, so neither holds the file's text whole.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import compress, count, groupby, islice
+from itertools import chain, compress, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -76,13 +78,24 @@ def concat_coo(parts):
 
 def _summed(coo, keys, shape):
     """``coo`` sorted by the flat index of ``keys`` in ``shape``, duplicates
-    summed in input order and zeros dropped; the arrays are read-only."""
+    summed in input order and zeros dropped; the arrays are read-only.
+
+    Input whose flat keys already increase strictly is only cleared of
+    zeros: a read-only array of it is kept as it is and a writable one is
+    copied once, so a caller's array is never frozen."""
     flat = np.ravel_multi_index(keys, shape)
-    order = np.argsort(flat, kind="stable")
-    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
-    total = np.add.reduceat(coo.value[order], first)
-    pick = order[first[total != 0]]
-    out = type(coo)(*(k[pick] for k in coo[:-1]), total[total != 0])
+    if np.all(flat[1:] > flat[:-1]):
+        nonzero = coo.value != 0
+        if nonzero.all():
+            out = type(coo)(*(a.copy() if a.flags.writeable else a for a in coo))
+        else:
+            out = type(coo)(*(a[nonzero] for a in coo))
+    else:
+        order = np.argsort(flat, kind="stable")
+        first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        total = np.add.reduceat(coo.value[order], first)
+        pick = order[first[total != 0]]
+        out = type(coo)(*(k[pick] for k in coo[:-1]), total[total != 0])
     for a in out:
         a.setflags(write=False)
     return out
@@ -91,10 +104,12 @@ def _summed(coo, keys, shape):
 def canonical(block_dims, n_free: int, n_rows: int, gram: Gram, free: Free) -> tuple[Gram, Free]:
     """Validate COO constraint data and bring it to the one canonical form:
     (j, i) entries folded onto i <= j, entries sorted by (row, block, i, j)
-    and (row, col), duplicates summed and zeros dropped."""
+    and (row, col), duplicates summed and zeros dropped.  Read-only input
+    already in that form is kept, not copied."""
     dims = np.array(block_dims, dtype=np.int64)
     row, block, i, j, frow, col = (np.asarray(a, dtype=np.int64) for a in (*gram[:4], *free[:2]))
-    i, j = np.minimum(i, j), np.maximum(i, j)
+    if np.any(i > j):
+        i, j = np.minimum(i, j), np.maximum(i, j)
     if np.any(bad := (block < 0) | (block >= len(dims))):
         raise ValueError(f"block index {block[bad][0]} out of range")
     if np.any(bad := (i < 0) | (j >= dims[block])):
@@ -795,12 +810,18 @@ class SdpaParseError(ValueError):
         self.line_no = line_no
 
 
+SDPA_CHUNK = 16_384  # entry lines formatted, or about as many read, at a time
+_LINE_CHARS = 32  # a typical entry line's length, to size the read chunks
+_BRACKETS = str.maketrans(",{}()", "     ")
+
+
 def export_sdpa(problem: SdpProblem, path: str) -> None:
     """Write the equality-form problem as SDPA sparse text.
 
     Layout: m / nblocks / block sizes (free scalars as a trailing negative
     diagonal block) / rhs vector, then one "matno blkno i j value" line per
-    upper-triangle nonzero, with matno 0 holding the objective.
+    upper-triangle nonzero, with matno 0 holding the objective.  The entry
+    lines are formatted and written ``SDPA_CHUNK`` at a time.
     """
     eq = problem.to_equality_form()
     sizes = list(eq.block_dims) + ([-eq.n_free] if eq.n_free else [])
@@ -817,15 +838,23 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
     ]
     # per matno, its Gram entries and then its free ones, each in stored order
     order = np.argsort(np.concatenate(columns[0]), kind="stable")
-    flat = [None] * (5 * len(order))
-    for k, parts in enumerate(columns):
-        flat[k::5] = np.concatenate(parts)[order].tolist()
+    columns = [np.concatenate(parts)[order] for parts in columns]
     with open(path, "w") as fh:
         fh.write("\n".join(head) + "\n")
-        fh.write("%d %d %d %d %.16e\n" * len(order) % tuple(flat))
+        for start in range(0, len(order), SDPA_CHUNK):
+            n = min(SDPA_CHUNK, len(order) - start)
+            flat = [None] * (5 * n)
+            for k, c in enumerate(columns):
+                flat[k::5] = c[start:start + n].tolist()
+            fh.write("%d %d %d %d %.16e\n" * n % tuple(flat))
 
 
 _ENTRY = np.dtype([("matno", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("value", float)])
+
+
+def _kept(lines):
+    """Which of ``lines`` are neither blank nor a comment."""
+    return [text.lstrip()[:1] not in "*\"" for text in lines]
 
 
 def import_sdpa(path: str) -> SdpProblem:
@@ -833,70 +862,101 @@ def import_sdpa(path: str) -> SdpProblem:
 
     A trailing negative block is read as the free-variable block (the
     convention used by :func:`export_sdpa`); negative blocks elsewhere are
-    rejected.
+    rejected.  The m and block-count lines are read up to their first
+    field and the block-size line up to its first "=", so the labels of the
+    SDPA manual's examples pass; commas and brackets separate values.  The
+    entry lines are read and parsed in chunks of about ``SDPA_CHUNK`` lines.
     """
     with open(path) as fh:
-        raw = fh.readlines()
-    keep = [text.lstrip()[:1] not in "*\"" for text in raw]  # neither blank nor a comment
-    lines = list(compress(raw, keep))
-    line_no = lambda pos: next(islice(compress(count(1), keep), pos, None))  # of lines[pos]
-    if len(lines) < 3:
-        raise SdpaParseError(len(raw), "file truncated before the block sizes")
+        n_read = 0  # lines read so far
 
-    def parse_int(pos, what):
-        text = lines[pos].strip()
-        try:
-            return int(text.split()[0])
-        except ValueError as exc:
-            raise SdpaParseError(line_no(pos), f"expected {what}, got {text!r}") from exc
+        def header_line():
+            """The next line that is neither blank nor a comment, and its number."""
+            nonlocal n_read
+            for text in iter(fh.readline, ""):
+                n_read += 1
+                if _kept([text])[0]:
+                    return n_read, text
+            return n_read, None
 
-    m = parse_int(0, "constraint count")
-    nblocks = parse_int(1, "block count")
-    no, text = line_no(2), lines[2]
-    raw_dims = text.replace(",", " ").replace("{", " ").replace("}", " ").replace("(", " ").replace(")", " ").split()
-    if len(raw_dims) != nblocks:
-        raise SdpaParseError(no, f"expected {nblocks} block sizes, got {len(raw_dims)}")
-    try:
-        signed_dims = [int(d) for d in raw_dims]
-    except ValueError as exc:
-        raise SdpaParseError(no, "block sizes must be integers") from exc
-    n_free = 0
-    if signed_dims and signed_dims[-1] < 0:
-        n_free = -signed_dims[-1]
-        signed_dims = signed_dims[:-1]
-    if any(d <= 0 for d in signed_dims):
-        raise SdpaParseError(no, "negative block size allowed only in the last position")
-    dims = tuple(signed_dims)
-    free_blk = len(dims) + 1
+        head = [header_line() for _ in range(3)]
+        if head[-1][1] is None:
+            raise SdpaParseError(n_read, "file truncated before the block sizes")
 
-    rhs, body_start = [], 3
-    if m:
-        if len(lines) < 4:
-            raise SdpaParseError(len(raw), "file truncated before the rhs vector")
-        no, text = line_no(3), lines[3]
-        rhs_raw = text.replace(",", " ").split()
-        if len(rhs_raw) != m:
-            raise SdpaParseError(no, f"expected {m} rhs values, got {len(rhs_raw)}")
-        try:
-            rhs = [float(v) for v in rhs_raw]
-        except ValueError as exc:
-            raise SdpaParseError(no, "rhs values must be numeric") from exc
-        body_start = 4
-
-    body = lines[body_start:]
-    try:
-        data = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) if body else np.zeros(0, _ENTRY)
-    except ValueError:
-        # name the first line that does not parse
-        for k, text in enumerate(body):
-            parts = text.split()
-            if len(parts) != 5:
-                raise SdpaParseError(line_no(body_start + k), f"expected 5 fields, got {len(parts)}") from None
+        def parse_int(pos, what):
+            no, text = head[pos]
+            text = text.strip()
             try:
-                np.array([int(p) for p in parts[:4]], dtype=np.int64), float(parts[4])
-            except (ValueError, OverflowError):
-                raise SdpaParseError(line_no(body_start + k), "malformed entry line") from None
-        raise
+                return int(text.split()[0])
+            except ValueError as exc:
+                raise SdpaParseError(no, f"expected {what}, got {text!r}") from exc
+
+        m = parse_int(0, "constraint count")
+        nblocks = parse_int(1, "block count")
+        no, text = head[2]
+        raw_dims = text.split("=")[0].translate(_BRACKETS).split()
+        if len(raw_dims) != nblocks:
+            raise SdpaParseError(no, f"expected {nblocks} block sizes, got {len(raw_dims)}")
+        try:
+            signed_dims = [int(d) for d in raw_dims]
+        except ValueError as exc:
+            raise SdpaParseError(no, "block sizes must be integers") from exc
+        n_free = 0
+        if signed_dims and signed_dims[-1] < 0:
+            n_free = -signed_dims[-1]
+            signed_dims = signed_dims[:-1]
+        if any(d <= 0 for d in signed_dims):
+            raise SdpaParseError(no, "negative block size allowed only in the last position")
+        dims = tuple(signed_dims)
+
+        rhs = []
+        if m:
+            no, text = header_line()
+            if text is None:
+                raise SdpaParseError(n_read, "file truncated before the rhs vector")
+            rhs_raw = text.translate(_BRACKETS).split()
+            if len(rhs_raw) != m:
+                raise SdpaParseError(no, f"expected {m} rhs values, got {len(rhs_raw)}")
+            try:
+                rhs = [float(v) for v in rhs_raw]
+            except ValueError as exc:
+                raise SdpaParseError(no, "rhs values must be numeric") from exc
+
+        parts, numbers = [], []  # parsed entries and their line numbers, per chunk
+        while chunk := fh.readlines(SDPA_CHUNK * _LINE_CHARS):
+            keep = _kept(chunk)
+            body = list(compress(chunk, keep))
+            nos = n_read + 1 + np.flatnonzero(keep)
+            n_read += len(chunk)
+            if not body:
+                continue
+            try:
+                parts.append(np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1))
+            except ValueError:
+                # name the first line that does not parse
+                for no, text in zip(nos.tolist(), body):
+                    fields = text.split()
+                    if len(fields) != 5:
+                        raise SdpaParseError(no, f"expected 5 fields, got {len(fields)}") from None
+                    try:
+                        np.array([int(p) for p in fields[:4]], dtype=np.int64), float(fields[4])
+                    except (ValueError, OverflowError):
+                        raise SdpaParseError(no, "malformed entry line") from None
+                raise
+            numbers.append(nos)
+
+    data = np.concatenate(parts) if parts else np.zeros(0, _ENTRY)
+    del parts
+    constraints, objective = _split_entries(data, numbers, dims, n_free, m)
+    del data  # freed before canonical runs
+    return SdpProblem.from_arrays(dims, n_free, *constraints, rhs, np.zeros(m, dtype=bool), *objective)
+
+
+def _split_entries(data, numbers, dims, n_free, m):
+    """Range-check the parsed entry lines, whose line numbers ``numbers``
+    holds in chunks, and split them into the COO arrays of the constraints
+    and of the objective, read-only so that :func:`canonical` keeps them."""
+    free_blk = len(dims) + 1
     matno, blk, i, j, value = (data[name] for name in _ENTRY.names)
     free = (blk == free_blk) & (n_free > 0)
     size = np.array(dims + (0,), dtype=np.int64)[np.clip(blk - 1, 0, len(dims))]
@@ -912,11 +972,14 @@ def import_sdpa(path: str) -> SdpProblem:
     if np.any(bad):
         k = int(np.argmax(bad))
         message = next(text for mask, text in checks if mask[k])
-        raise SdpaParseError(line_no(body_start + k), message(k))
+        raise SdpaParseError(int(np.concatenate(numbers)[k]), message(k))
 
     def part(rows):
         g, f = rows & ~free, rows & free
-        return (Gram((matno[g] - 1).clip(0), blk[g] - 1, i[g] - 1, j[g] - 1, value[g]),
-                Free((matno[f] - 1).clip(0), i[f] - 1, value[f]))
+        out = (Gram((matno[g] - 1).clip(0), blk[g] - 1, i[g] - 1, j[g] - 1, value[g]),
+               Free((matno[f] - 1).clip(0), i[f] - 1, value[f]))
+        for a in chain(*out):
+            a.setflags(write=False)
+        return out
 
-    return SdpProblem.from_arrays(dims, n_free, *part(matno > 0), rhs, np.zeros(m, dtype=bool), *part(matno == 0))
+    return part(matno > 0), part(matno == 0)

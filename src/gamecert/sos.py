@@ -281,7 +281,9 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
             r = rows(mi, list(poly.terms))
             free_parts.append(Free(r, np.full(len(r), param_col[name]), -np.array(list(poly.terms.values()))))
 
-    gram, free = canonical(block_dims, n_free, len(candidates), concat_coo(gram_parts), concat_coo(free_parts))
+    gram, free = concat_coo(gram_parts), concat_coo(free_parts)
+    del gram_parts  # else they stay alive beside their concatenation while canonical runs
+    gram, free = canonical(block_dims, n_free, len(candidates), gram, free)
     live = (np.bincount(gram.row, minlength=len(candidates)) + np.bincount(free.row, minlength=len(candidates))) > 0
     unmatched = np.flatnonzero(~live & (np.abs(target) > 1e-12))
     if len(unmatched):

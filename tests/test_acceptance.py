@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,8 @@ def test_criterion_6_deg8_sdpa_round_trip(deg8_game, tmp_path):
     export_sdpa(problem, str(path))
     back = import_sdpa(str(path))
     assert back == problem
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e86970fa0dae4ec9ded03fafcb941fae27a5d4008f55e8e4cb93d800d9bdd2b3"
     path2 = tmp_path / "deg8_again.dat-s"
     export_sdpa(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()

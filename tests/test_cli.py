@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -116,6 +117,14 @@ def test_export_sdpa_round_trip(tmp_path, capsys):
     again = tmp_path / "fig1b.dat-s"
     export_sdpa(back, str(again))
     assert out_path.read_bytes() == again.read_bytes()
+
+
+def test_export_sdpa_bytes_pinned(tmp_path, capsys):
+    out_path = tmp_path / "deg4.dat-s"
+    code, _ = run_cli(capsys, "export-sdpa", corpus_path("deg4.game.json"), "--level", "4", "--out", str(out_path))
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "76e3dd6efe55364b3016734476b1f6ffe0fbb2e22119359824878a269bf486c4"
 
 
 def test_gauge_command(capsys):

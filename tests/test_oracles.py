@@ -3,7 +3,7 @@ import pytest
 
 from gamecert import oracles
 from gamecert.certify import certify_monotone, extended_domain, monotone_target, target
-from gamecert.games import quadratic_reference_game
+from gamecert.games import player_hessian, quadratic_reference_game, symmetrized_jacobian
 from gamecert.oracles import (
     JACOBI_SLICE,
     SAMPLE_BLOCK,
@@ -143,6 +143,27 @@ def test_sampled_max_constant_jacobian(driver_game, fig1_game):
     assert sample_max_eigenvalue(driver_game, n_samples=50).max_value == pytest.approx(-6.0)
     quad = quadratic_reference_game(fig1_game)
     assert sample_max_eigenvalue(quad, n_samples=50).max_value == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("kind", ["monotone", "concave"])
+def test_constant_matrix_sampled_at_one_point(fig1_game, monkeypatch, kind):
+    if kind == "monotone":
+        matrices = [symmetrized_jacobian(fig1_game)]
+    else:
+        matrices = [player_hessian(fig1_game, i) for i in range(fig1_game.n_players)]
+    assert all(p.degree == 0 for M in matrices for row in M.entries for p in row)
+    points, rate = sample_domain_points(fig1_game.domain, 500, seed=4)
+    best, best_point = -np.inf, None
+    for M in matrices:  # the report from the full evaluated stack
+        lam = jacobi_eigenvalues(M.evaluate_many(points))[:, -1]
+        if lam.max() > best:
+            best, best_point = float(lam.max()), points[int(np.argmax(lam))]
+    stacks = []
+    monkeypatch.setattr(oracles, "jacobi_eigenvalues", lambda A: stacks.append(len(A)) or jacobi_eigenvalues(A))
+    rep = sample_max_eigenvalue(fig1_game, kind=kind, n_samples=500, seed=4)
+    assert stacks == [1] * len(matrices)
+    assert (rep.max_value, rep.samples, rep.acceptance_rate) == (best, 500, rate)
+    assert np.array_equal(rep.argmax_point, best_point) and np.array_equal(best_point, points[0])
 
 
 def test_sampling_determinism(fig1_game):

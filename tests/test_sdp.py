@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from gamecert import sdp
 from gamecert.oracles import jacobi_eigenvalues
 from gamecert.sdp import (
     SdpConstraint,
@@ -447,6 +448,63 @@ def test_constraints_view_returns_input_rows():
     assert prob.constraints == rows
 
 
+# canonical entries of a problem with blocks (3, 2), 2 free variables and 4 rows
+CANON_GRAM = [(0, 0, 0, 0, 1.0), (0, 0, 0, 2, 2.0), (0, 1, 1, 1, 3.0), (1, 0, 1, 1, 4.0), (3, 1, 0, 1, 5.0)]
+CANON_FREE = [(0, 1, 1.0), (2, 0, 2.0), (2, 1, 3.0)]
+
+
+def canonical_variant(variant):
+    gram, free = list(CANON_GRAM), list(CANON_FREE)
+    if variant == "zero":
+        gram[1], free[1] = (0, 0, 0, 2, 0.0), (2, 0, 0.0)
+    elif variant == "duplicate":
+        gram.insert(2, (0, 0, 0, 2, 0.5))
+        free.insert(2, (2, 0, -0.5))
+    elif variant == "transposed":
+        gram[1] = (0, 0, 2, 0, 2.0)
+    elif variant == "reversed":
+        gram.reverse()
+        free.reverse()
+    elif variant == "empty":
+        gram, free = [], []
+    return sdp.make_coo(sdp.Gram, gram), sdp.make_coo(sdp.Free, free)
+
+
+@pytest.mark.parametrize("variant", ["canonical", "zero", "duplicate", "transposed", "reversed", "empty"])
+@pytest.mark.parametrize("read_only", [False, True])
+def test_canonical_fast_path_matches_sorting(variant, read_only):
+    gram, free = canonical_variant(variant)
+    if read_only:
+        for a in (*gram, *free):
+            a.setflags(write=False)
+    got = sdp.canonical((3, 2), 2, 4, gram, free)
+    # a leading zero entry at the last key sends the same data down the sorting path
+    sort_gram = sdp.concat_coo([sdp.make_coo(sdp.Gram, [(3, 1, 1, 1, 0.0)]), gram])
+    sort_free = sdp.concat_coo([sdp.make_coo(sdp.Free, [(3, 1, 0.0)]), free])
+    want = sdp.canonical((3, 2), 2, 4, sort_gram, sort_free)
+    for a, b in zip((*got[0], *got[1]), (*want[0], *want[1])):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
+    for a, b in zip((*gram, *free), (*got[0], *got[1])):
+        assert a.flags.writeable != read_only
+        if variant in ("canonical", "empty"):
+            assert (a is b) == read_only  # kept as it is, or copied
+        elif not read_only:
+            assert a is not b
+
+
+def test_canonical_copies_writable_input():
+    gram, free = canonical_variant("canonical")
+    prob = SdpProblem.from_arrays((3, 2), 2, gram, free, np.ones(4), np.zeros(4, bool), *canonical_variant("empty"))
+    same = SdpProblem.from_arrays((3, 2), 2, *canonical_variant("canonical"), np.ones(4), np.zeros(4, bool),
+                                  *canonical_variant("empty"))
+    for a in (*gram, *free):
+        assert a.flags.writeable
+        a[...] = 0
+    assert prob == same
+    assert prob.gram.value.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
 def test_validation_of_arrays():
     from gamecert.sdp import Free, Gram, make_coo
 
@@ -566,7 +624,7 @@ def test_sdpa_comments_and_punctuation_parse(tmp_path):
     ))
 
 
-@pytest.mark.parametrize("line_no, text, complaint", [
+PARSE_ERRORS = [
     (10, "1 1 1 2", "expected 5 fields, got 4"),
     (12, "2 1 2 2 1.0 7", "expected 5 fields, got 6"),
     (10, "1 1 1.5 2 0.5", "malformed entry line"),
@@ -582,7 +640,10 @@ def test_sdpa_comments_and_punctuation_parse(tmp_path):
     (7, "0 2 2 2 1.0", "free index 2 out of range"),
     (5, "1.0", "expected 2 rhs values, got 1"),
     (5, "1.0 2.0 3.0", "expected 2 rhs values, got 3"),
-])
+]
+
+
+@pytest.mark.parametrize("line_no, text, complaint", PARSE_ERRORS)
 def test_sdpa_parse_error_reports_its_line(tmp_path, line_no, text, complaint):
     lines = list(SDPA_LINES)
     lines[line_no - 1] = text
@@ -592,6 +653,98 @@ def test_sdpa_parse_error_reports_its_line(tmp_path, line_no, text, complaint):
         import_sdpa(str(path))
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {complaint}"
+
+
+def small_chunks(monkeypatch, chars):
+    """Read SDPA entry lines about ``chars`` characters at a time."""
+    monkeypatch.setattr(sdp, "_LINE_CHARS", 1)
+    monkeypatch.setattr(sdp, "SDPA_CHUNK", chars)
+
+
+def test_sdpa_chunk_boundaries_change_no_result(tmp_path, monkeypatch):
+    path = tmp_path / "ok.dat-s"
+    path.write_text("\n".join(SDPA_LINES) + "\n")
+    expected = import_sdpa(str(path))
+    # the first chunk ends on each line in turn, so a boundary falls
+    # before, between and after the comment and the blank line in the body
+    for chars in range(1, len(path.read_text()) + 2):
+        small_chunks(monkeypatch, chars)
+        assert import_sdpa(str(path)) == expected
+    for chars in (1, 7, 20, 45):
+        small_chunks(monkeypatch, chars)
+        for line_no, text, complaint in PARSE_ERRORS:
+            lines = list(SDPA_LINES)
+            lines[line_no - 1] = text
+            bad = tmp_path / "bad.dat-s"
+            bad.write_text("\n".join(lines) + "\n")
+            with pytest.raises(SdpaParseError) as err:
+                import_sdpa(str(bad))
+            assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {complaint}")
+
+
+def test_sdpa_parse_error_wins_over_an_earlier_range_error(tmp_path, monkeypatch):
+    lines = list(SDPA_LINES)
+    lines[6] = "-1 2 1 1 1.0"  # out of range, line 7
+    lines[12] = "2 2 1 x -1.0"  # malformed, line 13
+    path = tmp_path / "bad.dat-s"
+    path.write_text("\n".join(lines) + "\n")
+    for chars in (1, 40, 10_000):
+        small_chunks(monkeypatch, chars)
+        with pytest.raises(SdpaParseError, match="^line 13: malformed entry line$"):
+            import_sdpa(str(path))
+
+
+@pytest.mark.parametrize("game", ["fig1", "deg4"])
+def test_sdpa_export_chunks_change_no_byte(tmp_path, monkeypatch, request, game):
+    from gamecert.certify import extended_domain, monotone_target
+    from gamecert.polynomials import Polynomial
+    from gamecert.sos import compile_program, membership_problem
+
+    g = request.getfixturevalue(f"{game}_game")
+    dom = extended_domain(g.domain, g.n_vars)
+    prob, _ = compile_program(membership_problem(
+        monotone_target(g), dom, 4,
+        param_polys=[("lam", Polynomial.constant(dom.n_vars, 1.0))], objective=[("lam", 1.0)],
+    ))
+    whole = tmp_path / "whole.dat-s"
+    export_sdpa(prob, str(whole))
+    for lines in (1, 3, 7):
+        monkeypatch.setattr(sdp, "SDPA_CHUNK", lines)
+        chunked = tmp_path / f"chunked{lines}.dat-s"
+        export_sdpa(prob, str(chunked))
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert import_sdpa(str(chunked)) == prob
+
+
+# the SDPA manual's example1.dat-s (Fujisawa, Kojima & Nakata), verbatim
+SDPA_EXAMPLE1 = """\
+"Example 1: mDim = 3, nBLOCK = 1, {2}"
+   3  =  mDIM
+   1  =  nBOLCK
+   2  = bLOCKsTRUCT
+{48, -8, 20}
+0 1 1 1 -11
+0 1 2 2 23
+1 1 1 1 10
+1 1 1 2 4
+2 1 2 2 -8
+3 1 1 2 -8
+3 1 2 2 -2
+"""
+
+
+def test_sdpa_manual_example_parses(tmp_path):
+    path = tmp_path / "example1.dat-s"
+    path.write_text(SDPA_EXAMPLE1)
+    prob = import_sdpa(str(path))
+    assert prob.n_constraints == 3 and prob.block_dims == (2,) and prob.n_free == 0
+    assert prob.rhs.tolist() == [48.0, -8.0, 20.0]
+    plain = tmp_path / "plain.dat-s"
+    plain.write_text("3\n1\n2\n48 -8 20\n" + "".join(SDPA_EXAMPLE1.splitlines(True)[5:]))
+    assert import_sdpa(str(plain)) == prob
+    path.write_text(SDPA_EXAMPLE1.replace("{48, -8, 20}", "{48, -8}"))
+    with pytest.raises(SdpaParseError, match="^line 5: expected 3 rhs values, got 2$"):
+        import_sdpa(str(path))
 
 
 def test_solution_invariant_on_optimal():
