@@ -16,7 +16,6 @@ fixes the layout of every coefficient vector and Gram matrix built on top.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -38,20 +37,19 @@ def grevlex_key(exps: Monomial) -> tuple:
 
 
 def monomials_upto(n_vars: int, max_degree: int) -> list[Monomial]:
-    """All exponent tuples of total degree <= max_degree, grevlex ordered."""
+    """All exponent tuples of total degree <= max_degree, grevlex ordered.
+
+    Within one degree, grevlex order is ascending order of the reversed
+    exponent tuple, so the bases are built variable by variable with the
+    new last exponent as the outer loop, and come out in order unsorted.
+    """
     if max_degree < 0:
         return []
-    out: list[Monomial] = []
-    for deg in range(max_degree + 1):
-        batch = []
-        for combo in combinations_with_replacement(range(n_vars), deg):
-            exps = [0] * n_vars
-            for idx in combo:
-                exps[idx] += 1
-            batch.append(tuple(exps))
-        batch.sort(key=grevlex_key)
-        out.extend(batch)
-    return out
+    of_degree: list[list[Monomial]] = [[()]] + [[] for _ in range(max_degree)]
+    for _ in range(n_vars):
+        of_degree = [[m + (e,) for e in range(d + 1) for m in of_degree[d - e]]
+                     for d in range(max_degree + 1)]
+    return [m for batch in of_degree for m in batch]
 
 
 class Polynomial:

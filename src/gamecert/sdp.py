@@ -821,7 +821,11 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
     Layout: m / nblocks / block sizes (free scalars as a trailing negative
     diagonal block) / rhs vector, then one "matno blkno i j value" line per
     upper-triangle nonzero, with matno 0 holding the objective.  The entry
-    lines are formatted and written ``SDPA_CHUNK`` at a time.
+    lines are built and written ``SDPA_CHUNK`` at a time from two string
+    tables: ``"k "`` for every index k up to the largest one written, and
+    ``"%.16e"`` of each distinct value, formatted once and looked up with
+    ``searchsorted`` (the stored values are finite and nonzero, so equal
+    values have equal text).
     """
     eq = problem.to_equality_form()
     sizes = list(eq.block_dims) + ([-eq.n_free] if eq.n_free else [])
@@ -839,14 +843,20 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
     # per matno, its Gram entries and then its free ones, each in stored order
     order = np.argsort(np.concatenate(columns[0]), kind="stable")
     columns = [np.concatenate(parts)[order] for parts in columns]
+    *indices, value = columns
+    values = np.unique(value)
+    texts = ("%.16e\n" * len(values) % tuple(values.tolist())).splitlines(keepends=True)
+    top = max((int(c.max()) for c in indices if len(c)), default=0)
+    fields = [f"{k} " for k in range(top + 1)]
     with open(path, "w") as fh:
         fh.write("\n".join(head) + "\n")
         for start in range(0, len(order), SDPA_CHUNK):
-            n = min(SDPA_CHUNK, len(order) - start)
-            flat = [None] * (5 * n)
-            for k, c in enumerate(columns):
-                flat[k::5] = c[start:start + n].tolist()
-            fh.write("%d %d %d %d %.16e\n" * n % tuple(flat))
+            chunk = slice(start, start + SDPA_CHUNK)
+            flat = [None] * (5 * len(value[chunk]))
+            for k, c in enumerate(indices):
+                flat[k::5] = [fields[x] for x in c[chunk].tolist()]
+            flat[4::5] = [texts[x] for x in np.searchsorted(values, value[chunk]).tolist()]
+            fh.write("".join(flat))
 
 
 _ENTRY = np.dtype([("matno", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("value", float)])
@@ -866,6 +876,10 @@ def import_sdpa(path: str) -> SdpProblem:
     field and the block-size line up to its first "=", so the labels of the
     SDPA manual's examples pass; commas and brackets separate values.  The
     entry lines are read and parsed in chunks of about ``SDPA_CHUNK`` lines.
+    A chunk whose lines all start with a character above "*" and below
+    "\\x85" holds no blank or comment line, so it is parsed whole; any
+    other chunk is filtered line by line.  A non-finite value or rhs is a
+    parse error of its line.
     """
     with open(path) as fh:
         n_read = 0  # lines read so far
@@ -921,12 +935,19 @@ def import_sdpa(path: str) -> SdpProblem:
                 rhs = [float(v) for v in rhs_raw]
             except ValueError as exc:
                 raise SdpaParseError(no, "rhs values must be numeric") from exc
+            if not all(map(math.isfinite, rhs)):
+                raise SdpaParseError(no, "rhs values must be finite")
 
         parts, numbers = [], []  # parsed entries and their line numbers, per chunk
         while chunk := fh.readlines(SDPA_CHUNK * _LINE_CHARS):
-            keep = _kept(chunk)
-            body = list(compress(chunk, keep))
-            nos = n_read + 1 + np.flatnonzero(keep)
+            if min(chunk)[:1] > "*" and max(chunk)[:1] < "\x85":
+                # no whitespace character, "*" or '"' lies strictly between
+                # "*" and "\x85", so no line here is blank or a comment
+                body, nos = chunk, n_read + 1 + np.arange(len(chunk))
+            else:
+                keep = _kept(chunk)
+                body = list(compress(chunk, keep))
+                nos = n_read + 1 + np.flatnonzero(keep)
             n_read += len(chunk)
             if not body:
                 continue
@@ -967,6 +988,7 @@ def _split_entries(data, numbers, dims, n_free, m):
         (~free & ((blk < 1) | (blk > len(dims))), lambda k: f"block number {blk[k]} out of range"),
         (~free & ((i < 1) | (i > size) | (j < 1) | (j > size)),
          lambda k: f"indices ({i[k]},{j[k]}) outside {size[k]}x{size[k]} block"),
+        (~np.isfinite(value), lambda k: "non-finite value"),
     )
     bad = np.any([mask for mask, _ in checks], axis=0)
     if np.any(bad):

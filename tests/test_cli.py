@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,3 +165,18 @@ def test_negative_verify_rejected_before_solving(monkeypatch, capsys):
     code = main(["certify", "--level", "2", "--verify", "-3", corpus_path("driver.game.json")])
     assert code == 1
     assert "--verify" in capsys.readouterr().err
+
+
+def test_importing_the_command_leaves_numpy_unloaded():
+    # the command pins the BLAS threads, which numpy reads once when it loads
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, gamecert.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+    out = subprocess.run([sys.executable, "-m", "gamecert", "--help"], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.startswith("usage: gamecert ")
+    probe = "import gamecert; from gamecert import Polynomial; print(Polynomial.__module__, gamecert.__version__)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "gamecert.polynomials 0.1.0\n"

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,29 @@ def test_monomial_order():
     ordered = monomials_upto(3, 3)
     keys = [grevlex_key(m) for m in ordered]
     assert keys == sorted(keys)
+
+
+def sorted_monomials(n_vars, max_degree):
+    """The basis built by sorting each degree's exponent tuples by grevlex_key."""
+    out = []
+    for deg in range(max_degree + 1):
+        batch = []
+        for combo in combinations_with_replacement(range(n_vars), deg):
+            exps = [0] * n_vars
+            for idx in combo:
+                exps[idx] += 1
+            batch.append(tuple(exps))
+        out.extend(sorted(batch, key=grevlex_key))
+    return out
+
+
+def test_monomials_upto_matches_the_sorted_construction():
+    cases = [(n, d) for n in range(7) for d in range(7)] + [(8, 8), (0, 9), (9, 0), (5, 9)]
+    for n, d in cases:
+        assert monomials_upto(n, d) == sorted_monomials(n, d), (n, d)
+    assert monomials_upto(0, 3) == [()]
+    for n in (0, 1, 4):
+        assert monomials_upto(n, -1) == []
 
 
 def test_degree_of_zero():

@@ -640,6 +640,11 @@ PARSE_ERRORS = [
     (7, "0 2 2 2 1.0", "free index 2 out of range"),
     (5, "1.0", "expected 2 rhs values, got 1"),
     (5, "1.0 2.0 3.0", "expected 2 rhs values, got 3"),
+    (8, "1 1 1 1 nan", "non-finite value"),
+    (10, "1 1 1 2 1e999", "non-finite value"),
+    (13, "2 2 1 1 -inf", "non-finite value"),
+    (5, "1.0, nan", "rhs values must be finite"),
+    (5, "-1e999 2.0", "rhs values must be finite"),
 ]
 
 
@@ -714,6 +719,111 @@ def test_sdpa_export_chunks_change_no_byte(tmp_path, monkeypatch, request, game)
         export_sdpa(prob, str(chunked))
         assert chunked.read_bytes() == whole.read_bytes()
         assert import_sdpa(str(chunked)) == prob
+
+
+# leading characters that str.isspace accepts, below "+" or from "\x85" on
+LEADS = [" ", "\t", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]
+
+
+def decorated(lines):
+    """``lines`` with every other body line led by one of ``LEADS``, a line
+    of those characters alone after each body line, and the line number
+    each original line moves to."""
+    out, moved = list(lines[:5]), list(range(1, 6))
+    for k, text in enumerate(lines[5:]):
+        out.append(LEADS[k % len(LEADS)] * (k % 2) + text)
+        moved.append(len(out))
+        out.append("".join(LEADS[k % len(LEADS):][:2]))
+    return out, moved
+
+
+def test_sdpa_space_led_lines_follow_the_per_line_rule(tmp_path, monkeypatch):
+    plain = tmp_path / "plain.dat-s"
+    plain.write_text("\n".join(SDPA_LINES) + "\n")
+    expected = import_sdpa(str(plain))
+    lines, moved = decorated(SDPA_LINES)
+    path = tmp_path / "led.dat-s"
+    path.write_text("\n".join(lines) + "\n")
+    for chars in range(1, len(path.read_text()) + 2):
+        small_chunks(monkeypatch, chars)
+        assert import_sdpa(str(path)) == expected
+    for chars in (1, 7, 20, 45, 10_000):
+        small_chunks(monkeypatch, chars)
+        for line_no, text, complaint in PARSE_ERRORS:
+            bad_lines = list(SDPA_LINES)
+            bad_lines[line_no - 1] = text
+            lines, _ = decorated(bad_lines)
+            bad = tmp_path / "bad.dat-s"
+            bad.write_text("\n".join(lines) + "\n")
+            with pytest.raises(SdpaParseError) as err:
+                import_sdpa(str(bad))
+            no = moved[line_no - 1]
+            assert (err.value.line_no, str(err.value)) == (no, f"line {no}: {complaint}")
+
+
+def test_sdpa_clean_chunks_skip_the_line_filter(tmp_path, monkeypatch):
+    prob = distinct_value_problem()
+    path = tmp_path / "clean.dat-s"
+    export_sdpa(prob, str(path))
+    filtered = []
+    kept = sdp._kept
+    monkeypatch.setattr(sdp, "_kept", lambda lines: filtered.append(len(lines)) or kept(lines))
+    for chars in (40, 10_000):
+        small_chunks(monkeypatch, chars)
+        filtered.clear()
+        assert import_sdpa(str(path)) == prob
+        assert filtered == [1] * 4  # the header lines alone
+
+
+def distinct_value_problem():
+    """Rows with 1- to 3-digit indices and values from every decade."""
+    values = [-2.5, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
+              0.1, 1 / 3, -1 / 3, 2.0, 2.0, 1.0]
+    rng = np.random.default_rng(5)
+    dims, n_free, m = (2, 150, 9), 12, 120
+    gram, free = [], []
+    for r in range(-1, m):
+        for b, d in enumerate(dims):
+            i, j = sorted(rng.integers(d, size=2).tolist())
+            n = len(gram)
+            gram.append((r, b, i, j, values[n % len(values)] if n % 3 else float(rng.normal())))
+        free.append((r, int(rng.integers(n_free)), float(rng.uniform(-1e5, 1e5))))
+    obj_gram = sdp.make_coo(sdp.Gram, [(0, *e[1:]) for e in gram if e[0] < 0])
+    obj_free = sdp.make_coo(sdp.Free, [(0, *e[1:]) for e in free if e[0] < 0])
+    return SdpProblem.from_arrays(
+        dims, n_free, sdp.make_coo(sdp.Gram, [e for e in gram if e[0] >= 0]),
+        sdp.make_coo(sdp.Free, [e for e in free if e[0] >= 0]),
+        rng.uniform(-3, 3, m), np.zeros(m, dtype=bool), obj_gram, obj_free)
+
+
+def sdpa_text(prob):
+    """The SDPA text of an equality-form problem, one line at a time."""
+    sizes = list(prob.block_dims) + ([-prob.n_free] if prob.n_free else [])
+    lines = [f"{prob.n_constraints}\n", f"{len(sizes)}\n", " ".join(map(str, sizes)) + "\n",
+             " ".join("%.16e" % v for v in prob.rhs) + "\n"]
+    rows = [(prob.obj_gram, prob.obj_free, 0)] + [(prob.gram, prob.free, r) for r in range(prob.n_constraints)]
+    for matno, (gram, free, r) in enumerate(rows):
+        for k in np.flatnonzero(gram.row == r):
+            lines.append("%d %d %d %d %.16e\n" % (
+                matno, gram.block[k] + 1, gram.i[k] + 1, gram.j[k] + 1, gram.value[k]))
+        for k in np.flatnonzero(free.row == r):
+            lines.append("%d %d %d %d %.16e\n" % (
+                matno, len(prob.block_dims) + 1, free.col[k] + 1, free.col[k] + 1, free.value[k]))
+    return "".join(lines)
+
+
+def test_sdpa_export_tables_give_formatted_lines(tmp_path, monkeypatch):
+    prob = distinct_value_problem()
+    assert len(np.unique(prob.gram.value)) > 12 and prob.gram.i.max() >= 99
+    objective_only = SdpProblem((3,), 2, ((0, ((0, 0, 1 / 3), (0, 2, -5e-324))),), ((1, 0.1),))
+    chunks = (sdp.SDPA_CHUNK, 1, 7)
+    for p in (prob, objective_only):
+        for lines in chunks:
+            monkeypatch.setattr(sdp, "SDPA_CHUNK", lines)
+            path = tmp_path / "out.dat-s"
+            export_sdpa(p, str(path))
+            assert path.read_text() == sdpa_text(p)
+            assert import_sdpa(str(path)) == p
 
 
 # the SDPA manual's example1.dat-s (Fujisawa, Kojima & Nakata), verbatim
