@@ -102,14 +102,8 @@ class CertResult:
 def extended_domain(domain: SemialgebraicSet, sphere_dim: int) -> SemialgebraicSet:
     """X x B: lift X's constraints into the (x, y) space and adjoin the
     sphere equality 1 - y^T y = 0 as the first equality."""
-    n = domain.n_vars
-    n_ext = n + sphere_dim
-    terms = {(0,) * n_ext: 1.0}
-    for k in range(sphere_dim):
-        e = [0] * n_ext
-        e[n + k] = 2
-        terms[tuple(e)] = -1.0
-    sphere = Polynomial(n_ext, terms)
+    n_ext = domain.n_vars + sphere_dim
+    sphere = Polynomial.squares(n_ext, range(domain.n_vars, n_ext), -1.0, 1.0)
     return SemialgebraicSet(
         n_ext,
         tuple(g.lift(n_ext) for g in domain.inequalities),

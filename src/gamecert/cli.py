@@ -153,7 +153,7 @@ def cmd_certify(args) -> int:
 
 def cmd_project(args) -> int:
     from . import __version__
-    from .jsonio import dumps, game_to_json
+    from .jsonio import save_game
     from .project import ProjectionInfeasible, ProjectionSpec, project
 
     game = _load_game(args)
@@ -189,8 +189,7 @@ def cmd_project(args) -> int:
         )
         return EXIT_INFEASIBLE
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps(game_to_json(result.game)))
+        save_game(result.game, args.out)
     report = {
         "command": "project",
         "version": __version__,
@@ -209,13 +208,12 @@ def cmd_project(args) -> int:
 def cmd_efg2poly(args) -> int:
     from . import __version__
     from .efg import efg_to_game
-    from .jsonio import dumps, game_to_json, load_efg
+    from .jsonio import load_efg, save_game
 
     tree = load_efg(args.tree)
     game, vmap = efg_to_game(tree)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps(game_to_json(game)))
+        save_game(game, args.out)
     report = {
         "command": "efg2poly",
         "version": __version__,
@@ -304,11 +302,15 @@ def cmd_gauge(args) -> int:
     return EXIT_OK
 
 
+def _add_ball_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--add-ball", type=float, default=None, metavar="R",
+                   help="append the ball constraint R^2 - sum x_i^2 >= 0 to the domain")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sdp-tol", type=float, default=1e-8, help="solver feasibility/gap tolerance")
     p.add_argument("--sdp-max-iter", type=int, default=200, help="solver iteration cap")
-    p.add_argument("--add-ball", type=float, default=None, metavar="R",
-                   help="append the ball constraint R^2 - sum x_i^2 >= 0 to the domain")
+    _add_ball_flag(p)
 
 
 def _count(text: str) -> int:
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    _add_solver_flags(p)
+    _add_ball_flag(p)  # it solves nothing, so it takes no solver flags
     p.set_defaults(func=cmd_export_sdpa)
 
     p = sub.add_parser("gauge", help="smallest quadratic-game shift making the game certified")

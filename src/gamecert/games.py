@@ -57,12 +57,7 @@ def sphere_set(dim: int) -> SemialgebraicSet:
     """The unit sphere y^T y = 1 as a single quadratic equality."""
     if dim <= 0:
         raise ValueError("sphere dimension must be positive")
-    terms = {(0,) * dim: 1.0}
-    for k in range(dim):
-        e = [0] * dim
-        e[k] = 2
-        terms[tuple(e)] = -1.0
-    return SemialgebraicSet(dim, (), (Polynomial(dim, terms),))
+    return SemialgebraicSet(dim, (), (Polynomial.squares(dim, range(dim), -1.0, 1.0),))
 
 
 def box_set(bounds: Sequence[tuple[float, float]]) -> SemialgebraicSet:
@@ -85,12 +80,7 @@ def add_ball_constraint(domain: SemialgebraicSet, radius: float) -> Semialgebrai
     if radius <= 0:
         raise ValueError("radius must be positive")
     n = domain.n_vars
-    terms = {(0,) * n: float(radius) ** 2}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        terms[tuple(e)] = -1.0
-    ball = Polynomial(n, terms)
+    ball = Polynomial.squares(n, range(n), -1.0, float(radius) ** 2)
     return SemialgebraicSet(n, domain.inequalities + (ball,), domain.equalities)
 
 
@@ -203,29 +193,13 @@ def regularize(game: PolynomialGame, eps: float) -> PolynomialGame:
     Jacobian by exactly -eps*I."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = game.n_vars
-    payoffs = []
-    for i, u in enumerate(game.payoffs):
-        terms = dict(u.terms)
-        for k in game.block_range(i):
-            e = [0] * n
-            e[k] = 2
-            key = tuple(e)
-            terms[key] = terms.get(key, 0.0) - eps / 2.0
-        payoffs.append(Polynomial(n, terms))
-    return PolynomialGame(game.block_sizes, tuple(payoffs), game.domain)
+    payoffs = tuple(u + Polynomial.squares(game.n_vars, game.block_range(i), -eps / 2.0)
+                    for i, u in enumerate(game.payoffs))
+    return PolynomialGame(game.block_sizes, payoffs, game.domain)
 
 
 def quadratic_reference_game(game: PolynomialGame) -> PolynomialGame:
     """The game with payoffs -||x_i||^2 over the same blocks and domain;
     its symmetrized Jacobian is -2I."""
-    n = game.n_vars
-    payoffs = []
-    for i in range(game.n_players):
-        terms = {}
-        for k in game.block_range(i):
-            e = [0] * n
-            e[k] = 2
-            terms[tuple(e)] = -1.0
-        payoffs.append(Polynomial(n, terms))
-    return PolynomialGame(game.block_sizes, tuple(payoffs), game.domain)
+    payoffs = tuple(Polynomial.squares(game.n_vars, game.block_range(i), -1.0) for i in range(game.n_players))
+    return PolynomialGame(game.block_sizes, payoffs, game.domain)

@@ -8,9 +8,9 @@ Tree:       {"players": n, "root": node} with node
              "actions": [...], "chance_probs": [...]?, "children": [...]?,
              "payoffs": [...]?}
 
-Serialization is deterministic: terms are emitted in graded-reverse-lex
-order and objects with sorted keys, so identical data produces identical
-bytes.
+Games are read and written, trees only read.  Serialization is
+deterministic: terms are emitted in graded-reverse-lex order and objects
+with sorted keys, so identical data produces identical bytes.
 """
 
 from __future__ import annotations
@@ -127,20 +127,6 @@ def node_from_json(obj: Any, n_players: int) -> EfgNode:
     )
 
 
-def node_to_json(node: EfgNode) -> dict:
-    if node.is_terminal:
-        return {"owner": "terminal", "payoffs": list(node.payoffs)}
-    out: dict[str, Any] = {"owner": node.owner}
-    if node.actions:
-        out["actions"] = list(node.actions)
-    if node.is_chance:
-        out["chance_probs"] = list(node.chance_probs)
-    else:
-        out["infoset"] = node.infoset
-    out["children"] = [node_to_json(c) for c in node.children]
-    return out
-
-
 def efg_from_json(obj: Any) -> EfgTree:
     if not isinstance(obj, dict) or "players" not in obj or "root" not in obj:
         raise FormatError("tree file needs 'players' and 'root'")
@@ -148,10 +134,6 @@ def efg_from_json(obj: Any) -> EfgTree:
     if not isinstance(n, int) or n < 1:
         raise FormatError(f"invalid player count {n!r}")
     return EfgTree(n, node_from_json(obj["root"], n))
-
-
-def efg_to_json(tree: EfgTree) -> dict:
-    return {"players": tree.n_players, "root": node_to_json(tree.root)}
 
 
 def dumps(obj: Any) -> str:
@@ -179,8 +161,3 @@ def load_efg(path: str) -> EfgTree:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     return efg_from_json(obj)
-
-
-def save_efg(tree: EfgTree, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(efg_to_json(tree)))

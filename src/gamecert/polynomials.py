@@ -16,7 +16,7 @@ fixes the layout of every coefficient vector and Gram matrix built on top.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +97,17 @@ class Polynomial:
     @classmethod
     def monomial(cls, n_vars: int, exps: Monomial, coeff: float = 1.0) -> "Polynomial":
         return cls(n_vars, {tuple(exps): coeff})
+
+    @classmethod
+    def squares(cls, n_vars: int, indices: Iterable[int], coeff: float, constant: float = 0.0) -> "Polynomial":
+        """constant + coeff * sum of x_k^2 over ``indices``, its terms in
+        that order (the constant first, dropped when it is zero)."""
+        terms = {(0,) * n_vars: constant}
+        for k in indices:
+            exps = [0] * n_vars
+            exps[k] = 2
+            terms[tuple(exps)] = coeff
+        return cls(n_vars, terms)
 
     # -- structure ----------------------------------------------------
 
@@ -308,13 +319,6 @@ class PolyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
         i, j = ij
         return self.entries[i][j]
-
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self.entries[i][j].evaluate(point)
-        return out
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at N points at once; returns shape (N, dim, dim)."""

@@ -16,7 +16,7 @@ through an augmented system (no PSD splitting).
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
 col, value)``, a rhs array, a "<=" mask, and the objective in the same
-layout.  :func:`canonical` validates and sorts what every constructor gets;
+layout.  :func:`canonical` validates and sorts what the constructor gets;
 read-only input already in canonical order is kept as it is, not copied.
 
 SDPA sparse export writes the equality-form problem with the free scalars
@@ -35,8 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-
-BlockEntry = tuple[int, int, float]  # (i, j, value) with i <= j; value sits at (i,j) and (j,i)
 
 
 class SdpStatus(str, Enum):
@@ -129,19 +127,17 @@ def canonical(block_dims, n_free: int, n_rows: int, gram: Gram, free: Free) -> t
             _summed(Free(frow, col, fvalue), (frow, col), (n_rows, n_free)))
 
 
-def _from_nested(rows):
-    """COO arrays of nested ``SdpConstraint``-style (blocks, free) rows."""
-    return (make_coo(Gram, [(r, b, i, j, v) for r, (blocks, _) in enumerate(rows)
-                            for b, entries in blocks for i, j, v in entries]),
-            make_coo(Free, [(r, k, v) for r, (_, free) in enumerate(rows) for k, v in free]))
-
-
 @dataclass(frozen=True)
 class SdpConstraint:
-    blocks: tuple[tuple[int, tuple[BlockEntry, ...]], ...]
-    free: tuple[tuple[int, float], ...]
+    """One row of the read-only :attr:`SdpProblem.constraints` view.  Only
+    the benchmark's tracer reads it, to count nonzeros; the class and the
+    view are deleted in the benchmark change that counts them from
+    ``gram`` and ``free``."""
+
+    blocks: tuple[tuple[int, tuple[tuple[int, int, float], ...]], ...]  # (block, ((i, j, value), ...))
+    free: tuple[tuple[int, float], ...]  # (col, value)
     rhs: float
-    rel: str = "="  # "=" or "<="
+    rel: str  # "=" or "<="
 
 
 class SdpProblem:
@@ -149,27 +145,10 @@ class SdpProblem:
 
     ``gram`` and ``free`` hold the constraint rows, ``rhs`` their right-hand
     sides and ``le`` marks the "<=" rows; ``obj_gram`` and ``obj_free`` hold
-    the objective in the same layout, as row 0.  The positional constructor
-    takes nested ``SdpConstraint`` rows, :meth:`from_arrays` the arrays.
+    the objective in the same layout, as row 0.
     """
 
-    def __init__(self, block_dims, n_free, obj_blocks=(), obj_free=(), constraints=()):
-        if unknown := [c.rel for c in constraints if c.rel not in ("=", "<=")]:
-            raise ValueError(f"unknown relation {unknown[0]!r}")
-        self._set(
-            block_dims, n_free,
-            *_from_nested([(c.blocks, c.free) for c in constraints]),
-            [float(c.rhs) for c in constraints], [c.rel == "<=" for c in constraints],
-            *_from_nested([(obj_blocks, obj_free)]),
-        )
-
-    @classmethod
-    def from_arrays(cls, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free) -> "SdpProblem":
-        problem = cls.__new__(cls)
-        problem._set(block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free)
-        return problem
-
-    def _set(self, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free):
+    def __init__(self, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free):
         self.block_dims = tuple(int(d) for d in block_dims)
         if not self.block_dims:
             raise ValueError("a problem needs at least one PSD block")
@@ -197,7 +176,9 @@ class SdpProblem:
 
     @property
     def constraints(self) -> tuple[SdpConstraint, ...]:
-        """The rows as ``SdpConstraint`` tuples, built on each access."""
+        """The rows as ``SdpConstraint`` tuples, rebuilt on each access: a
+        read-only view for the benchmark's tracer, deleted with
+        :class:`SdpConstraint`."""
         blocks, free = [[] for _ in self.rhs], [[] for _ in self.rhs]
         for (r, b), entries in groupby(zip(*(a.tolist() for a in self.gram)), key=lambda e: e[:2]):
             blocks[r].append((b, tuple(e[2:] for e in entries)))
@@ -213,7 +194,7 @@ class SdpProblem:
             return self
         zero = np.zeros(len(rows), dtype=np.int64)
         slack = Gram(rows, len(self.block_dims) + np.arange(len(rows)), zero, zero, np.ones(len(rows)))
-        return SdpProblem.from_arrays(
+        return SdpProblem(
             self.block_dims + (1,) * len(rows), self.n_free, concat_coo([self.gram, slack]),
             self.free, self.rhs, np.zeros_like(self.le), self.obj_gram, self.obj_free,
         )
@@ -278,7 +259,7 @@ class Restriction:
             np.abs(original.rhs) > ZERO_RHS)
         self.rows = np.flatnonzero(keep)
         renumber = np.cumsum(keep) - 1
-        self.problem = SdpProblem.from_arrays(
+        self.problem = SdpProblem(
             np.bincount(block[block >= 0]), int(keep_free.sum()),
             gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row]),
             original.rhs[keep], original.le[keep], *restrict(original.obj_gram, original.obj_free),
@@ -878,8 +859,11 @@ def import_sdpa(path: str) -> SdpProblem:
     entry lines are read and parsed in chunks of about ``SDPA_CHUNK`` lines.
     A chunk whose lines all start with a character above "*" and below
     "\\x85" holds no blank or comment line, so it is parsed whole; any
-    other chunk is filtered line by line.  A non-finite value or rhs is a
-    parse error of its line.
+    other chunk is filtered line by line.  The rhs values and the entry
+    lines go through one parser, ``numpy.loadtxt``, which a failing chunk
+    also retries line by line to name the first bad line.  A number that
+    parser rejects (``1_0``, say, which ``float`` reads as 10) or a
+    non-finite value or rhs is a parse error of its line.
     """
     with open(path) as fh:
         n_read = 0  # lines read so far
@@ -932,10 +916,10 @@ def import_sdpa(path: str) -> SdpProblem:
             if len(rhs_raw) != m:
                 raise SdpaParseError(no, f"expected {m} rhs values, got {len(rhs_raw)}")
             try:
-                rhs = [float(v) for v in rhs_raw]
+                rhs = np.loadtxt([" ".join(rhs_raw)], comments=None, ndmin=1)
             except ValueError as exc:
                 raise SdpaParseError(no, "rhs values must be numeric") from exc
-            if not all(map(math.isfinite, rhs)):
+            if not np.isfinite(rhs).all():
                 raise SdpaParseError(no, "rhs values must be finite")
 
         parts, numbers = [], []  # parsed entries and their line numbers, per chunk
@@ -954,15 +938,14 @@ def import_sdpa(path: str) -> SdpProblem:
             try:
                 parts.append(np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1))
             except ValueError:
-                # name the first line that does not parse
+                # name the first line that the same parser rejects on its own
                 for no, text in zip(nos.tolist(), body):
-                    fields = text.split()
-                    if len(fields) != 5:
-                        raise SdpaParseError(no, f"expected 5 fields, got {len(fields)}") from None
                     try:
-                        np.array([int(p) for p in fields[:4]], dtype=np.int64), float(fields[4])
-                    except (ValueError, OverflowError):
-                        raise SdpaParseError(no, "malformed entry line") from None
+                        np.loadtxt([text], dtype=_ENTRY, comments=None, ndmin=1)
+                    except ValueError:
+                        n = len(text.split())
+                        raise SdpaParseError(no, "malformed entry line" if n == 5 else
+                                             f"expected 5 fields, got {n}") from None
                 raise
             numbers.append(nos)
 
@@ -970,7 +953,7 @@ def import_sdpa(path: str) -> SdpProblem:
     del parts
     constraints, objective = _split_entries(data, numbers, dims, n_free, m)
     del data  # freed before canonical runs
-    return SdpProblem.from_arrays(dims, n_free, *constraints, rhs, np.zeros(m, dtype=bool), *objective)
+    return SdpProblem(dims, n_free, *constraints, rhs, np.zeros(m, dtype=bool), *objective)
 
 
 def _split_entries(data, numbers, dims, n_free, m):

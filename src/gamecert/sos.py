@@ -140,12 +140,12 @@ class Compilation:
     """Layout bookkeeping tying SDP variables back to the program.
 
     Row r of the problem matches the coefficient of ``row_monomials[r]``
-    (membership, monomial) for r below ``len(row_monomials)``; the
-    ``n_param_rows`` linear parameter constraints follow.  ``gram`` and
-    ``free`` hold the entries of the coefficient-matching rows before row
-    ``r`` is divided by ``row_scales[r]``, as the problem stores them (same
-    indices, same order); ``row_targets`` holds the matching target
-    coefficients of the parameter-free part of each membership.
+    (membership, monomial) for r below ``len(row_monomials)``; the linear
+    parameter constraints follow.  ``gram`` and ``free`` hold the entries
+    of the coefficient-matching rows before row ``r`` is divided by
+    ``row_scales[r]``, as the problem stores them (same indices, same
+    order); ``row_targets`` holds the matching target coefficients of the
+    parameter-free part of each membership.
     """
 
     program: SosProgram
@@ -154,7 +154,6 @@ class Compilation:
     param_offset: int        # free index of the first parameter
     row_monomials: list[tuple[int, Monomial]]
     row_scales: np.ndarray
-    n_param_rows: int
     row_targets: np.ndarray
     gram: Gram
     free: Free
@@ -310,7 +309,7 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         param_free.extend((r, param_col[name], w / scale) for name, w in combo)
         param_rhs.append(value / scale)
 
-    problem = SdpProblem.from_arrays(
+    problem = SdpProblem(
         block_dims, n_free, gram._replace(value=gram.value / scales[gram.row]),
         concat_coo([free._replace(value=free.value / scales[free.row]), make_coo(Free, param_free)]),
         np.concatenate((row_targets / scales, param_rhs)), [False] * n_rows + [rel == "<=" for *_, rel in param_rows],
@@ -323,7 +322,6 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         param_offset=param_offset,
         row_monomials=[candidates[k] for k in np.flatnonzero(live)],
         row_scales=scales,
-        n_param_rows=len(param_rows),
         row_targets=row_targets,
         gram=gram,
         free=free,

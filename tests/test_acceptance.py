@@ -25,7 +25,7 @@ from gamecert.games import (
 from gamecert.oracles import jacobi_eigenvalues, sample_max_eigenvalue
 from gamecert.polynomials import Polynomial, monomials_upto
 from gamecert.project import ProjectionSpec, gauge, project
-from gamecert.sdp import SdpConstraint, SdpProblem, SdpStatus, export_sdpa, import_sdpa, solve
+from gamecert.sdp import Free, Gram, SdpProblem, SdpStatus, export_sdpa, import_sdpa, make_coo, solve
 from tests.conftest import corpus_path, unit_interval_game
 
 
@@ -206,9 +206,11 @@ def test_criterion_8_hierarchy_properties():
               f"max sampled excess {worst_bound:.2e}, worst shift error {worst_shift:.2e}, {elapsed:.1f}s")
 
 
-def _sym_entries(M):
-    k = M.shape[0]
-    return tuple((i, j, float(M[i, j])) for i in range(k) for j in range(i, k) if M[i, j] != 0)
+def _dense_gram(rows):
+    """``Gram`` entries of the upper triangles of symmetric matrices, given
+    as (row, block, M) triples."""
+    return make_coo(Gram, [(r, b, i, j, float(M[i, j])) for r, b, M in rows
+                           for i, j in zip(*np.triu_indices(len(M))) if M[i, j] != 0])
 
 
 def test_criterion_9_sdp_solver_suite():
@@ -223,11 +225,11 @@ def test_criterion_9_sdp_solver_suite():
         y0 = rng.standard_normal(mcon)
         S0 = (lambda B: B @ B.T + np.eye(k))(rng.standard_normal((k, k)))
         C = S0 + sum(y0[i] * A[i] for i in range(mcon))
-        rows = tuple(
-            SdpConstraint(((0, _sym_entries(A[i])),), (), float(np.tensordot(A[i], X0)), "=")
-            for i in range(mcon)
-        )
-        sol = solve(SdpProblem((k,), 0, ((0, _sym_entries(C)),), (), rows))
+        sol = solve(SdpProblem(
+            (k,), 0, _dense_gram((i, 0, A[i]) for i in range(mcon)), make_coo(Free),
+            [float(np.tensordot(A[i], X0)) for i in range(mcon)], [False] * mcon,
+            _dense_gram([(0, 0, C)]), make_coo(Free),
+        ))
         assert sol.status == SdpStatus.OPTIMAL
         worst_gap = max(worst_gap, sol.relative_gap)
         worst_res = max(worst_res, sol.primal_residual)
@@ -237,23 +239,20 @@ def test_criterion_9_sdp_solver_suite():
     for _ in range(50):
         k = int(rng.integers(2, 13))
         A = 0.5 * (lambda B: B + B.T)(rng.standard_normal((k, k)) * 3)
-        rows = []
-        for i in range(k):
-            for j in range(i, k):
-                scale = 1.0 if i == j else 2.0
-                rows.append(SdpConstraint(
-                    ((0, ((i, j, 1.0),)),),
-                    ((0, -1.0 if i == j else 0.0),),
-                    -scale * A[i, j], "=",
-                ))
-        sol = solve(SdpProblem((k,), 1, (), ((0, 1.0),), tuple(rows)))
+        pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        sol = solve(SdpProblem(
+            (k,), 1, make_coo(Gram, [(r, 0, i, j, 1.0) for r, (i, j) in enumerate(pairs)]),
+            make_coo(Free, [(r, 0, -1.0) for r, (i, j) in enumerate(pairs) if i == j]),
+            [-(1.0 if i == j else 2.0) * A[i, j] for i, j in pairs], [False] * len(pairs),
+            make_coo(Gram), make_coo(Free, [(0, 0, 1.0)]),
+        ))
         assert sol.status == SdpStatus.OPTIMAL
         worst_eig = max(worst_eig, abs(float(sol.free_values[0]) - float(jacobi_eigenvalues(A)[-1])))
     assert worst_eig <= 1e-6
 
     infeasible = solve(SdpProblem(
-        (2,), 0, (), (),
-        (SdpConstraint(((0, ((0, 0, 1.0), (1, 1, 1.0))),), (), -1.0, "="),),
+        (2,), 0, make_coo(Gram, [(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)]), make_coo(Free), [-1.0], [False],
+        make_coo(Gram), make_coo(Free),
     ))
     assert infeasible.status == SdpStatus.PRIMAL_INFEASIBLE
     elapsed = time.perf_counter() - t0

@@ -129,6 +129,16 @@ def test_export_sdpa_bytes_pinned(tmp_path, capsys):
     assert digest == "76e3dd6efe55364b3016734476b1f6ffe0fbb2e22119359824878a269bf486c4"
 
 
+def test_export_sdpa_takes_no_solver_flags(tmp_path, capsys):
+    out_path = tmp_path / "fig1.dat-s"
+    argv = ["export-sdpa", corpus_path("fig1.game.json"), "--level", "2", "--out", str(out_path)]
+    assert main(argv + ["--sdp-tol", "1e-4"]) == 1
+    assert main(argv + ["--sdp-max-iter", "1"]) == 1
+    assert not out_path.exists()
+    assert main(argv + ["--add-ball", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["add_ball"] == 2.0
+
+
 def test_gauge_command(capsys):
     code, out = run_cli(capsys, "gauge", "--level", "2", corpus_path("fig1.game.json"))
     assert code == 0

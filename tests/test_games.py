@@ -75,7 +75,7 @@ def test_symmetrized_jacobian_fig1_constant(fig1_game):
     rng = np.random.default_rng(9)
     for _ in range(5):
         pt = rng.uniform(0, 1, 3)
-        assert np.max(np.abs(js.evaluate(pt) - expected)) < 1e-12
+        assert np.max(np.abs(js.evaluate_many([pt])[0] - expected)) < 1e-12
 
 
 def test_symmetrized_jacobian_exact_symmetry():
@@ -93,20 +93,20 @@ def test_quadratic_reference_game_jacobian():
     base = PolynomialGame((2, 1), (Polynomial.zero(3),) * 2, SemialgebraicSet(3, (), ()))
     quad = quadratic_reference_game(base)
     js = quad and symmetrized_jacobian(quad)
-    assert np.allclose(js.evaluate([0.3, -0.2, 0.9]), -2 * np.eye(3))
+    assert np.allclose(js.evaluate_many([[0.3, -0.2, 0.9]])[0], -2 * np.eye(3))
     half = regularize(base, 1.0)
-    assert np.allclose(symmetrized_jacobian(half).evaluate([0.5, 0.5, 0.5]), -np.eye(3))
+    assert np.allclose(symmetrized_jacobian(half).evaluate_many([[0.5, 0.5, 0.5]])[0], -np.eye(3))
 
 
 def test_player_hessian_examples(driver_game, fig1_game):
     h0 = player_hessian(driver_game, 0)
     assert allclose(h0[0, 0], Polynomial.constant(1, -6.0), 1e-12)
     h1 = player_hessian(fig1_game, 0)
-    assert np.allclose(h1.evaluate([0.1, 0.2, 0.3]), [[0.0, 10.0], [10.0, 0.0]])
+    assert np.allclose(h1.evaluate_many([[0.1, 0.2, 0.3]])[0], [[0.0, 10.0], [10.0, 0.0]])
     quad = quadratic_reference_game(fig1_game)
     for i, m in enumerate(quad.block_sizes):
         h = player_hessian(quad, i)
-        assert np.allclose(h.evaluate([0.0, 0.0, 0.0]), -2 * np.eye(m))
+        assert np.allclose(h.evaluate_many([[0.0, 0.0, 0.0]])[0], -2 * np.eye(m))
     with pytest.raises(IndexError):
         player_hessian(driver_game, 1)
 
@@ -137,7 +137,7 @@ def test_jacobian_finite_difference_property():
                 up = pt.copy(); up[c] += 1e-6
                 dn = pt.copy(); dn[c] -= 1e-6
                 fd[r, c] = (v[r].evaluate(up) - v[r].evaluate(dn)) / 2e-6
-        assert np.max(np.abs(js.evaluate(pt) - 0.5 * (fd + fd.T))) < 1e-4
+        assert np.max(np.abs(js.evaluate_many([pt])[0] - 0.5 * (fd + fd.T))) < 1e-4
 
 
 def test_quadratic_form_examples(fig1_game):

@@ -7,36 +7,41 @@ import pytest
 from gamecert import sdp
 from gamecert.oracles import jacobi_eigenvalues
 from gamecert.sdp import (
+    Free,
+    Gram,
     SdpConstraint,
     SdpProblem,
     SdpStatus,
     SolveOptions,
     export_sdpa,
     import_sdpa,
+    make_coo,
     SdpaParseError,
     solve,
 )
 
 
-def sym_entries(M):
-    k = M.shape[0]
-    return tuple((i, j, float(M[i, j])) for i in range(k) for j in range(i, k) if M[i, j] != 0)
+def coo_problem(dims, n_free=0, gram=(), free=(), rhs=(), le=None, obj_gram=(), obj_free=()):
+    """An SdpProblem from ``make_coo`` entry tuples, the objective's with
+    row 0; every row is "=" unless ``le`` marks it."""
+    return SdpProblem(dims, n_free, make_coo(Gram, gram), make_coo(Free, free), rhs,
+                      [False] * len(rhs) if le is None else le, make_coo(Gram, obj_gram), make_coo(Free, obj_free))
+
+
+def dense_entries(row, block, M):
+    """``Gram`` entry tuples of the upper triangle of the symmetric matrix
+    ``M``, as block ``block`` of row ``row``."""
+    return [(row, block, i, j, float(M[i, j])) for i, j in zip(*np.triu_indices(len(M))) if M[i, j] != 0]
 
 
 def lambda_max_problem(A):
     """min lam s.t. lam*I - A PSD, with lam a free scalar."""
-    k = A.shape[0]
-    rows = []
-    for i in range(k):
-        for j in range(i, k):
-            scale = 1.0 if i == j else 2.0
-            rows.append(SdpConstraint(
-                ((0, ((i, j, 1.0),)),),
-                ((0, -1.0 if i == j else 0.0),),
-                -scale * A[i, j],
-                "=",
-            ))
-    return SdpProblem((k,), 1, (), ((0, 1.0),), tuple(rows))
+    pairs = [(i, j) for i in range(len(A)) for j in range(i, len(A))]
+    return coo_problem(
+        (len(A),), 1, [(r, 0, i, j, 1.0) for r, (i, j) in enumerate(pairs)],
+        [(r, 0, -1.0) for r, (i, j) in enumerate(pairs) if i == j],
+        [-(1.0 if i == j else 2.0) * A[i, j] for i, j in pairs], obj_free=[(0, 0, 1.0)],
+    )
 
 
 def random_feasible_problem(rng):
@@ -48,8 +53,8 @@ def random_feasible_problem(rng):
     S0 = (lambda B: B @ B.T + np.eye(k))(rng.standard_normal((k, k)))
     C = S0 + sum(y0[i] * A[i] for i in range(mcon))
     b = [float(np.tensordot(A[i], X0)) for i in range(mcon)]
-    rows = tuple(SdpConstraint(((0, sym_entries(A[i])),), (), b[i], "=") for i in range(mcon))
-    return SdpProblem((k,), 0, ((0, sym_entries(C)),), (), rows)
+    return coo_problem((k,), 0, [e for i in range(mcon) for e in dense_entries(i, 0, A[i])], rhs=b,
+                   obj_gram=dense_entries(0, 0, C))
 
 
 def random_block_problem(rng, dims, n_le=0):
@@ -62,21 +67,20 @@ def random_block_problem(rng, dims, n_le=0):
     y0 = rng.standard_normal(mcon)
     y0[mcon - n_le:] = -0.1 - np.abs(y0[mcon - n_le:])  # slack duals stay interior
     C = [pd(d) + sum(y0[i] * A[i][b] for i in range(mcon)) for b, d in enumerate(dims)]
-    rows = []
-    for i in range(mcon):
-        le = i >= mcon - n_le
-        rhs = sum(float(np.tensordot(A[i][b], X0[b])) for b in range(len(dims))) + (1.0 if le else 0.0)
-        blocks = tuple((b, sym_entries(A[i][b])) for b in range(len(dims)))
-        rows.append(SdpConstraint(blocks, (), rhs, "<=" if le else "="))
-    obj = tuple((b, sym_entries(C[b])) for b in range(len(dims)))
-    return SdpProblem(tuple(dims), 0, obj, (), tuple(rows))
+    le = [i >= mcon - n_le for i in range(mcon)]
+    rhs = [sum(float(np.tensordot(A[i][b], X0[b])) for b in range(len(dims))) + (1.0 if le[i] else 0.0)
+           for i in range(mcon)]
+    return coo_problem(
+        tuple(dims), 0, [e for i in range(mcon) for b in range(len(dims)) for e in dense_entries(i, b, A[i][b])],
+        rhs=rhs, le=le, obj_gram=[e for b in range(len(dims)) for e in dense_entries(0, b, C[b])],
+    )
 
 
 def permute_blocks(prob, perm):
     """The same program with block ``perm[k]`` stored at position k."""
     new = np.argsort(perm)
     move = lambda gram: gram._replace(block=new[gram.block])
-    return SdpProblem.from_arrays(
+    return SdpProblem(
         tuple(prob.block_dims[b] for b in perm), prob.n_free, move(prob.gram), prob.free,
         prob.rhs, prob.le, move(prob.obj_gram), prob.obj_free,
     )
@@ -88,7 +92,7 @@ def merge_blocks(prob):
     merge = lambda gram: gram._replace(
         block=0 * gram.block, i=gram.i + offset[gram.block], j=gram.j + offset[gram.block]
     )
-    return SdpProblem.from_arrays(
+    return SdpProblem(
         (int(offset[-1]),), prob.n_free, merge(prob.gram), prob.free,
         prob.rhs, prob.le, merge(prob.obj_gram), prob.obj_free,
     )
@@ -199,22 +203,23 @@ def forced_zero_reference(problem):
     removed by the rows before it: (dead columns per block, active rows,
     infeasible)."""
     removed = [set() for _ in problem.block_dims]
-    rows = problem.constraints
-    active = [True] * len(rows)
+    g, m = problem.gram, problem.n_constraints
+    entries = [list(zip(*(a[g.row == r].tolist() for a in g[1:]))) for r in range(m)]
+    has_free = np.bincount(problem.free.row, minlength=m) > 0
+    active = [True] * m
     changed = True
     while changed:
         changed = False
-        for r, con in enumerate(rows):
+        for r in range(m):
             if not active[r]:
                 continue
-            live = [(b, i, j, v) for b, entries in con.blocks for i, j, v in entries
-                    if i not in removed[b] and j not in removed[b]]
-            if not live and not con.free:
+            live = [(b, i, j, v) for b, i, j, v in entries[r] if i not in removed[b] and j not in removed[b]]
+            if not live and not has_free[r]:
                 active[r] = False
-                if abs(con.rhs) > 1e-30:
+                if abs(problem.rhs[r]) > 1e-30:
                     return removed, active, True
                 changed = True
-            elif not con.free and abs(con.rhs) <= 1e-30 and all(i == j for _, i, j, _ in live):
+            elif not has_free[r] and abs(problem.rhs[r]) <= 1e-30 and all(i == j for _, i, j, _ in live):
                 if len({v > 0 for *_, v in live}) == 1:
                     for b, i, _, _ in live:
                         removed[b].add(i)
@@ -244,10 +249,7 @@ def test_facial_reduction_matches_row_by_row_elimination(fig3_game, deg4_game):
             assert np.flatnonzero(kept).tolist() == [i for i in range(d) if i not in removed[b]]
         assert reduction.rows.tolist() == [r for r, a in enumerate(active) if a]
     # an unreachable nonzero coefficient is infeasible either way
-    prob = SdpProblem((2,), 0, (), (), (
-        SdpConstraint(((0, ((0, 0, 1.0),)),), (), 0.0),
-        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 1.0))),), (), 1.0),
-    ))
+    prob = coo_problem((2,), 0, [(0, 0, 0, 0, 1.0), (1, 0, 0, 0, 1.0), (1, 0, 0, 1, 1.0)], rhs=[0.0, 1.0])
     assert forced_zero_reference(prob)[2] and _facial_reduction(prob) is None
 
 
@@ -269,11 +271,8 @@ def test_every_block_dead_keeps_the_unreduced_problem():
 
 
 def test_minimum_eigenvalue_probe():
-    prob = SdpProblem(
-        (2,), 0,
-        ((0, ((0, 0, 1.0), (1, 1, 2.0))),), (),
-        (SdpConstraint(((0, ((0, 0, 1.0), (1, 1, 1.0))),), (), 1.0, "="),),
-    )
+    prob = coo_problem((2,), 0, [(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)], rhs=[1.0],
+                   obj_gram=[(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 2.0)])
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
@@ -289,41 +288,32 @@ def test_lambda_max_probe():
 
 
 def test_primal_infeasible_probe():
-    prob = SdpProblem(
-        (2,), 0, (), (),
-        (SdpConstraint(((0, ((0, 0, 1.0), (1, 1, 1.0))),), (), -1.0, "="),),
-    )
+    prob = coo_problem((2,), 0, [(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)], rhs=[-1.0])
     sol = solve(prob)
     assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
 
 
 def test_unbounded_probe():
     # min -X11 with only X22 pinned: objective unbounded below
-    prob = SdpProblem(
-        (2,), 0,
-        ((0, ((0, 0, -1.0),)),), (),
-        (SdpConstraint(((0, ((1, 1, 1.0),)),), (), 1.0, "="),),
-    )
+    prob = coo_problem((2,), 0, [(0, 0, 1, 1, 1.0)], rhs=[1.0], obj_gram=[(0, 0, 0, 0, -1.0)])
     sol = solve(prob)
     assert sol.status == SdpStatus.DUAL_INFEASIBLE
 
 
 def test_no_constraints():
-    psd = SdpProblem((2,), 0, ((0, ((0, 0, 1.0), (1, 1, 2.0))),), (), ())
+    psd = coo_problem((2,), 0, obj_gram=[(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 2.0)])
     sol = solve(psd)
     assert sol.status == SdpStatus.OPTIMAL
     assert sol.primal_objective == 0.0 and not sol.primal_blocks[0].any()
-    indefinite = SdpProblem((2,), 0, ((0, ((0, 0, 1.0), (1, 1, -1.0))),), (), ())
+    indefinite = coo_problem((2,), 0, obj_gram=[(0, 0, 0, 0, 1.0), (0, 0, 1, 1, -1.0)])
     assert solve(indefinite).status == SdpStatus.DUAL_INFEASIBLE
-    free = SdpProblem((2,), 1, (), ((0, 1.0),), ())
+    free = coo_problem((2,), 1, obj_free=[(0, 0, 1.0)])
     assert solve(free).status == SdpStatus.DUAL_INFEASIBLE
 
 
 def free_columns_problem(n_free, obj_free):
     """X + u_1 + ... + u_n = 1 on a 1x1 block, minimizing ``obj_free . u``."""
-    from gamecert.sdp import Free, Gram, make_coo
-
-    return SdpProblem.from_arrays(
+    return SdpProblem(
         (1,), n_free, make_coo(Gram, [(0, 0, 0, 0, 1.0)]),
         make_coo(Free, [(0, k, 1.0) for k in range(n_free)]), [1.0], [False],
         make_coo(Gram), make_coo(Free, [(0, k, c) for k, c in enumerate(obj_free)]),
@@ -346,10 +336,8 @@ def test_free_columns_filling_the_rows(capfd):
 @pytest.mark.parametrize("rel", ["=", "<="])
 def test_every_row_reduced_away_keeps_one_dual_per_row(rel):
     # X[1,1] (plus a slack for "<=") = 0 forces column 1 out, and the row with it
-    prob = SdpProblem(
-        (2,), 0, ((0, ((0, 0, 1.0), (1, 1, 1.0))),), (),
-        (SdpConstraint(((0, ((1, 1, 1.0),)),), (), 0.0, rel),),
-    )
+    prob = coo_problem((2,), 0, [(0, 0, 1, 1, 1.0)], rhs=[0.0], le=[rel == "<="],
+                   obj_gram=[(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)])
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert len(sol.dual_values) == prob.n_constraints
@@ -358,11 +346,7 @@ def test_every_row_reduced_away_keeps_one_dual_per_row(rel):
 
 def test_inequality_rows_via_slack():
     # min -x11 s.t. x11 <= 3 (as a 1x1 block)
-    prob = SdpProblem(
-        (1,), 0,
-        ((0, ((0, 0, -1.0),)),), (),
-        (SdpConstraint(((0, ((0, 0, 1.0),)),), (), 3.0, "<="),),
-    )
+    prob = coo_problem((1,), 0, [(0, 0, 0, 0, 1.0)], rhs=[3.0], le=[True], obj_gram=[(0, 0, 0, 0, -1.0)])
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert sol.primal_objective == pytest.approx(-3.0, abs=1e-6)
@@ -392,34 +376,27 @@ def test_determinism():
 
 def test_validation():
     with pytest.raises(ValueError):
-        SdpProblem((0,), 0, (), (), ())
+        coo_problem((0,), 0)
     with pytest.raises(ValueError, match="at least one PSD block"):
-        SdpProblem((), 1, (), ((0, 1.0),), (SdpConstraint((), ((0, 1.0),), 1.0),))
+        coo_problem((), 1, free=[(0, 0, 1.0)], rhs=[1.0], obj_free=[(0, 0, 1.0)])
     with pytest.raises(ValueError):
-        SdpProblem((2,), 0, ((0, ((0, 3, 1.0),)),), (), ())
+        coo_problem((2,), 0, obj_gram=[(0, 0, 0, 3, 1.0)])
     with pytest.raises(ValueError):
-        SdpProblem((2,), 0, (), (), (SdpConstraint((), (), math.nan, "="),))
-    with pytest.raises(ValueError):
-        SdpProblem((2,), 0, (), (), (SdpConstraint((), (), 0.0, ">="),))
+        coo_problem((2,), 0, rhs=[math.nan])
 
 
 def test_canonical_form_folds_sums_and_drops():
     # (1, 0) folds onto (0, 1), the two (0, 0) entries and the two free
     # entries are summed, and (1, 1) and the objective cancel to exact zeros
-    prob = SdpProblem(
-        (2,), 2, (), ((1, 2.0), (1, -2.0)),
-        (SdpConstraint(
-            ((0, ((1, 0, 3.0), (0, 0, 1.0), (1, 1, 1.0), (0, 0, 0.5))), (0, ((1, 1, -1.0),))),
-            ((0, 1.0), (0, 1.0)), 2.0,
-        ),),
+    prob = coo_problem(
+        (2,), 2, [(0, 0, 1, 0, 3.0), (0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0), (0, 0, 0, 0, 0.5), (0, 0, 1, 1, -1.0)],
+        [(0, 0, 1.0), (0, 0, 1.0)], [2.0], obj_free=[(0, 1, 2.0), (0, 1, -2.0)],
     )
-    (con,) = prob.constraints
-    assert con.blocks == ((0, ((0, 0, 1.5), (0, 1, 3.0))),)
-    assert con.free == ((0, 2.0),)
+    entries = lambda coo: list(zip(*(a.tolist() for a in coo)))
+    assert entries(prob.gram) == [(0, 0, 0, 0, 1.5), (0, 0, 0, 1, 3.0)]
+    assert entries(prob.free) == [(0, 0, 2.0)]
     assert len(prob.obj_free.value) == 0
-    assert prob == SdpProblem(
-        (2,), 2, (), (), (SdpConstraint(((0, ((0, 1, 3.0), (0, 0, 1.5))),), ((0, 2.0),), 2.0),)
-    )
+    assert prob == coo_problem((2,), 2, [(0, 0, 0, 1, 3.0), (0, 0, 0, 0, 1.5)], [(0, 0, 2.0)], [2.0])
 
 
 def test_equality_is_exact_and_a_bool():
@@ -429,23 +406,31 @@ def test_equality_is_exact_and_a_bool():
     nudged = A.copy()
     nudged[0, 1] = nudged[1, 0] = np.nextafter(10.0, 11.0)
     assert (a == lambda_max_problem(nudged)) is False
-    le = SdpProblem(a.block_dims, a.n_free, (), ((0, 1.0),), tuple(
-        SdpConstraint(c.blocks, c.free, c.rhs, "<=") for c in a.constraints
-    ))
+    le = SdpProblem(a.block_dims, a.n_free, a.gram, a.free, a.rhs, ~a.le, a.obj_gram, a.obj_free)
     assert (a == le) is False
     assert (a == "not a problem") is False
 
 
 def test_constraints_view_returns_input_rows():
-    rows = (
+    prob = coo_problem((2, 1), 2, [(0, 0, 0, 0, 1.0), (0, 0, 0, 1, 2.0), (0, 1, 0, 0, -1.0), (2, 1, 0, 0, 4.0)],
+                   [(0, 1, 0.5), (1, 0, 1.0)], [3.0, 0.0, -1.0, 0.0], [True, False, False, False])
+    assert prob.n_constraints == 4
+    assert prob.constraints == (
         SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 2.0))), (1, ((0, 0, -1.0),))), ((1, 0.5),), 3.0, "<="),
         SdpConstraint((), ((0, 1.0),), 0.0, "="),
         SdpConstraint(((1, ((0, 0, 4.0),)),), (), -1.0, "="),
         SdpConstraint((), (), 0.0, "="),
     )
-    prob = SdpProblem((2, 1), 2, (), (), rows)
-    assert prob.n_constraints == 4
-    assert prob.constraints == rows
+
+
+@pytest.mark.parametrize("game, level", [("fig3", 6), ("deg4", 4)])
+def test_constraints_view_holds_every_stored_entry(request, game, level):
+    from gamecert.certify import bound_program, target
+    from gamecert.sos import compile_program
+
+    p, _ = compile_program(bound_program(*target(request.getfixturevalue(f"{game}_game")), level))
+    assert (sum(len(e) for c in p.constraints for _, e in c.blocks) + sum(len(c.free) for c in p.constraints)
+            == len(p.gram.value) + len(p.free.value))
 
 
 # canonical entries of a problem with blocks (3, 2), 2 free variables and 4 rows
@@ -495,8 +480,8 @@ def test_canonical_fast_path_matches_sorting(variant, read_only):
 
 def test_canonical_copies_writable_input():
     gram, free = canonical_variant("canonical")
-    prob = SdpProblem.from_arrays((3, 2), 2, gram, free, np.ones(4), np.zeros(4, bool), *canonical_variant("empty"))
-    same = SdpProblem.from_arrays((3, 2), 2, *canonical_variant("canonical"), np.ones(4), np.zeros(4, bool),
+    prob = SdpProblem((3, 2), 2, gram, free, np.ones(4), np.zeros(4, bool), *canonical_variant("empty"))
+    same = SdpProblem((3, 2), 2, *canonical_variant("canonical"), np.ones(4), np.zeros(4, bool),
                                   *canonical_variant("empty"))
     for a in (*gram, *free):
         assert a.flags.writeable
@@ -506,10 +491,8 @@ def test_canonical_copies_writable_input():
 
 
 def test_validation_of_arrays():
-    from gamecert.sdp import Free, Gram, make_coo
-
     def build(gram=(), free=(), rhs=(0.0,)):
-        return SdpProblem.from_arrays(
+        return SdpProblem(
             (2,), 1, make_coo(Gram, gram), make_coo(Free, free), rhs, [False] * len(rhs),
             make_coo(Gram), make_coo(Free),
         )
@@ -543,7 +526,7 @@ def test_sdpa_round_trip_lambda_max(tmp_path):
 
 
 def test_sdpa_round_trip_empty_constraints(tmp_path):
-    prob = SdpProblem((3,), 0, ((0, ((0, 0, 1.0),)),), (), ())
+    prob = coo_problem((3,), 0, obj_gram=[(0, 0, 0, 0, 1.0)])
     path = tmp_path / "empty.dat-s"
     export_sdpa(prob, str(path))
     lines = [l for l in path.read_text().splitlines() if l.strip()]
@@ -554,16 +537,12 @@ def test_sdpa_round_trip_empty_constraints(tmp_path):
 
 
 def test_sdpa_inequality_converted_on_export(tmp_path):
-    prob = SdpProblem(
-        (1,), 0,
-        ((0, ((0, 0, -1.0),)),), (),
-        (SdpConstraint(((0, ((0, 0, 1.0),)),), (), 3.0, "<="),),
-    )
+    prob = coo_problem((1,), 0, [(0, 0, 0, 0, 1.0)], rhs=[3.0], le=[True], obj_gram=[(0, 0, 0, 0, -1.0)])
     path = tmp_path / "ineq.dat-s"
     export_sdpa(prob, str(path))
     back = import_sdpa(str(path))
     assert back.block_dims == (1, 1)  # slack block appended
-    assert all(c.rel == "=" for c in back.constraints)
+    assert not back.le.any()
     assert back == prob.to_equality_form()
 
 
@@ -618,10 +597,8 @@ def test_sdpa_comments_and_punctuation_parse(tmp_path):
     path = tmp_path / "ok.dat-s"
     path.write_text("\n".join(SDPA_LINES) + "\n")
     prob = import_sdpa(str(path))
-    assert prob == SdpProblem((2,), 1, (), ((0, 1.0),), (
-        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 0.5))),), (), 1.0),
-        SdpConstraint(((0, ((1, 1, 1.0),)),), ((0, -1.0),), 2.0),
-    ))
+    assert prob == coo_problem((2,), 1, [(0, 0, 0, 0, 1.0), (0, 0, 0, 1, 0.5), (1, 0, 1, 1, 1.0)], [(1, 0, -1.0)],
+                           [1.0, 2.0], obj_free=[(0, 0, 1.0)])
 
 
 PARSE_ERRORS = [
@@ -645,6 +622,8 @@ PARSE_ERRORS = [
     (13, "2 2 1 1 -inf", "non-finite value"),
     (5, "1.0, nan", "rhs values must be finite"),
     (5, "-1e999 2.0", "rhs values must be finite"),
+    (8, "1 1 1 1 1_0", "malformed entry line"),  # float() alone would read 10
+    (5, "1_0 2.0", "rhs values must be numeric"),
 ]
 
 
@@ -790,7 +769,7 @@ def distinct_value_problem():
         free.append((r, int(rng.integers(n_free)), float(rng.uniform(-1e5, 1e5))))
     obj_gram = sdp.make_coo(sdp.Gram, [(0, *e[1:]) for e in gram if e[0] < 0])
     obj_free = sdp.make_coo(sdp.Free, [(0, *e[1:]) for e in free if e[0] < 0])
-    return SdpProblem.from_arrays(
+    return SdpProblem(
         dims, n_free, sdp.make_coo(sdp.Gram, [e for e in gram if e[0] >= 0]),
         sdp.make_coo(sdp.Free, [e for e in free if e[0] >= 0]),
         rng.uniform(-3, 3, m), np.zeros(m, dtype=bool), obj_gram, obj_free)
@@ -815,7 +794,7 @@ def sdpa_text(prob):
 def test_sdpa_export_tables_give_formatted_lines(tmp_path, monkeypatch):
     prob = distinct_value_problem()
     assert len(np.unique(prob.gram.value)) > 12 and prob.gram.i.max() >= 99
-    objective_only = SdpProblem((3,), 2, ((0, ((0, 0, 1 / 3), (0, 2, -5e-324))),), ((1, 0.1),))
+    objective_only = coo_problem((3,), 2, obj_gram=[(0, 0, 0, 0, 1 / 3), (0, 0, 0, 2, -5e-324)], obj_free=[(0, 1, 0.1)])
     chunks = (sdp.SDPA_CHUNK, 1, 7)
     for p in (prob, objective_only):
         for lines in chunks:

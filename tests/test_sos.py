@@ -143,7 +143,7 @@ def test_nonnegativity_witness(fig1_game):
         x = rng.uniform(0, 1, 3)
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
-        value = result.lam - y @ js.evaluate(x) @ y
+        value = result.lam - y @ js.evaluate_many([x])[0] @ y
         assert value >= -1e-6
 
 
