@@ -57,6 +57,14 @@ def _emit(report: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _report(command: str, config: dict, **fields) -> dict:
+    """A command's report: its name, the tool version, the effective
+    configuration and the command's own ``fields``."""
+    from . import __version__
+
+    return {"command": command, "version": __version__, "config": config, **fields}
+
+
 def _solver_options(args):
     from .sdp import SolveOptions
 
@@ -112,27 +120,22 @@ def _parse_levels(args) -> list[int]:
 
 
 def cmd_certify(args) -> int:
-    from . import __version__
     from .certify import CertStatus, run_hierarchy
 
     game = _load_game(args)
     levels = _parse_levels(args)
     results = run_hierarchy(game, levels, kind=args.kind, options=_solver_options(args))
-    report = {
-        "command": "certify",
-        "version": __version__,
-        "config": {
-            "game": args.game,
-            "kind": args.kind,
-            "levels": levels,
-            "add_ball": args.add_ball,
-            "sdp_tol": args.sdp_tol,
-            "sdp_max_iter": args.sdp_max_iter,
-            "verify": args.verify,
-            "seed": args.seed,
-        },
-        "results": [_result_json(r) for r in results],
+    config = {
+        "game": args.game,
+        "kind": args.kind,
+        "levels": levels,
+        "add_ball": args.add_ball,
+        "sdp_tol": args.sdp_tol,
+        "sdp_max_iter": args.sdp_max_iter,
+        "verify": args.verify,
+        "seed": args.seed,
     }
+    report = _report("certify", config, results=[_result_json(r) for r in results])
     if args.verify:
         from .oracles import sample_max_eigenvalue
 
@@ -152,7 +155,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from . import __version__
     from .jsonio import save_game
     from .project import ProjectionInfeasible, ProjectionSpec, project
 
@@ -177,36 +179,25 @@ def cmd_project(args) -> int:
     try:
         result = project(spec, _solver_options(args))
     except ProjectionInfeasible as exc:
-        _emit(
-            {
-                "command": "project",
-                "version": __version__,
-                "config": config,
-                "status": "infeasible",
-                "message": str(exc),
-            },
-            args.report,
-        )
+        _emit(_report("project", config, status="infeasible", message=str(exc)), args.report)
         return EXIT_INFEASIBLE
     if args.out:
         save_game(result.game, args.out)
-    report = {
-        "command": "project",
-        "version": __version__,
-        "config": config,
-        "status": "ok",
-        "distance": result.distance,
-        "epigraph_value": result.epigraph_value,
-        "payoff_deltas": result.payoff_deltas,
-        "certificate_residual": result.certificate.identity_residual,
-        "iterations": result.solver_iterations,
-    }
+    report = _report(
+        "project",
+        config,
+        status="ok",
+        distance=result.distance,
+        epigraph_value=result.epigraph_value,
+        payoff_deltas=result.payoff_deltas,
+        certificate_residual=result.certificate.identity_residual,
+        iterations=result.solver_iterations,
+    )
     _emit(report, args.report)
     return EXIT_OK
 
 
 def cmd_efg2poly(args) -> int:
-    from . import __version__
     from .efg import efg_to_game
     from .jsonio import load_efg, save_game
 
@@ -214,13 +205,12 @@ def cmd_efg2poly(args) -> int:
     game, vmap = efg_to_game(tree)
     if args.out:
         save_game(game, args.out)
-    report = {
-        "command": "efg2poly",
-        "version": __version__,
-        "config": {"tree": args.tree, "out": args.out},
-        "players": game.n_players,
-        "blocks": list(game.block_sizes),
-        "variables": {
+    report = _report(
+        "efg2poly",
+        {"tree": args.tree, "out": args.out},
+        players=game.n_players,
+        blocks=list(game.block_sizes),
+        variables={
             infoset: {
                 "player": player,
                 "actions": n_actions,
@@ -228,14 +218,13 @@ def cmd_efg2poly(args) -> int:
             }
             for infoset, (player, n_actions, var_idx) in vmap.entries.items()
         },
-        "payoff_degrees": [u.degree for u in game.payoffs],
-    }
+        payoff_degrees=[u.degree for u in game.payoffs],
+    )
     _emit(report, args.report)
     return EXIT_OK
 
 
 def cmd_export_sdpa(args) -> int:
-    from . import __version__
     from .certify import bound_program, target
     from .sdp import export_sdpa
     from .sos import compile_program
@@ -245,26 +234,25 @@ def cmd_export_sdpa(args) -> int:
         raise CliError("only --kind monotone is exportable as one SDP")
     problem, _ = compile_program(bound_program(*target(game), args.level))
     export_sdpa(problem, args.out)
-    report = {
-        "command": "export-sdpa",
-        "version": __version__,
-        "config": {
-            "game": args.game,
-            "kind": args.kind,
-            "level": args.level,
-            "add_ball": args.add_ball,
-            "out": args.out,
-        },
-        "blocks": list(problem.block_dims),
-        "free_variables": problem.n_free,
-        "constraints": problem.n_constraints,
+    config = {
+        "game": args.game,
+        "kind": args.kind,
+        "level": args.level,
+        "add_ball": args.add_ball,
+        "out": args.out,
     }
+    report = _report(
+        "export-sdpa",
+        config,
+        blocks=list(problem.block_dims),
+        free_variables=problem.n_free,
+        constraints=problem.n_constraints,
+    )
     _emit(report, args.report)
     return EXIT_OK
 
 
 def cmd_gauge(args) -> int:
-    from . import __version__
     from .project import GaugeInfeasible, gauge
 
     game = _load_game(args)
@@ -278,27 +266,9 @@ def cmd_gauge(args) -> int:
     try:
         value = gauge(game, args.level, _solver_options(args))
     except GaugeInfeasible as exc:
-        _emit(
-            {
-                "command": "gauge",
-                "version": __version__,
-                "config": config,
-                "status": "infeasible",
-                "message": str(exc),
-            },
-            args.out,
-        )
+        _emit(_report("gauge", config, status="infeasible", message=str(exc)), args.out)
         return EXIT_INFEASIBLE
-    _emit(
-        {
-            "command": "gauge",
-            "version": __version__,
-            "config": config,
-            "status": "ok",
-            "gauge": value,
-        },
-        args.out,
-    )
+    _emit(_report("gauge", config, status="ok", gauge=value), args.out)
     return EXIT_OK
 
 

@@ -203,7 +203,7 @@ class SdpProblem:
 @dataclass
 class SolveOptions:
     tol: float = 1e-8  # on the scaled residuals and the relative gap
-    max_iterations: int = 200
+    max_iterations: int = 200  # for the whole descent, its re-centered phase included
 
 
 @dataclass
@@ -442,20 +442,18 @@ def _max_step(Linv: list[np.ndarray], D: list[np.ndarray]) -> float:
     return -1.0 / lam_min
 
 
-WARM_PATIENCE = 8  # iterations a warm descent gets to beat the first's feasible gap
+class _Stall(Exception):
+    """Ends a descent early; its args are the (status, message) it reports
+    when there is no feasible iterate to fall back on."""
 
 
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
     """Run the interior-point iteration; never raises on numerical trouble,
     reporting a diagnosed status instead.
 
-    When the first descent stalls on a degenerate face with a feasible
-    iterate, one more descent is started from a re-centered copy of that
-    iterate.  That descent stops after ``WARM_PATIENCE`` iterations unless
-    it has reached a feasible gap below the first's.  Its outcome is
-    returned when it converges, or when it stalls with a smaller gap at an
-    iterate whose primal and dual residuals are within ``tol``; otherwise
-    the first descent's is.  Running out of memory is a NumericalFailure.
+    One descent runs per solve (see ``_solve_once``); its ``iterations``
+    count every phase of it, and ``max_iterations`` caps them all.
+    Running out of memory is a NumericalFailure.
     """
     opts = options or SolveOptions()
     reduction = _facial_reduction(problem.to_equality_form())
@@ -466,19 +464,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         )
     try:
         data = _Dense(reduction.problem)
-        if data.m == 0:
-            sol = _solve_unconstrained(data)
-        else:
-            sol, warm = _solve_once(data, opts, None)
-            # a returned warm start is a feasible iterate, so IterationLimit means gap > tol
-            if warm is not None and sol.status == SdpStatus.ITERATION_LIMIT:
-                second, _ = _solve_once(data, opts, warm, sol.relative_gap)
-                if second.status == SdpStatus.OPTIMAL or (
-                    second.status == SdpStatus.ITERATION_LIMIT
-                    and second.relative_gap < sol.relative_gap
-                    and max(second.primal_residual, second.dual_residual) <= opts.tol
-                ):
-                    sol = second
+        sol = _solve_unconstrained(data) if data.m == 0 else _solve_once(data, opts)
     except MemoryError as exc:
         sol = SdpSolution(status=SdpStatus.NUMERICAL_FAILURE, message=f"out of memory: {exc}")
     sol = reduction.inflate(sol)
@@ -486,28 +472,26 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     return sol
 
 
-def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[SdpSolution, tuple | None]:
-    """One descent on the reduced data, reported in its layout.  Returns
-    the solution and, when that solution is the best feasible iterate seen,
-    the iterate itself as ``(X, S, y, u, mu)`` in stacked form, the warm
-    start of a restart; otherwise None.  ``rival_gap`` is the gap a warm
-    descent must beat."""
+def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
+    """One descent on the reduced data, reported in its layout.
+
+    The descent keeps the feasible iterate with the smallest gap.  When it
+    would end early with one that has not converged (its gap stalls on a
+    degenerate face, or a step breaks down), it re-centers once instead:
+    ``X`` and ``S`` restart from that iterate's, shifted by ``sqrt(mu)*I``,
+    and the descent goes on under the same iteration budget.  The
+    feasible iterate with the smallest gap from either phase is returned.
+    """
     m, nf = data.m, data.nf
     nu = sum(data.dims)
 
-    if warm is not None:
-        X0, S0, y, u, mu0 = warm
-        shift = math.sqrt(max(mu0, 1e-14))
-        X = [Xg + shift * I for Xg, I in zip(X0, data.I)]
-        S = [Sg + shift * I for Sg, I in zip(S0, data.I)]
-    else:
-        # interior start scaled from the data magnitudes
-        xi_p = max(10.0, math.sqrt(max(data.dims)), data.norm_b / max(1.0, data.norm_A))
-        xi_d = max(10.0, math.sqrt(max(data.dims)), data.norm_C)
-        X = [xi_p * I for I in data.I]
-        S = [xi_d * I for I in data.I]
-        y = np.zeros(m)
-        u = np.zeros(nf)
+    # interior start scaled from the data magnitudes
+    xi_p = max(10.0, math.sqrt(max(data.dims)), data.norm_b / max(1.0, data.norm_A))
+    xi_d = max(10.0, math.sqrt(max(data.dims)), data.norm_C)
+    X = [xi_p * I for I in data.I]
+    S = [xi_d * I for I in data.I]
+    y = np.zeros(m)
+    u = np.zeros(nf)
 
     # orthogonal splitting of the dual space: y-steps are confined to the
     # nullspace of F^T, so the free-variable dual equation F^T y = c_f is
@@ -519,7 +503,7 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             return SdpSolution(
                 status=SdpStatus.NUMERICAL_FAILURE,
                 message="free-variable columns are linearly dependent",
-            ), None
+            )
         Q1, Q2 = Qf[:, :nf], Qf[:, nf:]
         Rf_low = np.asfortranarray(Rtri.T)
     else:
@@ -527,8 +511,10 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
         Q2 = np.eye(m)
 
     best: SdpSolution | None = None
-    best_warm = None
+    best_point = None  # its (X, S, y, u, mu), the start of a re-centering
     best_age = 0
+    blowup_ref = math.inf  # the best's primal residual; inf until this phase has one
+    recentered = False
 
     def measure():
         """The current iterate's residuals (rp, Rd, rf), objectives, scaled
@@ -561,19 +547,6 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
             message=message,
         )
 
-    def stop(status, message, it, measures=None):
-        """End the descent with the best feasible iterate if there is one,
-        else with the current iterate under ``status``."""
-        if best is None:
-            return build_solution(status, message, it, measures), None
-        if best.relative_gap <= opts.tol and best.primal_residual <= opts.tol and best.dual_residual <= opts.tol:
-            best.status = SdpStatus.OPTIMAL
-            best.message = "converged"
-        else:
-            best.status = SdpStatus.ITERATION_LIMIT
-            best.message = f"gap stalled at {best.relative_gap:.3e} with feasible iterate"
-        return best, best_warm
-
     for it in range(opts.max_iterations):
         if nf:
             # restore F^T y = c_f exactly before measuring residuals
@@ -586,179 +559,196 @@ def _solve_once(data: _Dense, opts: SolveOptions, warm, rival_gap=0.0) -> tuple[
         mu = gap / nu
 
         if err_p <= opts.tol and err_d <= opts.tol and rel_gap <= opts.tol:
-            return build_solution(SdpStatus.OPTIMAL, "converged", it, measures), None
+            return build_solution(SdpStatus.OPTIMAL, "converged", it, measures)
 
         # remember the feasible iterate with the smallest gap: on degenerate
         # faces the gap can floor out while feasibility stays excellent, and
         # iterating past that point only does damage
         if err_p <= opts.tol and err_d <= opts.tol:
             if best is None or rel_gap < (1 - 1e-4) * best.relative_gap:
-                best = build_solution(SdpStatus.OPTIMAL, "feasible iterate", it, measures)
+                best = build_solution(
+                    SdpStatus.ITERATION_LIMIT, f"gap stalled at {rel_gap:.3e} with feasible iterate", it, measures
+                )
                 # iterates are replaced, never written in place: no copies
-                best_warm = (X, S, y, u, mu)
+                best_point = (X, S, y, u, mu)
                 best_age = 0
+                blowup_ref = max(err_p, 1e-13)
             else:
                 best_age += 1
         elif best is not None:
             best_age += 1
-        if best is not None and (best_age >= 10 or err_p > 1e5 * max(best.primal_residual, 1e-13)):
-            return stop(SdpStatus.ITERATION_LIMIT, "", it, measures)
-        if warm is not None and it >= WARM_PATIENCE and (best is None or best.relative_gap >= rival_gap):
-            return stop(SdpStatus.ITERATION_LIMIT, "warm descent fell behind", it, measures)
 
-        # divergence-based infeasibility certificates
-        scale0 = 1.0 + data.norm_b + data.norm_C
-        if dobj > 1e6 * scale0 and float(data.b @ y) > 0:
-            yhat = y / float(data.b @ y)
-            lam = max(float(np.linalg.eigvalsh(At)[:, -1].max()) for At in data.apply_At(yhat))
-            fres = float(np.max(np.abs(data.F.T @ yhat))) if nf else 0.0
-            tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(yhat)))) * max(1.0, data.norm_A)
-            if lam <= tol_inf and fres <= tol_inf:
-                return build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it, measures), None
-        if pobj < -1e6 * scale0:
-            tr = sum(float(np.einsum("kii->", Xg)) for Xg in X)
-            Xhat = [Xg / tr for Xg in X]
-            uhat = u / tr
-            ares = float(np.max(np.abs(data.apply_A(Xhat, uhat))))
-            cval = _inner(data.C, Xhat) + float(data.cf @ uhat)
-            if ares <= 1e-7 * max(1.0, data.norm_A) and cval < 0:
-                return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it, measures), None
-
-        # triangular inverses, reused by every step-length bound below
         try:
-            Lx = [np.linalg.cholesky(Xg) for Xg in X]
-            LxInv = [np.linalg.inv(L) for L in Lx]
-            LsInv = [np.linalg.inv(np.linalg.cholesky(Sg)) for Sg in S]
-            Sinv = [_T(Li) @ Li for Li in LsInv]
-        except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone", it, measures)
+            if best_age >= 10 or err_p > 1e5 * blowup_ref:
+                raise _Stall(SdpStatus.ITERATION_LIMIT, "")
 
-        # Schur complement M_ij = tr(A_i X A_j S^-1) in explicit Gram form:
-        # with B_j = Lx' A_j Ls^-T, M = B B', and the triangular factor of
-        # the reduced system comes from a QR of B' -- the solves then see
-        # sqrt(cond(M)) instead of cond(M), which is what keeps the late,
-        # degenerate-face iterations from drifting off the affine subspace
-        Bfull = data.gram_factor(Lx, LsInv)
-        BR = Q2.T @ Bfull if nf else Bfull
+            # divergence-based infeasibility certificates
+            scale0 = 1.0 + data.norm_b + data.norm_C
+            if dobj > 1e6 * scale0 and float(data.b @ y) > 0:
+                yhat = y / float(data.b @ y)
+                lam = max(float(np.linalg.eigvalsh(At)[:, -1].max()) for At in data.apply_At(yhat))
+                fres = float(np.max(np.abs(data.F.T @ yhat))) if nf else 0.0
+                tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(yhat)))) * max(1.0, data.norm_A)
+                if lam <= tol_inf and fres <= tol_inf:
+                    return build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it, measures)
+            if pobj < -1e6 * scale0:
+                tr = sum(float(np.einsum("kii->", Xg)) for Xg in X)
+                Xhat = [Xg / tr for Xg in X]
+                uhat = u / tr
+                ares = float(np.max(np.abs(data.apply_A(Xhat, uhat))))
+                cval = _inner(data.C, Xhat) + float(data.cf @ uhat)
+                if ares <= 1e-7 * max(1.0, data.norm_A) and cval < 0:
+                    return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it, measures)
 
-        m_red = BR.shape[0]
-        try:
-            Rr = np.linalg.qr(BR.T, mode="r")
-            diag = np.abs(np.diag(Rr)) if Rr.shape[0] == m_red else np.zeros(1)
-            if float(np.min(diag, initial=math.inf)) < 1e-13 * float(np.max(diag, initial=1.0)):
-                # redundant constraints: redo with a tiny Tikhonov tail so
-                # the factor is square and positive definite; refinement
-                # against the true Gram absorbs the perturbation
-                row_norms = np.einsum("ij,ij->i", BR, BR)
-                delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
-                Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
-        except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed", it, measures)
-        Rr_low = np.asfortranarray(Rr.T)
+            # triangular inverses, reused by every step-length bound below
+            try:
+                Lx = [np.linalg.cholesky(Xg) for Xg in X]
+                LxInv = [np.linalg.inv(L) for L in Lx]
+                LsInv = [np.linalg.inv(np.linalg.cholesky(Sg)) for Sg in S]
+                Sinv = [_T(Li) @ Li for Li in LsInv]
+            except np.linalg.LinAlgError:
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone")
 
-        def reduced_solve(h: np.ndarray):
-            """Solve M dy + F du = h with F^T dy = 0, refining in the
-            reduced space via the triangular Gram factor."""
-            rhs = z = Q2.T @ h if nf else h  # empty when the free columns fill the rows
-            if m_red:
-                z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
-                for _ in range(3):
-                    res = rhs - BR @ (BR.T @ z)
-                    if float(np.max(np.abs(res))) <= 1e-13 * (1.0 + float(np.max(np.abs(rhs)))):
+            # Schur complement M_ij = tr(A_i X A_j S^-1) in explicit Gram form:
+            # with B_j = Lx' A_j Ls^-T, M = B B', and the triangular factor of
+            # the reduced system comes from a QR of B' -- the solves then see
+            # sqrt(cond(M)) instead of cond(M), which is what keeps the late,
+            # degenerate-face iterations from drifting off the affine subspace
+            Bfull = data.gram_factor(Lx, LsInv)
+            BR = Q2.T @ Bfull if nf else Bfull
+
+            m_red = BR.shape[0]
+            try:
+                Rr = np.linalg.qr(BR.T, mode="r")
+                diag = np.abs(np.diag(Rr)) if Rr.shape[0] == m_red else np.zeros(1)
+                if float(np.min(diag, initial=math.inf)) < 1e-13 * float(np.max(diag, initial=1.0)):
+                    # redundant constraints: redo with a tiny Tikhonov tail so
+                    # the factor is square and positive definite; refinement
+                    # against the true Gram absorbs the perturbation
+                    row_norms = np.einsum("ij,ij->i", BR, BR)
+                    delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
+                    Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
+            except np.linalg.LinAlgError:
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed")
+            Rr_low = np.asfortranarray(Rr.T)
+
+            def reduced_solve(h: np.ndarray):
+                """Solve M dy + F du = h with F^T dy = 0, refining in the
+                reduced space via the triangular Gram factor."""
+                rhs = z = Q2.T @ h if nf else h  # empty when the free columns fill the rows
+                if m_red:
+                    z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
+                    for _ in range(3):
+                        res = rhs - BR @ (BR.T @ z)
+                        if float(np.max(np.abs(res))) <= 1e-13 * (1.0 + float(np.max(np.abs(rhs)))):
+                            break
+                        z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
+                dy = Q2 @ z if nf else z
+                if nf:
+                    du = _tri_solve(Rf_low, Q1.T @ (h - Bfull @ (Bfull.T @ dy)), trans=1)
+                else:
+                    du = np.zeros(0)
+                return dy, du
+
+            def directions(Rc: list[np.ndarray]):
+                """Solve the Newton system (complementarity target Rc in the XS
+                space), then polish with exactly-applied residuals: the formed
+                Schur matrix only approximates the true operator once X, S are
+                ill-conditioned near a degenerate face."""
+                V = [_sym((R - Xg @ Rdg) @ Si) for R, Xg, Rdg, Si in zip(Rc, X, Rd, Sinv)]
+                dy, du = reduced_solve(rp - data.apply_A(V))
+                dAt = data.apply_At(dy)
+                dS = [Rdg - a for Rdg, a in zip(Rd, dAt)]
+                dX = [Vg + _sym(Xg @ a @ Si) for Vg, Xg, a, Si in zip(V, X, dAt, Sinv)]
+                for _ in range(2):
+                    r1 = rp - data.apply_A(dX, du)
+                    err = float(np.max(np.abs(r1)))
+                    if nf:
+                        err = max(err, float(np.max(np.abs(rf - data.F.T @ dy))))
+                    if err <= 1e-10 * (1.0 + float(np.max(np.abs(rp)))):
                         break
-                    z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
-            dy = Q2 @ z if nf else z
-            if nf:
-                du = _tri_solve(Rf_low, Q1.T @ (h - Bfull @ (Bfull.T @ dy)), trans=1)
-            else:
-                du = np.zeros(0)
-            return dy, du
+                    ey, eu = reduced_solve(r1)
+                    eAt = data.apply_At(ey)
+                    dy = dy + ey
+                    if nf:
+                        du = du + eu
+                    dS = [P - a for P, a in zip(dS, eAt)]
+                    dX = [P + _sym(Xg @ a @ Si) for P, Xg, a, Si in zip(dX, X, eAt, Sinv)]
+                return dX, du, dy, dS
 
-        def directions(Rc: list[np.ndarray]):
-            """Solve the Newton system (complementarity target Rc in the XS
-            space), then polish with exactly-applied residuals: the formed
-            Schur matrix only approximates the true operator once X, S are
-            ill-conditioned near a degenerate face."""
-            V = [_sym((R - Xg @ Rdg) @ Si) for R, Xg, Rdg, Si in zip(Rc, X, Rd, Sinv)]
-            dy, du = reduced_solve(rp - data.apply_A(V))
-            dAt = data.apply_At(dy)
-            dS = [Rdg - a for Rdg, a in zip(Rd, dAt)]
-            dX = [Vg + _sym(Xg @ a @ Si) for Vg, Xg, a, Si in zip(V, X, dAt, Sinv)]
-            for _ in range(2):
-                r1 = rp - data.apply_A(dX, du)
-                err = float(np.max(np.abs(r1)))
-                if nf:
-                    err = max(err, float(np.max(np.abs(rf - data.F.T @ dy))))
-                if err <= 1e-10 * (1.0 + float(np.max(np.abs(rp)))):
-                    break
-                ey, eu = reduced_solve(r1)
-                eAt = data.apply_At(ey)
-                dy = dy + ey
-                if nf:
-                    du = du + eu
-                dS = [P - a for P, a in zip(dS, eAt)]
-                dX = [P + _sym(Xg @ a @ Si) for P, Xg, a, Si in zip(dX, X, eAt, Sinv)]
-            return dX, du, dy, dS
+            # predictor (affine scaling)
+            XS = [Xg @ Sg for Xg, Sg in zip(X, S)]
+            try:
+                dXa, _, _, dSa = directions([-P for P in XS])
+            except np.linalg.LinAlgError:
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
 
-        # predictor (affine scaling)
-        XS = [Xg @ Sg for Xg, Sg in zip(X, S)]
-        try:
-            dXa, _, _, dSa = directions([-P for P in XS])
-        except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it, measures)
-
-        ap = min(1.0, _max_step(LxInv, dXa))
-        ad = min(1.0, _max_step(LsInv, dSa))
-        gap_aff = _inner(
-            [Xg + ap * D for Xg, D in zip(X, dXa)], [Sg + ad * D for Sg, D in zip(S, dSa)]
-        )
-        sigma = min(1.0, max(1e-10, (max(gap_aff, 0.0) / gap) ** 3))
-
-        # Mehrotra corrector; fall back to plain centering if it shortens
-        # the step badly
-        try:
-            dX, du, dy, dS = directions(
-                [sigma * mu * I - P - Da @ Db for I, P, Da, Db in zip(data.I, XS, dXa, dSa)]
+            ap = min(1.0, _max_step(LxInv, dXa))
+            ad = min(1.0, _max_step(LsInv, dSa))
+            gap_aff = _inner(
+                [Xg + ap * D for Xg, D in zip(X, dXa)], [Sg + ad * D for Sg, D in zip(S, dSa)]
             )
-            step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
-            if min(1.0, step_x, step_s) < 0.2 * min(ap, ad):
-                dX, du, dy, dS = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
+            sigma = min(1.0, max(1e-10, (max(gap_aff, 0.0) / gap) ** 3))
+
+            # Mehrotra corrector; fall back to plain centering if it shortens
+            # the step badly
+            try:
+                dX, du, dy, dS = directions(
+                    [sigma * mu * I - P - Da @ Db for I, P, Da, Db in zip(data.I, XS, dXa, dSa)]
+                )
                 step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
-        except np.linalg.LinAlgError:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "direction solve failed", it, measures)
+                if min(1.0, step_x, step_s) < 0.2 * min(ap, ad):
+                    dX, du, dy, dS = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
+                    step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
+            except np.linalg.LinAlgError:
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
 
-        gamma = 0.95 if it < 2 else 0.98
-        ap = min(1.0, gamma * step_x)
-        ad = min(1.0, gamma * step_s)
-        if ap < 1e-10 and ad < 1e-10:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it, measures)
+            gamma = 0.95 if it < 2 else 0.98
+            ap = min(1.0, gamma * step_x)
+            ad = min(1.0, gamma * step_s)
+            if ap < 1e-10 and ad < 1e-10:
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
 
-        # eigenvalue-based step bounds can overshoot once the blocks are
-        # nearly singular; verify with a Cholesky and back off if needed
-        def try_step(mats, dirs, alpha):
-            for _ in range(40):
-                trial = [_sym(P + alpha * D) for P, D in zip(mats, dirs)]
-                try:
-                    for T in trial:
-                        np.linalg.cholesky(T)
-                    return trial, alpha
-                except np.linalg.LinAlgError:
-                    alpha *= 0.8
-            return None, 0.0
+            # eigenvalue-based step bounds can overshoot once the blocks are
+            # nearly singular; verify with a Cholesky and back off if needed
+            def try_step(mats, dirs, alpha):
+                for _ in range(40):
+                    trial = [_sym(P + alpha * D) for P, D in zip(mats, dirs)]
+                    try:
+                        for T in trial:
+                            np.linalg.cholesky(T)
+                        return trial, alpha
+                    except np.linalg.LinAlgError:
+                        alpha *= 0.8
+                return None, 0.0
 
-        newX, ap = try_step(X, dX, ap)
-        newS, ad = try_step(S, dS, ad)
-        if newX is None or newS is None:
-            return stop(SdpStatus.NUMERICAL_FAILURE, "step length collapsed", it, measures)
-        X, S = newX, newS
-        y = y + ad * dy
-        if nf:
-            u = u + ap * du
+            newX, ap = try_step(X, dX, ap)
+            newS, ad = try_step(S, dS, ad)
+            if newX is None or newS is None:
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
+            if not all(np.all(np.isfinite(P)) for P in newX + newS):
+                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate")
+            X, S = newX, newS
+            y = y + ad * dy
+            if nf:
+                u = u + ap * du
+        except _Stall as halt:
+            # every stop short of convergence or an infeasibility ray comes
+            # here: without a feasible iterate the current one is reported;
+            # the best feasible one is re-centered once, then returned
+            if best is None:
+                return build_solution(*halt.args, it, measures)
+            if recentered:
+                return best
+            X0, S0, y, u, mu0 = best_point
+            shift = math.sqrt(max(mu0, 1e-14))
+            X = [Xg + shift * I for Xg, I in zip(X0, data.I)]
+            S = [Sg + shift * I for Sg, I in zip(S0, data.I)]
+            recentered, best_age, blowup_ref = True, 0, math.inf
 
-        if not all(np.all(np.isfinite(P)) for P in X + S):
-            return stop(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate", it)
-
-    return stop(SdpStatus.ITERATION_LIMIT, "iteration limit reached", opts.max_iterations)
+    if best is not None:
+        return best
+    return build_solution(SdpStatus.ITERATION_LIMIT, "iteration limit reached", opts.max_iterations)
 
 
 def _solve_unconstrained(data: _Dense) -> SdpSolution:
@@ -811,7 +801,7 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
     eq = problem.to_equality_form()
     sizes = list(eq.block_dims) + ([-eq.n_free] if eq.n_free else [])
     head = [str(eq.n_constraints), str(len(sizes)), " ".join(map(str, sizes)),
-            " ".join("%.16e" % v for v in eq.rhs.tolist())]
+            " ".join(["%.16e"] * len(eq.rhs)) % tuple(eq.rhs.tolist())]
     free_blk = len(eq.block_dims) + 1  # 1-based index of the free diagonal block
     og, of, g, f = eq.obj_gram, eq.obj_free, eq.gram, eq.free
     columns = [

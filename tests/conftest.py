@@ -1,4 +1,7 @@
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,31 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 def corpus_path(name: str) -> str:
     return os.path.join(CORPUS, name)
+
+
+CHILD_CERTIFY = """
+import json, sys
+from gamecert.certify import certify_monotone
+from gamecert.jsonio import load_game
+result = certify_monotone(load_game(sys.argv[1]), 4)
+print(json.dumps({"lam": result.lam, "status": result.status.value,
+                  "diagnostic": result.diagnostic}))
+"""
+
+
+def certify_deg4_in_child(blas_threads: int) -> dict:
+    """The level-4 monotone certification of deg4 in a fresh process on
+    ``blas_threads`` OpenBLAS threads (OpenBLAS fixes its thread count when
+    numpy loads): its lam, status and diagnostic."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD_CERTIFY, corpus_path("deg4.game.json")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,6 @@ lines as they complete.
 """
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -26,7 +22,7 @@ from gamecert.oracles import jacobi_eigenvalues, sample_max_eigenvalue
 from gamecert.polynomials import Polynomial, monomials_upto
 from gamecert.project import ProjectionSpec, gauge, project
 from gamecert.sdp import Free, Gram, SdpProblem, SdpStatus, export_sdpa, import_sdpa, make_coo, solve
-from tests.conftest import corpus_path, unit_interval_game
+from tests.conftest import certify_deg4_in_child, unit_interval_game
 
 
 def report(criterion: int, text: str):
@@ -77,28 +73,9 @@ def test_criterion_4_deg4_strictly_monotone(deg4_game):
     report(4, f"deg4 level 4: lambda={result.lam:.6f}, {result.status.value}, {elapsed:.2f}s")
 
 
-CHILD_CERTIFY = """
-import json, sys
-from gamecert.certify import certify_monotone
-from gamecert.jsonio import load_game
-result = certify_monotone(load_game(sys.argv[1]), 4)
-print(json.dumps({"lam": result.lam, "status": result.status.value,
-                  "diagnostic": result.diagnostic}))
-"""
-
-
 def test_criterion_4_on_two_blas_threads():
-    # criterion 4 under two OpenBLAS threads, whatever the host's default;
-    # OpenBLAS fixes its thread count when numpy loads, hence a fresh process
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD_CERTIFY, corpus_path("deg4.game.json")],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert child.returncode == 0, child.stderr
-    result = json.loads(child.stdout)
+    # criterion 4 under two OpenBLAS threads, whatever the host's default
+    result = certify_deg4_in_child(2)
     assert result["status"] == CertStatus.STRICTLY_CERTIFIED.value, result["diagnostic"]
     assert result["lam"] == pytest.approx(-1.0, abs=1e-2)
     report(4, f"deg4 level 4 on 2 BLAS threads: lambda={result['lam']:.6f}, {result['status']}")
