@@ -334,7 +334,7 @@ def _facial_reduction(problem: SdpProblem) -> Restriction | None:
 
 
 def _T(P: np.ndarray) -> np.ndarray:
-    return np.swapaxes(P, -1, -2)
+    return P.swapaxes(-1, -2)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -360,8 +360,10 @@ class _Dense:
 
     Group g stacks its blocks in their original order: ``C[g]`` is
     (k, d, d) and ``A[g]`` is (m, k, d, d), so each per-iteration step is
-    one stacked call per block size.  Iterates use the same layout, a list
-    of (k, d, d) stacks; ``slots[b]`` is the (group, position) of block b.
+    one stacked call per block size.  Iterates use the same layout, X and S
+    of group g paired as one (2, k, d, d) stack so that their factorizations
+    and step bounds are one call too; ``slots[b]`` is the (group, position)
+    of block b.
     """
 
     def __init__(self, prob: SdpProblem):
@@ -397,13 +399,17 @@ class _Dense:
         self.b = prob.rhs.copy()
         self.Aflat = [A.reshape(self.m, I.size) for A, I in zip(self.A, self.I)]
         # the Gram-form Schur factor keeps its columns in the original block
-        # order, so its QR sees the same matrix whatever the grouping
-        self.col_order = None
-        if self.slots != sorted(self.slots):
-            first = np.cumsum([0] + [I.size for I in self.I])
-            self.col_order = np.concatenate(
-                [first[g] + p * d * d + np.arange(d * d) for (g, p), d in zip(self.slots, self.dims)]
-            )
+        # order, so its QR sees the same matrix whatever the grouping: group
+        # g's products go to columns ``cols[g]`` (a slice when they are one
+        # run).  A grouping that permutes the columns gets a Fortran-ordered
+        # factor, the layout its rounding has always had
+        first = np.cumsum([0] + [d * d for d in self.dims])
+        self.n_cols = int(first[-1])
+        self.cols = []
+        for g in range(len(sizes)):
+            c = np.concatenate([np.arange(first[b], first[b + 1]) for b, (h, _) in enumerate(self.slots) if h == g])
+            self.cols.append(slice(c[0], c[-1] + 1) if c[-1] - c[0] + 1 == len(c) else c)
+        self.order = "C" if self.slots == sorted(self.slots) else "F"
         self.norm_b = float(np.max(np.abs(self.b), initial=0.0))
         self.norm_C = max(float(np.max(np.abs(P), initial=0.0)) for P in self.C + [self.cf])
         self.norm_A = max(float(np.max(np.abs(P), initial=0.0)) for P in self.A + [self.F])
@@ -420,31 +426,58 @@ class _Dense:
     def gram_factor(self, Lx: list[np.ndarray], LsInv: list[np.ndarray]) -> np.ndarray:
         """B with row j the flattened blocks of Lx^T A_j Ls^-T, so that the
         Schur complement tr(A_i X A_j S^-1) is B B^T."""
-        parts = [
-            (_T(L) @ A @ _T(Li)).reshape(self.m, -1) for L, A, Li in zip(Lx, self.A, LsInv)
-        ]
-        B = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return B if self.col_order is None else B[:, self.col_order]
+        if len(self.A) == 1:
+            return (_T(Lx[0]) @ self.A[0] @ _T(LsInv[0])).reshape(self.m, -1)
+        B = np.empty((self.m, self.n_cols), order=self.order)
+        for L, A, Li, cols in zip(Lx, self.A, LsInv, self.cols):
+            B[:, cols] = (_T(L) @ A @ _T(Li)).reshape(self.m, -1)
+        return B
 
     def unstack(self, P: list[np.ndarray]) -> list[np.ndarray]:
         """Per-block views of a stacked iterate, in block order."""
         return [P[g][p] for g, p in self.slots]
 
 
-def _max_step(Linv: list[np.ndarray], D: list[np.ndarray]) -> float:
-    """Largest alpha with P + alpha*D PSD in every block, given the inverse
-    Cholesky factors of P (P^-1 = Linv^T Linv)."""
-    lam_min = min(
-        float(np.linalg.eigvalsh(_sym(Li @ Dg @ _T(Li)))[:, 0].min()) for Li, Dg in zip(Linv, D)
+def _max_step(Linv: list[np.ndarray], D: list[np.ndarray]) -> np.ndarray:
+    """Largest alpha per side with P + alpha*D PSD in every block, for
+    paired (2, k, d, d) stacks P and D given the inverse Cholesky factors
+    of P (P^-1 = Linv^T Linv); inf on a side whose D keeps P PSD."""
+    lam_min = np.minimum.reduce(
+        [np.linalg.eigvalsh(_sym(Li @ Dg @ _T(Li)))[..., 0].min(axis=1) for Li, Dg in zip(Linv, D)]
     )
-    if lam_min >= -1e-13:
-        return math.inf
-    return -1.0 / lam_min
+    return np.where(lam_min >= -1e-13, math.inf, -1.0 / np.minimum(lam_min, -1e-13))
 
 
 class _Stall(Exception):
     """Ends a descent early; its args are the (status, message) it reports
     when there is no feasible iterate to fall back on."""
+
+
+def _back_off(Z: list[np.ndarray], D: list[np.ndarray], alpha: np.ndarray):
+    """The trial iterate Z + alpha*D of paired stacks, with its Cholesky
+    factors and the step lengths taken.
+
+    Eigenvalue step bounds can overshoot once the blocks are nearly
+    singular, so the trial is verified by a Cholesky: a side that fails it
+    backs off by 0.8 on its own, and 40 failures on one side end the
+    descent."""
+
+    def positive(mats):
+        try:
+            for P in mats:
+                np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    for _ in range(40):
+        trial = [_sym(P + alpha[:, None, None, None] * Dg) for P, Dg in zip(Z, D)]
+        try:
+            return trial, [np.linalg.cholesky(T) for T in trial], alpha
+        except np.linalg.LinAlgError:
+            ok = [positive([T[side] for T in trial]) for side in (0, 1)]
+            alpha = np.where(ok, alpha, 0.8 * alpha)
+    raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
 
 
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
@@ -488,8 +521,9 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     # interior start scaled from the data magnitudes
     xi_p = max(10.0, math.sqrt(max(data.dims)), data.norm_b / max(1.0, data.norm_A))
     xi_d = max(10.0, math.sqrt(max(data.dims)), data.norm_C)
-    X = [xi_p * I for I in data.I]
-    S = [xi_d * I for I in data.I]
+    Z = [np.stack([xi_p * I, xi_d * I]) for I in data.I]  # X and S paired per group
+    L = None  # Cholesky factors of Z, carried over from the accepted trial
+    X, S = [P[0] for P in Z], [P[1] for P in Z]
     y = np.zeros(m)
     u = np.zeros(nf)
 
@@ -511,7 +545,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
         Q2 = np.eye(m)
 
     best: SdpSolution | None = None
-    best_point = None  # its (X, S, y, u, mu), the start of a re-centering
+    best_point = None  # its (Z, y, u, mu), the start of a re-centering
     best_age = 0
     blowup_ref = math.inf  # the best's primal residual; inf until this phase has one
     recentered = False
@@ -524,9 +558,9 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
         rf = data.cf - data.F.T @ y if nf else np.zeros(0)
         pobj = _inner(data.C, X) + float(data.cf @ u)
         dobj = float(data.b @ y)
-        err_p = float(np.max(np.abs(rp))) / (1.0 + data.norm_b)
-        err_d = max(float(np.max(np.abs(R))) for R in Rd) / (1.0 + data.norm_C)
-        err_f = (float(np.max(np.abs(rf))) / (1.0 + data.norm_C)) if nf else 0.0
+        err_p = float(np.abs(rp).max()) / (1.0 + data.norm_b)
+        err_d = max(float(np.abs(R).max()) for R in Rd) / (1.0 + data.norm_C)
+        err_f = (float(np.abs(rf).max()) / (1.0 + data.norm_C)) if nf else 0.0
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return rp, Rd, rf, pobj, dobj, err_p, max(err_d, err_f), rel_gap
 
@@ -570,7 +604,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                     SdpStatus.ITERATION_LIMIT, f"gap stalled at {rel_gap:.3e} with feasible iterate", it, measures
                 )
                 # iterates are replaced, never written in place: no copies
-                best_point = (X, S, y, u, mu)
+                best_point = (Z, y, u, mu)
                 best_age = 0
                 blowup_ref = max(err_p, 1e-13)
             else:
@@ -602,12 +636,14 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
             # triangular inverses, reused by every step-length bound below
             try:
-                Lx = [np.linalg.cholesky(Xg) for Xg in X]
-                LxInv = [np.linalg.inv(L) for L in Lx]
-                LsInv = [np.linalg.inv(np.linalg.cholesky(Sg)) for Sg in S]
-                Sinv = [_T(Li) @ Li for Li in LsInv]
+                if L is None:
+                    L = [np.linalg.cholesky(P) for P in Z]
+                Linv = [np.linalg.inv(P) for P in L]
             except np.linalg.LinAlgError:
                 raise _Stall(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone")
+            Lx, LsInv = [P[0] for P in L], [P[1] for P in Linv]
+            Sinv = [_T(Li) @ Li for Li in LsInv]
+            XRd = [Xg @ Rdg for Xg, Rdg in zip(X, Rd)]
 
             # Schur complement M_ij = tr(A_i X A_j S^-1) in explicit Gram form:
             # with B_j = Lx' A_j Ls^-T, M = B B', and the triangular factor of
@@ -640,7 +676,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                     z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
                     for _ in range(3):
                         res = rhs - BR @ (BR.T @ z)
-                        if float(np.max(np.abs(res))) <= 1e-13 * (1.0 + float(np.max(np.abs(rhs)))):
+                        if float(np.abs(res).max()) <= 1e-13 * (1.0 + float(np.abs(rhs).max())):
                             break
                         z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
                 dy = Q2 @ z if nf else z
@@ -655,80 +691,62 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                 space), then polish with exactly-applied residuals: the formed
                 Schur matrix only approximates the true operator once X, S are
                 ill-conditioned near a degenerate face."""
-                V = [_sym((R - Xg @ Rdg) @ Si) for R, Xg, Rdg, Si in zip(Rc, X, Rd, Sinv)]
+                V = [_sym((R - XR) @ Si) for R, XR, Si in zip(Rc, XRd, Sinv)]
                 dy, du = reduced_solve(rp - data.apply_A(V))
-                dAt = data.apply_At(dy)
-                dS = [Rdg - a for Rdg, a in zip(Rd, dAt)]
-                dX = [Vg + _sym(Xg @ a @ Si) for Vg, Xg, a, Si in zip(V, X, dAt, Sinv)]
+                D = [np.empty((2,) + I.shape) for I in data.I]  # dX and dS paired
+                for Dg, Vg, Xg, a, Rdg, Si in zip(D, V, X, data.apply_At(dy), Rd, Sinv):
+                    np.add(Vg, _sym(Xg @ a @ Si), out=Dg[0])
+                    np.subtract(Rdg, a, out=Dg[1])
                 for _ in range(2):
-                    r1 = rp - data.apply_A(dX, du)
-                    err = float(np.max(np.abs(r1)))
+                    r1 = rp - data.apply_A([Dg[0] for Dg in D], du)
+                    err = float(np.abs(r1).max())
                     if nf:
-                        err = max(err, float(np.max(np.abs(rf - data.F.T @ dy))))
-                    if err <= 1e-10 * (1.0 + float(np.max(np.abs(rp)))):
+                        err = max(err, float(np.abs(rf - data.F.T @ dy).max()))
+                    if err <= 1e-10 * (1.0 + float(np.abs(rp).max())):
                         break
                     ey, eu = reduced_solve(r1)
-                    eAt = data.apply_At(ey)
                     dy = dy + ey
                     if nf:
                         du = du + eu
-                    dS = [P - a for P, a in zip(dS, eAt)]
-                    dX = [P + _sym(Xg @ a @ Si) for P, Xg, a, Si in zip(dX, X, eAt, Sinv)]
-                return dX, du, dy, dS
+                    for Dg, Xg, a, Si in zip(D, X, data.apply_At(ey), Sinv):
+                        Dg[0] += _sym(Xg @ a @ Si)
+                        Dg[1] -= a
+                return D, du, dy
 
             # predictor (affine scaling)
             XS = [Xg @ Sg for Xg, Sg in zip(X, S)]
             try:
-                dXa, _, _, dSa = directions([-P for P in XS])
+                Da, _, _ = directions([-P for P in XS])
             except np.linalg.LinAlgError:
                 raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
 
-            ap = min(1.0, _max_step(LxInv, dXa))
-            ad = min(1.0, _max_step(LsInv, dSa))
-            gap_aff = _inner(
-                [Xg + ap * D for Xg, D in zip(X, dXa)], [Sg + ad * D for Sg, D in zip(S, dSa)]
-            )
+            ap, ad = alpha = np.minimum(1.0, _max_step(Linv, Da))
+            aff = [P + alpha[:, None, None, None] * D for P, D in zip(Z, Da)]
+            gap_aff = _inner([P[0] for P in aff], [P[1] for P in aff])
             sigma = min(1.0, max(1e-10, (max(gap_aff, 0.0) / gap) ** 3))
 
             # Mehrotra corrector; fall back to plain centering if it shortens
             # the step badly
             try:
-                dX, du, dy, dS = directions(
-                    [sigma * mu * I - P - Da @ Db for I, P, Da, Db in zip(data.I, XS, dXa, dSa)]
+                D, du, dy = directions(
+                    [sigma * mu * I - P - Dg[0] @ Dg[1] for I, P, Dg in zip(data.I, XS, Da)]
                 )
-                step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
-                if min(1.0, step_x, step_s) < 0.2 * min(ap, ad):
-                    dX, du, dy, dS = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
-                    step_x, step_s = _max_step(LxInv, dX), _max_step(LsInv, dS)
+                steps = _max_step(Linv, D)
+                if min(1.0, *steps) < 0.2 * min(ap, ad):
+                    D, du, dy = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
+                    steps = _max_step(Linv, D)
             except np.linalg.LinAlgError:
                 raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
 
             gamma = 0.95 if it < 2 else 0.98
-            ap = min(1.0, gamma * step_x)
-            ad = min(1.0, gamma * step_s)
-            if ap < 1e-10 and ad < 1e-10:
+            alpha = np.minimum(1.0, gamma * steps)
+            if alpha.max() < 1e-10:
                 raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
-
-            # eigenvalue-based step bounds can overshoot once the blocks are
-            # nearly singular; verify with a Cholesky and back off if needed
-            def try_step(mats, dirs, alpha):
-                for _ in range(40):
-                    trial = [_sym(P + alpha * D) for P, D in zip(mats, dirs)]
-                    try:
-                        for T in trial:
-                            np.linalg.cholesky(T)
-                        return trial, alpha
-                    except np.linalg.LinAlgError:
-                        alpha *= 0.8
-                return None, 0.0
-
-            newX, ap = try_step(X, dX, ap)
-            newS, ad = try_step(S, dS, ad)
-            if newX is None or newS is None:
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
-            if not all(np.all(np.isfinite(P)) for P in newX + newS):
+            trial, factors, (ap, ad) = _back_off(Z, D, alpha)
+            if not all(np.isfinite(P).all() for P in trial):
                 raise _Stall(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate")
-            X, S = newX, newS
+            Z, L = trial, factors
+            X, S = [P[0] for P in Z], [P[1] for P in Z]
             y = y + ad * dy
             if nf:
                 u = u + ap * du
@@ -740,10 +758,10 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                 return build_solution(*halt.args, it, measures)
             if recentered:
                 return best
-            X0, S0, y, u, mu0 = best_point
+            Z0, y, u, mu0 = best_point
             shift = math.sqrt(max(mu0, 1e-14))
-            X = [Xg + shift * I for Xg, I in zip(X0, data.I)]
-            S = [Sg + shift * I for Sg, I in zip(S0, data.I)]
+            Z, L = [P + shift * I for P, I in zip(Z0, data.I)], None
+            X, S = [P[0] for P in Z], [P[1] for P in Z]
             recentered, best_age, blowup_ref = True, 0, math.inf
 
     if best is not None:

@@ -120,6 +120,66 @@ def test_block_order_invariance(dims, n_le, perm):
     assert whole.primal_objective == pytest.approx(sol.primal_objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("dims", [(3, 2, 3, 4), (2, 3, 4)], ids=["permuted", "sorted"])
+def test_gram_factor_keeps_block_order(dims):
+    data = sdp._Dense(random_block_problem(np.random.default_rng(5), dims))
+    rng = np.random.default_rng(6)
+    Lx = [np.tril(rng.standard_normal(I.shape)) for I in data.I]
+    LsInv = [np.tril(rng.standard_normal(I.shape)) for I in data.I]
+    B = data.gram_factor(Lx, LsInv)
+    # reference: block by block in the original order
+    blocks = zip(data.unstack(Lx), data.unstack(LsInv), data.unstack([np.moveaxis(A, 0, 1) for A in data.A]))
+    ref = np.concatenate([(L.T @ A @ Li.T).reshape(data.m, -1) for L, Li, A in blocks], axis=1)
+    assert np.allclose(B, ref, rtol=1e-13, atol=0)
+    assert B.flags.f_contiguous == (data.slots != sorted(data.slots))
+
+
+def test_paired_step_bound_matches_eigvalsh():
+    rng = np.random.default_rng(11)
+    # positive definite X and S paired in (2, k, d, d) stacks, one per size
+    P = [(lambda B: B @ np.swapaxes(B, -1, -2) + np.eye(d))(rng.standard_normal((2, k, d, d)))
+         for d, k in ((3, 2), (2, 4))]
+    D = [(lambda B: B + np.swapaxes(B, -1, -2))(rng.standard_normal(Pg.shape)) for Pg in P]
+    Linv = [np.linalg.inv(np.linalg.cholesky(Pg)) for Pg in P]
+    steps = sdp._max_step(Linv, D)
+    for side in (0, 1):
+        lam = min(
+            float(np.linalg.eigvalsh(Li @ Dm @ Li.T)[0])
+            for Lg, Dg in zip(Linv, D) for Li, Dm in zip(Lg[side], Dg[side])
+        )
+        assert lam < 0
+        assert steps[side] == pytest.approx(-1.0 / lam, rel=1e-12)
+        # the bound is where the first block turns singular
+        low = min(float(np.linalg.eigvalsh(Pg[side] + steps[side] * Dg[side]).min()) for Pg, Dg in zip(P, D))
+        assert abs(low) < 1e-9
+    # a PSD direction on one side never bounds its step
+    for Dg in D:
+        Dg[1] = Dg[1] @ Dg[1]
+    steps = sdp._max_step(Linv, D)
+    assert steps[1] == math.inf and steps[0] < math.inf
+
+
+def test_back_off_shrinks_only_the_failing_side():
+    Z = [np.broadcast_to(np.eye(d), (2, k, d, d)) for d, k in ((3, 2), (2, 4))]
+    # X + a*dX is positive definite only for a < 0.5; S + a*dS always is
+    D = [np.stack([-2.0 * Zg[0], Zg[1]]) for Zg in Z]
+    trial, factors, alpha = sdp._back_off(Z, D, np.array([1.0, 1.0]))
+    assert alpha.tolist() == [1.0 * 0.8 * 0.8 * 0.8 * 0.8, 1.0]
+    for T, Lf, Zg, Dg in zip(trial, factors, Z, D):
+        assert np.array_equal(T, Zg + alpha[:, None, None, None] * Dg)
+        assert np.array_equal(Lf, np.linalg.cholesky(T))
+    # 39 failures on one side still give a step; 40 end the descent
+    for half_steps, fails in ((77, False), (79, True)):
+        D = [np.stack([Zg[0], -0.8 ** (-half_steps / 2) * Zg[1]]) for Zg in Z]
+        if fails:
+            with pytest.raises(sdp._Stall) as stall:
+                sdp._back_off(Z, D, np.array([1.0, 1.0]))
+            assert stall.value.args == (SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
+        else:
+            _, _, alpha = sdp._back_off(Z, D, np.array([1.0, 1.0]))
+            assert alpha[0] == 1.0 and alpha[1] == pytest.approx(0.8 ** 39, rel=1e-12)
+
+
 @pytest.mark.parametrize("cap, status, tol", [(200, "Optimal", 1e-6), (22, "IterationLimit", 1e-4)],
                          ids=["converges", "capped"])
 def test_fig3_recentered_descent_shares_the_budget(fig3_game, cap, status, tol):
