@@ -510,10 +510,11 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
     The descent keeps the feasible iterate with the smallest gap.  When it
     would end early with one that has not converged (its gap stalls on a
-    degenerate face, or a step breaks down), it re-centers once instead:
-    ``X`` and ``S`` restart from that iterate's, shifted by ``sqrt(mu)*I``,
-    and the descent goes on under the same iteration budget.  The
-    feasible iterate with the smallest gap from either phase is returned.
+    degenerate face, two steps in a row fall short of 0.1, or a step breaks
+    down), it re-centers once instead: ``X`` and ``S`` restart from that
+    iterate's, shifted by ``sqrt(mu)*I``, and the descent goes on under the
+    same iteration budget.  The feasible iterate with the smallest gap from
+    either phase is returned.
     """
     m, nf = data.m, data.nf
     nu = sum(data.dims)
@@ -548,6 +549,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     best_point = None  # its (Z, y, u, mu), the start of a re-centering
     best_age = 0
     blowup_ref = math.inf  # the best's primal residual; inf until this phase has one
+    short_steps = 0  # consecutive steps with min(ap, ad) < 0.1
     recentered = False
 
     def measure():
@@ -750,6 +752,12 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             y = y + ad * dy
             if nf:
                 u = u + ap * du
+            # a second short step in a row means the first phase has stalled:
+            # re-center from its best feasible iterate now, not after 10
+            # stale iterations or a blow-up
+            short_steps = short_steps + 1 if min(ap, ad) < 0.1 else 0
+            if short_steps >= 2 and best is not None and not recentered:
+                raise _Stall(SdpStatus.ITERATION_LIMIT, "")
         except _Stall as halt:
             # every stop short of convergence or an infeasibility ray comes
             # here: without a feasible iterate the current one is reported;
