@@ -73,6 +73,16 @@ class Polynomial:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", canon)
 
+    @classmethod
+    def _of_terms(cls, n_vars: int, terms: Dict[Monomial, float]) -> "Polynomial":
+        """What the constructor makes of ``terms`` whose keys are already
+        int tuples of length ``n_vars``, as the ring operations' are: only
+        the float conversion and the ``CANON_EPS`` drop run."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n_vars", n_vars)
+        object.__setattr__(poly, "terms", {e: float(c) for e, c in terms.items() if abs(c) >= CANON_EPS})
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -164,13 +174,13 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms.get(exps, 0.0) + coeff
-        return Polynomial(self.n_vars, terms)
+        return Polynomial._of_terms(self.n_vars, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of_terms(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
@@ -181,12 +191,12 @@ class Polynomial:
             for eb, cb in other.terms.items():
                 key = tuple(a + b for a, b in zip(ea, eb))
                 terms[key] = terms.get(key, 0.0) + ca * cb
-        return Polynomial(self.n_vars, terms)
+        return Polynomial._of_terms(self.n_vars, terms)
 
     __rmul__ = __mul__
 
     def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(self.n_vars, {e: c * factor for e, c in self.terms.items()})
+        return Polynomial._of_terms(self.n_vars, {e: c * factor for e, c in self.terms.items()})
 
     # -- calculus and evaluation ---------------------------------------
 

@@ -67,6 +67,37 @@ def test_ring_axioms_random():
         assert allclose(p * (q + r), p * q + p * r, 1e-12)
 
 
+def test_ring_operations_match_the_public_constructor():
+    p = Polynomial(3, {(0, 0, 0): 0.5, (1, 0, 0): -2.0, (0, 2, 1): 3.0, (1, 1, 1): -0.25})
+    q = random_poly(np.random.default_rng(12), 3, 3)
+    factor = np.float64(-1.5)
+    # each result against the constructor fed the same raw sums and products
+    summed = dict(p.terms)
+    for e, c in q.terms.items():
+        summed[e] = summed.get(e, 0.0) + c
+    multiplied = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            multiplied[key] = multiplied.get(key, 0.0) + ca * cb
+    cases = [
+        (p + q, summed),
+        (p + (-p), {e: c - c for e, c in p.terms.items()}),
+        (-p, {e: -c for e, c in p.terms.items()}),
+        (p * q, multiplied),
+        (p.scale(factor), {e: c * factor for e, c in p.terms.items()}),
+        (p * factor, {e: c * float(factor) for e, c in p.terms.items()}),
+        (p.scale(1e-14), {e: c * 1e-14 for e, c in p.terms.items()}),
+    ]
+    for result, raw in cases:
+        expected = Polynomial(3, raw)
+        assert list(result.terms.items()) == list(expected.terms.items())
+        assert all(type(c) is float for c in result.terms.values())
+        assert all(type(e) is tuple and all(type(k) is int for k in e) for e in result.terms)
+    # the CANON_EPS drop ran: some scaled terms fell below it, some did not
+    assert 0 < len(p.scale(1e-14).terms) < len(p.terms)
+
+
 def test_differentiate_analytic():
     p = Polynomial(1, {(2,): -3.0, (1,): 4.0})
     assert p.differentiate(0).terms == {(1,): -6.0, (0,): 4.0}
