@@ -109,11 +109,14 @@ def _result_json(result) -> dict:
 
 def _parse_levels(args) -> list[int]:
     if args.levels:
-        lo, _, hi = args.levels.partition("..")
+        lo, dots, hi = args.levels.partition("..")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            levels = list(range(int(lo), int(hi if dots else lo) + 1))
         except ValueError:
             raise CliError(f"bad --levels range {args.levels!r}")
+        if not levels:
+            raise CliError(f"empty --levels range {args.levels!r}")
+        return levels
     if args.level is None:
         raise CliError("--level or --levels is required")
     return [args.level]
@@ -122,8 +125,8 @@ def _parse_levels(args) -> list[int]:
 def cmd_certify(args) -> int:
     from .certify import CertStatus, run_hierarchy
 
-    game = _load_game(args)
     levels = _parse_levels(args)
+    game = _load_game(args)
     results = run_hierarchy(game, levels, kind=args.kind, options=_solver_options(args))
     config = {
         "game": args.game,
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--kind", choices=("monotone", "concave"), default="monotone")
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--levels", default=None, metavar="A..B")
+    p.add_argument("--levels", default=None, metavar="A..B", help="levels A to B, or one level N")
     p.add_argument("--verify", type=_count, default=0, metavar="N",
                    help="also sample N domain points and report the eigenvalue bound")
     p.add_argument("--seed", type=int, default=0x5EED)

@@ -76,6 +76,18 @@ def test_certify_levels_range_and_verify(capsys):
     assert report["verify"]["max_eigenvalue"] == pytest.approx(-6.0, abs=1e-9)
 
 
+def test_certify_single_level_in_levels(capsys):
+    one = run_cli(capsys, "certify", "--levels", "2", corpus_path("driver.game.json"))
+    assert one == run_cli(capsys, "certify", "--level", "2", corpus_path("driver.game.json"))
+    assert one[0] == 0
+
+
+def test_certify_empty_levels_range_exit_one(capsys):
+    # rejected before the game file is read
+    assert main(["certify", "--levels", "4..2", "/no/such/file.json"]) == 1
+    assert "empty --levels range '4..2'" in capsys.readouterr().err
+
+
 def test_certify_add_ball(capsys):
     code, out = run_cli(capsys, "certify", "--level", "2", "--add-ball", "2.0",
                         corpus_path("driver.game.json"))
