@@ -723,7 +723,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                 raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
 
             ap, ad = alpha = np.minimum(1.0, _max_step(Linv, Da))
-            aff = [P + alpha[:, None, None, None] * D for P, D in zip(Z, Da)]
+            aff = [P + alpha[:, None, None, None] * Dg for P, Dg in zip(Z, Da)]
             gap_aff = _inner([P[0] for P in aff], [P[1] for P in aff])
             sigma = min(1.0, max(1e-10, (max(gap_aff, 0.0) / gap) ** 3))
 
