@@ -281,15 +281,30 @@ def _add_ball_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sdp-tol", type=float, default=1e-8, help="solver feasibility/gap tolerance")
-    p.add_argument("--sdp-max-iter", type=int, default=200, help="solver iteration cap")
+    p.add_argument("--sdp-tol", type=_tolerance, default=1e-8, help="solver feasibility/gap tolerance")
+    p.add_argument("--sdp-max-iter", type=_iterations, default=200, help="solver iteration cap")
     _add_ball_flag(p)
 
 
-def _count(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _iterations(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 

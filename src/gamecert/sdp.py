@@ -10,8 +10,11 @@ Problem form (minimization):
 solving or exporting.  The search direction is the HKM/XZ scaled Newton
 step with a Mehrotra predictor-corrector.  Blocks of equal size are
 stacked, so each step of an iteration runs once per block size; the Schur
-complement is formed densely, in Gram form, and free variables are handled
-through an augmented system (no PSD splitting).
+complement is formed densely, in Gram form.  Free variables need no PSD
+splitting: the rows are rotated once by the complete QR of the free
+columns, which then touch only the first n_free rows, so the free-variable
+dual equation fixes those duals and the Newton system reduces to the other
+rows.
 
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
@@ -333,6 +336,9 @@ def _facial_reduction(problem: SdpProblem) -> Restriction | None:
 # dense assembly
 
 
+ROTATE_CHUNK = 1 << 19  # about this many entries of an A are rotated at a time
+
+
 def _T(P: np.ndarray) -> np.ndarray:
     return P.swapaxes(-1, -2)
 
@@ -349,6 +355,8 @@ def _tri_solve(L: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve L x = v (trans=0) or L^T x = v (trans=1) for lower-triangular
     L, calling LAPACK directly: the scipy wrapper costs more than the solve
     at these sizes.  Fortran-ordered L avoids a copy."""
+    if not len(v):  # LAPACK rejects an empty system
+        return np.zeros(0)
     x, info = sla.lapack.dtrtrs(L, v, lower=1, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
@@ -356,7 +364,8 @@ def _tri_solve(L: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 class _Dense:
-    """Dense views of an equality-form problem, its blocks grouped by size.
+    """Dense views of an equality-form problem, its blocks grouped by size,
+    with the rows rotated so that the free columns touch only the first nf.
 
     Group g stacks its blocks in their original order: ``C[g]`` is
     (k, d, d) and ``A[g]`` is (m, k, d, d), so each per-iteration step is
@@ -364,6 +373,13 @@ class _Dense:
     of group g paired as one (2, k, d, d) stack so that their factorizations
     and step bounds are one call too; ``slots[b]`` is the (group, position)
     of block b.
+
+    With free columns, the complete QR ``F = Qf [Rf; 0]`` rotates the rows
+    once: ``A``, ``b`` and ``F`` hold ``Qf^T A``, ``Qf^T b`` and ``[Rf; 0]``,
+    and a dual ``y`` of the original rows is ``Qf y`` of these
+    (:meth:`unrotate`).  ``norm_A`` and ``norm_b`` are those of the
+    unrotated data.  ``Qf`` is None when there is no rotation: no free
+    columns, or dependent ones (``independent`` is False then).
     """
 
     def __init__(self, prob: SdpProblem):
@@ -398,21 +414,26 @@ class _Dense:
         self.F[prob.free.row, prob.free.col] = prob.free.value
         self.b = prob.rhs.copy()
         self.Aflat = [A.reshape(self.m, I.size) for A, I in zip(self.A, self.I)]
-        # the Gram-form Schur factor keeps its columns in the original block
-        # order, so its QR sees the same matrix whatever the grouping: group
-        # g's products go to columns ``cols[g]`` (a slice when they are one
-        # run).  A grouping that permutes the columns gets a Fortran-ordered
-        # factor, the layout its rounding has always had
-        first = np.cumsum([0] + [d * d for d in self.dims])
-        self.n_cols = int(first[-1])
-        self.cols = []
-        for g in range(len(sizes)):
-            c = np.concatenate([np.arange(first[b], first[b + 1]) for b, (h, _) in enumerate(self.slots) if h == g])
-            self.cols.append(slice(c[0], c[-1] + 1) if c[-1] - c[0] + 1 == len(c) else c)
-        self.order = "C" if self.slots == sorted(self.slots) else "F"
         self.norm_b = float(np.max(np.abs(self.b), initial=0.0))
         self.norm_C = max(float(np.max(np.abs(P), initial=0.0)) for P in self.C + [self.cf])
         self.norm_A = max(float(np.max(np.abs(P), initial=0.0)) for P in self.A + [self.F])
+
+        self.Qf, self.independent = None, self.nf <= self.m
+        if self.nf and self.independent:
+            Qf, R = np.linalg.qr(self.F, mode="complete")
+            low = float(np.min(np.abs(np.diag(R))))
+            self.independent = low >= 1e-12 * max(1.0, float(np.max(np.abs(R))))
+            if self.independent:
+                # in place, a chunk of columns at a time: no second A-sized array
+                step = max(1, ROTATE_CHUNK // self.m)
+                for Af in self.Aflat:
+                    for start in range(0, Af.shape[1], step):
+                        Af[:, start:start + step] = Qf.T @ Af[:, start:start + step]
+                self.Qf, self.b, self.F = Qf, Qf.T @ self.b, R
+
+    def unrotate(self, v: np.ndarray) -> np.ndarray:
+        """A vector over the rotated rows, over the original ones."""
+        return v if self.Qf is None else self.Qf @ v
 
     def apply_A(self, X: list[np.ndarray], u: np.ndarray | None = None) -> np.ndarray:
         out = sum(Af @ Xg.reshape(-1) for Af, Xg in zip(self.Aflat, X))
@@ -424,13 +445,15 @@ class _Dense:
         return [(y @ Af).reshape(I.shape) for Af, I in zip(self.Aflat, self.I)]
 
     def gram_factor(self, Lx: list[np.ndarray], LsInv: list[np.ndarray]) -> np.ndarray:
-        """B with row j the flattened blocks of Lx^T A_j Ls^-T, so that the
-        Schur complement tr(A_i X A_j S^-1) is B B^T."""
+        """B with row j the flattened blocks of Lx^T A_j Ls^-T, group after
+        group, so that the Schur complement tr(A_i X A_j S^-1) is B B^T
+        (which does not depend on the column order)."""
         if len(self.A) == 1:
             return (_T(Lx[0]) @ self.A[0] @ _T(LsInv[0])).reshape(self.m, -1)
-        B = np.empty((self.m, self.n_cols), order=self.order)
-        for L, A, Li, cols in zip(Lx, self.A, LsInv, self.cols):
-            B[:, cols] = (_T(L) @ A @ _T(Li)).reshape(self.m, -1)
+        widths = [I.size for I in self.I]
+        B = np.empty((self.m, sum(widths)))
+        for L, A, Li, start, width in zip(Lx, self.A, LsInv, np.cumsum([0] + widths), widths):
+            B[:, start:start + width] = (_T(L) @ A @ _T(Li)).reshape(self.m, -1)
         return B
 
     def unstack(self, P: list[np.ndarray]) -> list[np.ndarray]:
@@ -518,6 +541,11 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     """
     m, nf = data.m, data.nf
     nu = sum(data.dims)
+    if not data.independent:
+        return SdpSolution(
+            status=SdpStatus.NUMERICAL_FAILURE,
+            message="free-variable columns are linearly dependent",
+        )
 
     # interior start scaled from the data magnitudes
     xi_p = max(10.0, math.sqrt(max(data.dims)), data.norm_b / max(1.0, data.norm_A))
@@ -525,25 +553,13 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     Z = [np.stack([xi_p * I, xi_d * I]) for I in data.I]  # X and S paired per group
     L = None  # Cholesky factors of Z, carried over from the accepted trial
     X, S = [P[0] for P in Z], [P[1] for P in Z]
-    y = np.zeros(m)
     u = np.zeros(nf)
 
-    # orthogonal splitting of the dual space: y-steps are confined to the
-    # nullspace of F^T, so the free-variable dual equation F^T y = c_f is
-    # enforced exactly by a projection instead of drifting numerically
-    if nf:
-        Qf, Rf = np.linalg.qr(data.F, mode="complete")
-        Rtri = Rf[:nf, :]
-        if nf > m or float(np.min(np.abs(np.diag(Rtri)))) < 1e-12 * max(1.0, float(np.max(np.abs(Rtri)))):
-            return SdpSolution(
-                status=SdpStatus.NUMERICAL_FAILURE,
-                message="free-variable columns are linearly dependent",
-            )
-        Q1, Q2 = Qf[:, :nf], Qf[:, nf:]
-        Rf_low = np.asfortranarray(Rtri.T)
-    else:
-        Q1 = Rf_low = None
-        Q2 = np.eye(m)
+    # in the rotated rows the free-variable dual equation F^T y = c_f reads
+    # Rf^T y[:nf] = c_f: y[:nf] is fixed once, and y-steps move y[nf:] only
+    Rf_low = np.asfortranarray(data.F[:nf].T)
+    y = np.zeros(m)
+    y[:nf] = _tri_solve(Rf_low, data.cf)
 
     best: SdpSolution | None = None
     best_point = None  # its (Z, y, u, mu), the start of a re-centering
@@ -553,27 +569,27 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     recentered = False
 
     def measure():
-        """The current iterate's residuals (rp, Rd, rf), objectives, scaled
-        primal and dual residuals and relative gap."""
+        """The current iterate's residuals (rp, rotated, and Rd), objectives,
+        scaled primal and dual residuals and relative gap.  The primal one
+        is measured over the original rows, so that the stopping test does
+        not depend on the rotation."""
         rp = data.b - data.apply_A(X, u)
         Rd = [C - At - Sg for C, At, Sg in zip(data.C, data.apply_At(y), S)]
-        rf = data.cf - data.F.T @ y if nf else np.zeros(0)
         pobj = _inner(data.C, X) + float(data.cf @ u)
         dobj = float(data.b @ y)
-        err_p = float(np.abs(rp).max()) / (1.0 + data.norm_b)
+        err_p = float(np.abs(data.unrotate(rp)).max()) / (1.0 + data.norm_b)
         err_d = max(float(np.abs(R).max()) for R in Rd) / (1.0 + data.norm_C)
-        err_f = (float(np.abs(rf).max()) / (1.0 + data.norm_C)) if nf else 0.0
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, Rd, rf, pobj, dobj, err_p, max(err_d, err_f), rel_gap
+        return rp, Rd, pobj, dobj, err_p, err_d, rel_gap
 
     def build_solution(status, message, it, measures=None) -> SdpSolution:
         """The current iterate, with its ``measures`` when the loop has them."""
-        pobj, dobj, err_p, err_d, rel_gap = (measures or measure())[3:]
+        pobj, dobj, err_p, err_d, rel_gap = (measures or measure())[2:]
         return SdpSolution(
             status=status,
             primal_blocks=data.unstack(X),
             free_values=u.copy(),
-            dual_values=y,
+            dual_values=data.unrotate(y),
             primal_objective=pobj,
             dual_objective=dobj,
             primal_residual=err_p,
@@ -584,13 +600,8 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
         )
 
     for it in range(opts.max_iterations):
-        if nf:
-            # restore F^T y = c_f exactly before measuring residuals
-            drift = data.cf - data.F.T @ y
-            y = y + Q1 @ _tri_solve(Rf_low, drift)
-
         measures = measure()
-        rp, Rd, rf, pobj, dobj, err_p, err_d, rel_gap = measures
+        rp, Rd, pobj, dobj, err_p, err_d, rel_gap = measures
         gap = _inner(X, S)
         mu = gap / nu
 
@@ -623,15 +634,15 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             if dobj > 1e6 * scale0 and float(data.b @ y) > 0:
                 yhat = y / float(data.b @ y)
                 lam = max(float(np.linalg.eigvalsh(At)[:, -1].max()) for At in data.apply_At(yhat))
-                fres = float(np.max(np.abs(data.F.T @ yhat))) if nf else 0.0
-                tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(yhat)))) * max(1.0, data.norm_A)
+                fres = float(np.max(np.abs(data.F.T @ yhat), initial=0.0))
+                tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(data.unrotate(yhat))))) * max(1.0, data.norm_A)
                 if lam <= tol_inf and fres <= tol_inf:
                     return build_solution(SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found", it, measures)
             if pobj < -1e6 * scale0:
                 tr = sum(float(np.einsum("kii->", Xg)) for Xg in X)
                 Xhat = [Xg / tr for Xg in X]
                 uhat = u / tr
-                ares = float(np.max(np.abs(data.apply_A(Xhat, uhat))))
+                ares = float(np.max(np.abs(data.unrotate(data.apply_A(Xhat, uhat)))))
                 cval = _inner(data.C, Xhat) + float(data.cf @ uhat)
                 if ares <= 1e-7 * max(1.0, data.norm_A) and cval < 0:
                     return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it, measures)
@@ -651,11 +662,13 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             # with B_j = Lx' A_j Ls^-T, M = B B', and the triangular factor of
             # the reduced system comes from a QR of B' -- the solves then see
             # sqrt(cond(M)) instead of cond(M), which is what keeps the late,
-            # degenerate-face iterations from drifting off the affine subspace
-            Bfull = data.gram_factor(Lx, LsInv)
-            BR = Q2.T @ Bfull if nf else Bfull
+            # degenerate-face iterations from drifting off the affine subspace.
+            # The rows past nf are those the y-steps move: their factor BR is
+            # the reduced system's
+            B = data.gram_factor(Lx, LsInv)
+            B1, BR = B[:nf], B[nf:]
 
-            m_red = BR.shape[0]
+            m_red = m - nf
             try:
                 Rr = np.linalg.qr(BR.T, mode="r")
                 diag = np.abs(np.diag(Rr)) if Rr.shape[0] == m_red else np.zeros(1)
@@ -671,9 +684,9 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             Rr_low = np.asfortranarray(Rr.T)
 
             def reduced_solve(h: np.ndarray):
-                """Solve M dy + F du = h with F^T dy = 0, refining in the
-                reduced space via the triangular Gram factor."""
-                rhs = z = Q2.T @ h if nf else h  # empty when the free columns fill the rows
+                """Solve M dy + F du = h with F^T dy = 0, that is dy[:nf] = 0,
+                refining in the reduced space via the triangular Gram factor."""
+                rhs = z = h[nf:]  # empty when the free columns fill the rows
                 if m_red:
                     z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
                     for _ in range(3):
@@ -681,12 +694,11 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                         if float(np.abs(res).max()) <= 1e-13 * (1.0 + float(np.abs(rhs).max())):
                             break
                         z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
-                dy = Q2 @ z if nf else z
-                if nf:
-                    du = _tri_solve(Rf_low, Q1.T @ (h - Bfull @ (Bfull.T @ dy)), trans=1)
-                else:
-                    du = np.zeros(0)
-                return dy, du
+                du = _tri_solve(Rf_low, h[:nf] - B1 @ (BR.T @ z), trans=1)
+                return np.concatenate((np.zeros(nf), z)), du
+
+            # the polish measures its residual over the original rows, as the stopping test does
+            rp_max = float(np.abs(data.unrotate(rp)).max())
 
             def directions(Rc: list[np.ndarray]):
                 """Solve the Newton system (complementarity target Rc in the XS
@@ -701,15 +713,10 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                     np.subtract(Rdg, a, out=Dg[1])
                 for _ in range(2):
                     r1 = rp - data.apply_A([Dg[0] for Dg in D], du)
-                    err = float(np.abs(r1).max())
-                    if nf:
-                        err = max(err, float(np.abs(rf - data.F.T @ dy).max()))
-                    if err <= 1e-10 * (1.0 + float(np.abs(rp).max())):
+                    if float(np.abs(data.unrotate(r1)).max()) <= 1e-10 * (1.0 + rp_max):
                         break
                     ey, eu = reduced_solve(r1)
-                    dy = dy + ey
-                    if nf:
-                        du = du + eu
+                    dy, du = dy + ey, du + eu
                     for Dg, Xg, a, Si in zip(D, X, data.apply_At(ey), Sinv):
                         Dg[0] += _sym(Xg @ a @ Si)
                         Dg[1] -= a
@@ -750,8 +757,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             Z, L = trial, factors
             X, S = [P[0] for P in Z], [P[1] for P in Z]
             y = y + ad * dy
-            if nf:
-                u = u + ap * du
+            u = u + ap * du
             # a second short step in a row means the first phase has stalled:
             # re-center from its best feasible iterate now, not after 10
             # stale iterations or a blow-up

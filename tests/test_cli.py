@@ -189,6 +189,23 @@ def test_negative_verify_rejected_before_solving(monkeypatch, capsys):
     assert "--verify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sdp-max-iter", "-3"), ("--sdp-max-iter", "0"),
+    ("--sdp-tol", "nan"), ("--sdp-tol", "-1"), ("--sdp-tol", "0"), ("--sdp-tol", "inf"),
+])
+def test_bad_solver_flags_rejected_before_loading(monkeypatch, capsys, flag, value):
+    import gamecert.jsonio
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the game must not load")
+
+    monkeypatch.setattr(gamecert.jsonio, "load_game", no_load)
+    for command in ("certify", "project", "gauge"):
+        code = main([command, "--level", "2", f"{flag}={value}", corpus_path("driver.game.json")])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
+
 def test_importing_the_command_leaves_numpy_unloaded():
     # the command pins the BLAS threads, which numpy reads once when it loads
     src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -57,9 +57,10 @@ def random_feasible_problem(rng):
                    obj_gram=dense_entries(0, 0, C))
 
 
-def random_block_problem(rng, dims, n_le=0):
+def random_block_problem(rng, dims, n_le=0, n_free=0):
     """Strictly feasible primal-dual pair over blocks of sizes ``dims``; the
-    last ``n_le`` of its rows are '<=' rows, which become 1x1 slack blocks."""
+    last ``n_le`` of its rows are '<=' rows, which become 1x1 slack blocks,
+    and ``n_free`` free columns are dense in every row."""
     mcon = 8 + n_le
     pd = lambda d: (lambda B: B @ B.T + np.eye(d))(rng.standard_normal((d, d)))
     A = [[(lambda B: B + B.T)(rng.standard_normal((d, d))) for d in dims] for _ in range(mcon)]
@@ -70,9 +71,12 @@ def random_block_problem(rng, dims, n_le=0):
     le = [i >= mcon - n_le for i in range(mcon)]
     rhs = [sum(float(np.tensordot(A[i][b], X0[b])) for b in range(len(dims))) + (1.0 if le[i] else 0.0)
            for i in range(mcon)]
+    F, u0 = rng.standard_normal((mcon, n_free)), rng.standard_normal(n_free)
     return coo_problem(
-        tuple(dims), 0, [e for i in range(mcon) for b in range(len(dims)) for e in dense_entries(i, b, A[i][b])],
-        rhs=rhs, le=le, obj_gram=[e for b in range(len(dims)) for e in dense_entries(0, b, C[b])],
+        tuple(dims), n_free, [e for i in range(mcon) for b in range(len(dims)) for e in dense_entries(i, b, A[i][b])],
+        [(i, k, float(F[i, k])) for i in range(mcon) for k in range(n_free)], rhs=list(rhs + F @ u0), le=le,
+        obj_gram=[e for b in range(len(dims)) for e in dense_entries(0, b, C[b])],
+        obj_free=[(0, k, float(c)) for k, c in enumerate(F.T @ y0)],
     )
 
 
@@ -120,18 +124,39 @@ def test_block_order_invariance(dims, n_le, perm):
     assert whole.primal_objective == pytest.approx(sol.primal_objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("n_free", [0, 2], ids=["nf0", "nf2"])
 @pytest.mark.parametrize("dims", [(3, 2, 3, 4), (2, 3, 4)], ids=["permuted", "sorted"])
-def test_gram_factor_keeps_block_order(dims):
-    data = sdp._Dense(random_block_problem(np.random.default_rng(5), dims))
+def test_gram_factor_gives_the_rotated_schur_complement(monkeypatch, dims, n_free):
+    monkeypatch.setattr(sdp, "ROTATE_CHUNK", 40)  # 5 columns of the 8 rows at a time
+    prob = random_block_problem(np.random.default_rng(5), dims, n_free=n_free)
+    data = sdp._Dense(prob)
+    assert (data.slots != sorted(data.slots)) == (dims == (3, 2, 3, 4))  # the grouping permutes
     rng = np.random.default_rng(6)
     Lx = [np.tril(rng.standard_normal(I.shape)) for I in data.I]
     LsInv = [np.tril(rng.standard_normal(I.shape)) for I in data.I]
     B = data.gram_factor(Lx, LsInv)
-    # reference: block by block in the original order
-    blocks = zip(data.unstack(Lx), data.unstack(LsInv), data.unstack([np.moveaxis(A, 0, 1) for A in data.A]))
-    ref = np.concatenate([(L.T @ A @ Li.T).reshape(data.m, -1) for L, Li, A in blocks], axis=1)
-    assert np.allclose(B, ref, rtol=1e-13, atol=0)
-    assert B.flags.f_contiguous == (data.slots != sorted(data.slots))
+    # reference: M_ij = tr(A_i X A_j S^-1) block by block, on the unrotated rows
+    A = np.zeros((prob.n_constraints, len(dims), max(dims), max(dims)))
+    A[prob.gram.row, prob.gram.block, prob.gram.i, prob.gram.j] = prob.gram.value
+    A[prob.gram.row, prob.gram.block, prob.gram.j, prob.gram.i] = prob.gram.value
+    M = sum(
+        np.einsum("ipq,qr,jrs,sp->ij", A[:, b, :d, :d], L @ L.T, A[:, b, :d, :d], Li.T @ Li)
+        for b, (d, L, Li) in enumerate(zip(dims, data.unstack(Lx), data.unstack(LsInv)))
+    )
+    Qf = np.eye(prob.n_constraints) if data.Qf is None else data.Qf
+    assert (data.Qf is None) == (n_free == 0)
+    ref = Qf.T @ M @ Qf
+    np.testing.assert_allclose(B @ B.T, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # the free columns touch only the first n_free rotated rows
+    assert np.all(data.F[n_free:] == 0)
+    # the duals come back in the original rows: F^T y = c_f there
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    F = np.zeros((prob.n_constraints, n_free))
+    F[prob.free.row, prob.free.col] = prob.free.value
+    cf = np.zeros(n_free)
+    cf[prob.obj_free.col] = prob.obj_free.value
+    assert np.abs(F.T @ sol.dual_values - cf).max(initial=0.0) <= 1e-12 * (1 + np.abs(cf).max(initial=0.0))
 
 
 def test_paired_step_bound_matches_eigvalsh():
@@ -180,15 +205,15 @@ def test_back_off_shrinks_only_the_failing_side():
             assert alpha[0] == 1.0 and alpha[1] == pytest.approx(0.8 ** 39, rel=1e-12)
 
 
-@pytest.mark.parametrize("cap, status, tol", [(200, "Optimal", 1e-6), (19, "IterationLimit", 1e-4)],
+@pytest.mark.parametrize("cap, status, tol", [(200, "Optimal", 1e-6), (18, "IterationLimit", 1e-4)],
                          ids=["converges", "capped"])
 def test_fig3_recentered_descent_shares_the_budget(fig3_game, cap, status, tol):
     from gamecert.certify import certify_monotone
 
     # fig3 at level 6: the best feasible iterate comes at iteration 13 and
     # the two steps after it are short, so the descent re-centers from it at
-    # iteration 15 and converges at iteration 19.  The cap covers both
-    # phases, so any cap from 14 to 19 reports the first-phase iterate
+    # iteration 15 and converges at iteration 18.  The cap covers both
+    # phases, so any cap from 14 to 18 reports the first-phase iterate
     result = certify_monotone(fig3_game, 6, SolveOptions(max_iterations=cap))
     assert result.solver.status == status
     assert result.solver.iterations <= cap
@@ -209,7 +234,7 @@ def test_recentering_keeps_a_better_first_phase(deg4_game):
     assert full.lam == first_phase.lam
     assert full.status == CertStatus.STRICTLY_CERTIFIED
     # the bound itself, pinned on one OpenBLAS thread
-    assert certify_deg4_in_child(1)["lam"] == -0.9998928029919594
+    assert certify_deg4_in_child(1)["lam"] == -0.9998927233235602
 
 
 def test_recentering_certifies_a_stalled_game():
