@@ -13,7 +13,6 @@ reproducible runs).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -50,7 +49,9 @@ def _sanitize(obj):
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n"
+    from .jsonio import dumps
+
+    text = dumps(_sanitize(report))
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:

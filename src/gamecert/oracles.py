@@ -225,6 +225,12 @@ class SampleReport:
 # number of samples asked for, so memory per block stays fixed.
 SAMPLE_BLOCK = 4096
 
+# Rejection sampling gives up when fewer attempts than this are accepted.
+MIN_ACCEPTANCE = 1e-4
+
+# Largest pointwise identity mismatch a sampled certificate audit accepts.
+MISMATCH_TOL = 1e-5
+
 # Counter words that keep the independent streams of one seed apart.
 DOMAIN_STREAM = 0
 DIFFERENCE_STREAM = 1
@@ -248,13 +254,12 @@ def sample_domain_points(
     n_samples: int,
     bounding_box=None,
     seed: int = DEFAULT_SEED,
-    min_acceptance: float = 1e-4,
 ) -> tuple[np.ndarray, float]:
     """Rejection-sample points of the set from its bounding box.
 
     Returns the first ``n_samples`` accepted points in attempt order and the
     acceptance rate up to the attempt that gave the last of them; aborts
-    when the rate stays under ``min_acceptance``.
+    when the rate stays under ``MIN_ACCEPTANCE``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -281,9 +286,9 @@ def sample_domain_points(
             if reached >= n_samples:
                 break
             rate = reached / max_attempts
-            if rate < min_acceptance:
+            if rate < MIN_ACCEPTANCE:
                 raise RuntimeError(
-                    f"rejection sampling acceptance rate {rate:.2e} below {min_acceptance:.0e}; "
+                    f"rejection sampling acceptance rate {rate:.2e} below {MIN_ACCEPTANCE:.0e}; "
                     "supply a tighter bounding box"
                 )
             max_attempts *= 2
@@ -361,12 +366,7 @@ def _split_sphere_equalities(domain: SemialgebraicSet):
     return spheres, sphere_vars, leftover_eqs
 
 
-def sample_extended_points(
-    domain: SemialgebraicSet,
-    n_samples: int,
-    bounding_box=None,
-    seed: int = DEFAULT_SEED,
-) -> np.ndarray:
+def sample_extended_points(domain: SemialgebraicSet, n_samples: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Sample a set built as (base semialgebraic part) x (unit spheres).
 
     Sphere-shaped equalities are sampled uniformly on their spheres; the
@@ -387,10 +387,8 @@ def sample_extended_points(
         }
         base_ineqs.append(Polynomial(len(base_vars), squeezed))
     base = SemialgebraicSet(len(base_vars), tuple(base_ineqs), ())
-    if bounding_box is not None and len(bounding_box) == n:
-        bounding_box = [bounding_box[i] for i in base_vars]
     if base_vars:
-        base_points, _ = sample_domain_points(base, n_samples, bounding_box, seed)
+        base_points, _ = sample_domain_points(base, n_samples, seed=seed)
     else:
         base_points = np.zeros((n_samples, 0))
     out = np.zeros((n_samples, n))
@@ -412,14 +410,13 @@ def check_certificate_sampled(
     domain: SemialgebraicSet,
     n_samples: int = 1000,
     seed: int = DEFAULT_SEED,
-    mismatch_tol: float = 1e-5,
-    psd_slack: float = 1e-7,
 ) -> tuple[bool, float]:
     """Audit a decomposition numerically: evaluate the identity mismatch at
-    sampled points of the extended set and check every Gram block stays PSD
-    up to slack.  Returns (ok, worst violation).  ``certificate`` is one
-    membership, or a certificate that has exactly one."""
-    from .sos import Certificate, MembershipCertificate  # local import to avoid a cycle
+    sampled points of the extended set, up to ``MISMATCH_TOL``, and check
+    every Gram block stays PSD up to ``sos.PSD_SLACK``.  Returns (ok, worst
+    violation).  ``certificate`` is one membership, or a certificate that
+    has exactly one."""
+    from .sos import PSD_SLACK, Certificate, MembershipCertificate  # local import to avoid a cycle
 
     mem = certificate
     if isinstance(certificate, Certificate):
@@ -439,13 +436,13 @@ def check_certificate_sampled(
         min_eig = float(jacobi_eigenvalues(np.stack(blocks))[:, 0].min())
         if min_eig < 0:
             worst = max(worst, -min_eig)
-    if worst > psd_slack:
+    if worst > PSD_SLACK:
         return False, worst
     points = sample_extended_points(domain, n_samples, seed=seed)
     expansion = _expansion_values(mem, domain, points)
     mismatch = np.abs(target.evaluate_many(points) - expansion)
     worst = max(worst, float(np.max(mismatch)) if mismatch.size else 0.0)
-    return worst <= mismatch_tol, worst
+    return worst <= MISMATCH_TOL, worst
 
 
 def _expansion_values(mem, domain: SemialgebraicSet, points: np.ndarray) -> np.ndarray:

@@ -532,12 +532,15 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     """One descent on the reduced data, reported in its layout.
 
     The descent keeps the feasible iterate with the smallest gap.  When it
-    would end early with one that has not converged (its gap stalls on a
-    degenerate face, two steps in a row fall short of 0.1, or a step breaks
-    down), it re-centers once instead: ``X`` and ``S`` restart from that
-    iterate's, shifted by ``sqrt(mu)*I``, and the descent goes on under the
-    same iteration budget.  The feasible iterate with the smallest gap from
-    either phase is returned.
+    would end early with one that has not converged (10 iterations pass
+    without a better one, two first-phase steps in a row fall short of 0.1,
+    or a step breaks down, a ``LinAlgError`` included), it re-centers once
+    instead: ``X`` and ``S`` restart from that iterate's, shifted by
+    ``sqrt(mu)*I``, and the descent goes on under the same iteration
+    budget.  The feasible iterate with the smallest gap from either phase
+    is returned; a stop with no feasible iterate reports the current one
+    with the stop's status, ``NumericalFailure`` and numpy's message for a
+    ``LinAlgError``.
     """
     m, nf = data.m, data.nf
     nu = sum(data.dims)
@@ -563,10 +566,8 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
     best: SdpSolution | None = None
     best_point = None  # its (Z, y, u, mu), the start of a re-centering
-    best_age = 0
-    blowup_ref = math.inf  # the best's primal residual; inf until this phase has one
     short_steps = 0  # consecutive steps with min(ap, ad) < 0.1
-    recentered = False
+    recentered_at = None  # the iteration that re-centered
 
     def measure():
         """The current iterate's residuals (rp, rotated, and Rd), objectives,
@@ -618,21 +619,16 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                 )
                 # iterates are replaced, never written in place: no copies
                 best_point = (Z, y, u, mu)
-                best_age = 0
-                blowup_ref = max(err_p, 1e-13)
-            else:
-                best_age += 1
-        elif best is not None:
-            best_age += 1
 
         try:
-            if best_age >= 10 or err_p > 1e5 * blowup_ref:
+            # 10 iterations with no better iterate since it or the re-centering
+            if best is not None and it - max(best.iterations, recentered_at or 0) >= 10:
                 raise _Stall(SdpStatus.ITERATION_LIMIT, "")
 
             # divergence-based infeasibility certificates
             scale0 = 1.0 + data.norm_b + data.norm_C
-            if dobj > 1e6 * scale0 and float(data.b @ y) > 0:
-                yhat = y / float(data.b @ y)
+            if dobj > 1e6 * scale0:
+                yhat = y / dobj
                 lam = max(float(np.linalg.eigvalsh(At)[:, -1].max()) for At in data.apply_At(yhat))
                 fres = float(np.max(np.abs(data.F.T @ yhat), initial=0.0))
                 tol_inf = 1e-7 * (1.0 + float(np.max(np.abs(data.unrotate(yhat))))) * max(1.0, data.norm_A)
@@ -648,12 +644,9 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                     return build_solution(SdpStatus.DUAL_INFEASIBLE, "primal improving ray found", it, measures)
 
             # triangular inverses, reused by every step-length bound below
-            try:
-                if L is None:
-                    L = [np.linalg.cholesky(P) for P in Z]
-                Linv = [np.linalg.inv(P) for P in L]
-            except np.linalg.LinAlgError:
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "iterate left the cone")
+            if L is None:
+                L = [np.linalg.cholesky(P) for P in Z]
+            Linv = [np.linalg.inv(P) for P in L]
             Lx, LsInv = [P[0] for P in L], [P[1] for P in Linv]
             Sinv = [_T(Li) @ Li for Li in LsInv]
             XRd = [Xg @ Rdg for Xg, Rdg in zip(X, Rd)]
@@ -669,18 +662,15 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             B1, BR = B[:nf], B[nf:]
 
             m_red = m - nf
-            try:
-                Rr = np.linalg.qr(BR.T, mode="r")
-                diag = np.abs(np.diag(Rr)) if Rr.shape[0] == m_red else np.zeros(1)
-                if float(np.min(diag, initial=math.inf)) < 1e-13 * float(np.max(diag, initial=1.0)):
-                    # redundant constraints: redo with a tiny Tikhonov tail so
-                    # the factor is square and positive definite; refinement
-                    # against the true Gram absorbs the perturbation
-                    row_norms = np.einsum("ij,ij->i", BR, BR)
-                    delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
-                    Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
-            except np.linalg.LinAlgError:
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "Schur factorization failed")
+            Rr = np.linalg.qr(BR.T, mode="r")
+            diag = np.abs(np.diag(Rr)) if Rr.shape[0] == m_red else np.zeros(1)
+            if float(np.min(diag, initial=math.inf)) < 1e-13 * float(np.max(diag, initial=1.0)):
+                # redundant constraints: redo with a tiny Tikhonov tail so
+                # the factor is square and positive definite; refinement
+                # against the true Gram absorbs the perturbation
+                row_norms = np.einsum("ij,ij->i", BR, BR)
+                delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
+                Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
             Rr_low = np.asfortranarray(Rr.T)
 
             def reduced_solve(h: np.ndarray):
@@ -724,11 +714,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
             # predictor (affine scaling)
             XS = [Xg @ Sg for Xg, Sg in zip(X, S)]
-            try:
-                Da, _, _ = directions([-P for P in XS])
-            except np.linalg.LinAlgError:
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
-
+            Da, _, _ = directions([-P for P in XS])
             ap, ad = alpha = np.minimum(1.0, _max_step(Linv, Da))
             aff = [P + alpha[:, None, None, None] * Dg for P, Dg in zip(Z, Da)]
             gap_aff = _inner([P[0] for P in aff], [P[1] for P in aff])
@@ -736,16 +722,13 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
             # Mehrotra corrector; fall back to plain centering if it shortens
             # the step badly
-            try:
-                D, du, dy = directions(
-                    [sigma * mu * I - P - Dg[0] @ Dg[1] for I, P, Dg in zip(data.I, XS, Da)]
-                )
+            D, du, dy = directions(
+                [sigma * mu * I - P - Dg[0] @ Dg[1] for I, P, Dg in zip(data.I, XS, Da)]
+            )
+            steps = _max_step(Linv, D)
+            if min(1.0, *steps) < 0.2 * min(ap, ad):
+                D, du, dy = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
                 steps = _max_step(Linv, D)
-                if min(1.0, *steps) < 0.2 * min(ap, ad):
-                    D, du, dy = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
-                    steps = _max_step(Linv, D)
-            except np.linalg.LinAlgError:
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "direction solve failed")
 
             gamma = 0.95 if it < 2 else 0.98
             alpha = np.minimum(1.0, gamma * steps)
@@ -760,23 +743,25 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             u = u + ap * du
             # a second short step in a row means the first phase has stalled:
             # re-center from its best feasible iterate now, not after 10
-            # stale iterations or a blow-up
+            # stale iterations
             short_steps = short_steps + 1 if min(ap, ad) < 0.1 else 0
-            if short_steps >= 2 and best is not None and not recentered:
+            if short_steps >= 2 and best is not None and recentered_at is None:
                 raise _Stall(SdpStatus.ITERATION_LIMIT, "")
-        except _Stall as halt:
+        except (_Stall, np.linalg.LinAlgError) as halt:
             # every stop short of convergence or an infeasibility ray comes
-            # here: without a feasible iterate the current one is reported;
-            # the best feasible one is re-centered once, then returned
+            # here, a linear-algebra breakdown included: without a feasible
+            # iterate the current one is reported; the best feasible one is
+            # re-centered once, then returned
             if best is None:
-                return build_solution(*halt.args, it, measures)
-            if recentered:
+                stop = halt.args if isinstance(halt, _Stall) else (SdpStatus.NUMERICAL_FAILURE, str(halt))
+                return build_solution(*stop, it, measures)
+            if recentered_at is not None:
                 return best
             Z0, y, u, mu0 = best_point
             shift = math.sqrt(max(mu0, 1e-14))
             Z, L = [P + shift * I for P, I in zip(Z0, data.I)], None
             X, S = [P[0] for P in Z], [P[1] for P in Z]
-            recentered, best_age, blowup_ref = True, 0, math.inf
+            recentered_at = it
 
     if best is not None:
         return best

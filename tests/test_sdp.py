@@ -258,6 +258,41 @@ def test_recentering_certifies_a_stalled_game():
     assert result.status == CertStatus.STRICTLY_CERTIFIED
 
 
+def failing_max_step(monkeypatch, at_call):
+    """Make call ``at_call`` of ``sdp._max_step`` raise what numpy's
+    ``eigvalsh`` raises on a NaN block of order 3 or more."""
+    real, calls = sdp._max_step, []
+
+    def max_step(Linv, D):
+        calls.append(None)
+        if len(calls) == at_call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(Linv, D)
+
+    monkeypatch.setattr(sdp, "_max_step", max_step)
+
+
+def test_breakdown_without_a_feasible_iterate_is_classified(monkeypatch, driver_game):
+    from gamecert.certify import certify_monotone
+
+    failing_max_step(monkeypatch, 1)
+    result = certify_monotone(driver_game, 2)
+    assert result.solver.status == SdpStatus.NUMERICAL_FAILURE
+    assert "Eigenvalues did not converge" in result.diagnostic
+
+
+def test_breakdown_after_a_feasible_iterate_re_centers(monkeypatch, driver_game):
+    from gamecert.certify import CertStatus, certify_monotone
+
+    # by the 9th step bound the descent holds a feasible iterate: the
+    # breakdown re-centers from it, and the re-centered phase converges
+    failing_max_step(monkeypatch, 9)
+    result = certify_monotone(driver_game, 2)
+    assert result.solver.status == SdpStatus.OPTIMAL
+    assert result.lam == pytest.approx(-6.0, abs=1e-6)
+    assert result.status == CertStatus.STRICTLY_CERTIFIED
+
+
 def forced_zero_reference(problem):
     """Forced-zero elimination row by row, each row seeing the columns
     removed by the rows before it: (dead columns per block, active rows,
@@ -351,6 +386,14 @@ def test_primal_infeasible_probe():
     prob = coo_problem((2,), 0, [(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)], rhs=[-1.0])
     sol = solve(prob)
     assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
+
+
+def test_structurally_unreachable_target_is_primal_infeasible():
+    # X[1,1] = 0 kills row and column 1, so 2 X[0,1] = 1 has nothing left
+    prob = coo_problem((2,), 0, [(0, 0, 1, 1, 1.0), (1, 0, 0, 1, 1.0)], rhs=[0.0, 1.0])
+    sol = solve(prob)
+    assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
+    assert sol.message == "a target coefficient is structurally unreachable"
 
 
 def test_unbounded_probe():

@@ -6,6 +6,7 @@ from gamecert.games import SemialgebraicSet, add_ball_constraint
 from gamecert.polynomials import Polynomial
 from gamecert.sdp import SdpSolution, SdpStatus, solve
 from gamecert.sos import (
+    PSD_SLACK,
     CertificateRejected,
     CompileError,
     compile_program,
@@ -101,6 +102,23 @@ def test_corrupted_gram_rejected():
     sol.primal_blocks[0][0, 0] += 1e-2
     with pytest.raises(CertificateRejected):
         extract_certificate(comp, sol)
+
+
+@pytest.mark.parametrize("depth, rejected", [(2.0, True), (0.5, False)])
+def test_psd_gate_of_extract_certificate(depth, rejected):
+    problem, comp = compile_program(driver_membership())
+    sol = round_onto_rows(comp, solve_split(problem, comp))
+    # move the lowest eigenvalue of block 0 to -depth * PSD_SLACK, the
+    # other eigenvalues kept
+    G = sol.primal_blocks[0]
+    low, vecs = np.linalg.eigh(G)
+    sol.primal_blocks[0] = G + (-depth * PSD_SLACK - low[0]) * np.outer(vecs[:, 0], vecs[:, 0])
+    if rejected:
+        with pytest.raises(CertificateRejected, match=f"Gram block {comp.gram_blocks[0].multiplier} "):
+            extract_certificate(comp, sol)
+    else:
+        cert = extract_certificate(comp, sol)
+        assert cert.params["lam"] == pytest.approx(-6.0, abs=1e-6)
 
 
 def test_soundness_random_points(fig1_game):
