@@ -261,7 +261,6 @@ def run_hierarchy(
     levels,
     kind: str = "monotone",
     options: SolveOptions | None = None,
-    stop_on_strict: bool = False,
 ) -> list[CertResult]:
     """Run certification across levels; per-level failures are recorded and
     iteration continues."""
@@ -279,6 +278,4 @@ def run_hierarchy(
                 diagnostic=f"level failed: {exc}",
             )
         results.append(result)
-        if stop_on_strict and result.status == CertStatus.STRICTLY_CERTIFIED:
-            break
     return results

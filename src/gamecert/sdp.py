@@ -206,7 +206,7 @@ class SdpProblem:
 @dataclass
 class SolveOptions:
     tol: float = 1e-8  # on the scaled residuals and the relative gap
-    max_iterations: int = 200  # for the whole descent, its re-centered phase included
+    max_iterations: int = 200  # caps the whole descent, both phases together
 
 
 @dataclass
@@ -507,9 +507,9 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     """Run the interior-point iteration; never raises on numerical trouble,
     reporting a diagnosed status instead.
 
-    One descent runs per solve (see ``_solve_once``); its ``iterations``
-    count every phase of it, and ``max_iterations`` caps them all.
-    Running out of memory is a NumericalFailure.
+    One descent runs per solve (see ``_solve_once``), and
+    ``max_iterations`` caps all of it; ``iterations`` is the index of the
+    returned iterate.  Running out of memory is a NumericalFailure.
     """
     opts = options or SolveOptions()
     reduction = _facial_reduction(problem.to_equality_form())
@@ -532,15 +532,14 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     """One descent on the reduced data, reported in its layout.
 
     The descent keeps the feasible iterate with the smallest gap.  When it
-    would end early with one that has not converged (10 iterations pass
-    without a better one, two first-phase steps in a row fall short of 0.1,
-    or a step breaks down, a ``LinAlgError`` included), it re-centers once
-    instead: ``X`` and ``S`` restart from that iterate's, shifted by
-    ``sqrt(mu)*I``, and the descent goes on under the same iteration
-    budget.  The feasible iterate with the smallest gap from either phase
-    is returned; a stop with no feasible iterate reports the current one
-    with the stop's status, ``NumericalFailure`` and numpy's message for a
-    ``LinAlgError``.
+    would end early with one that has not converged (two steps in a row
+    fall short of 0.1, or a step breaks down, a ``LinAlgError`` included),
+    it re-centers once instead: ``X`` and ``S`` restart from that
+    iterate's, shifted by ``sqrt(mu)*I``, and the descent goes on under the
+    same iteration budget.  The next such stop returns the feasible
+    iterate with the smallest gap from either phase; a stop with no
+    feasible iterate reports the current one with the stop's status,
+    ``NumericalFailure`` and numpy's message for a ``LinAlgError``.
     """
     m, nf = data.m, data.nf
     nu = sum(data.dims)
@@ -567,7 +566,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     best: SdpSolution | None = None
     best_point = None  # its (Z, y, u, mu), the start of a re-centering
     short_steps = 0  # consecutive steps with min(ap, ad) < 0.1
-    recentered_at = None  # the iteration that re-centered
+    recentered = False
 
     def measure():
         """The current iterate's residuals (rp, rotated, and Rd), objectives,
@@ -621,10 +620,6 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                 best_point = (Z, y, u, mu)
 
         try:
-            # 10 iterations with no better iterate since it or the re-centering
-            if best is not None and it - max(best.iterations, recentered_at or 0) >= 10:
-                raise _Stall(SdpStatus.ITERATION_LIMIT, "")
-
             # divergence-based infeasibility certificates
             scale0 = 1.0 + data.norm_b + data.norm_C
             if dobj > 1e6 * scale0:
@@ -720,15 +715,11 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             gap_aff = _inner([P[0] for P in aff], [P[1] for P in aff])
             sigma = min(1.0, max(1e-10, (max(gap_aff, 0.0) / gap) ** 3))
 
-            # Mehrotra corrector; fall back to plain centering if it shortens
-            # the step badly
+            # Mehrotra corrector
             D, du, dy = directions(
                 [sigma * mu * I - P - Dg[0] @ Dg[1] for I, P, Dg in zip(data.I, XS, Da)]
             )
             steps = _max_step(Linv, D)
-            if min(1.0, *steps) < 0.2 * min(ap, ad):
-                D, du, dy = directions([sigma * mu * I - P for I, P in zip(data.I, XS)])
-                steps = _max_step(Linv, D)
 
             gamma = 0.95 if it < 2 else 0.98
             alpha = np.minimum(1.0, gamma * steps)
@@ -741,11 +732,9 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             X, S = [P[0] for P in Z], [P[1] for P in Z]
             y = y + ad * dy
             u = u + ap * du
-            # a second short step in a row means the first phase has stalled:
-            # re-center from its best feasible iterate now, not after 10
-            # stale iterations
+            # a second short step in a row means the phase has stalled
             short_steps = short_steps + 1 if min(ap, ad) < 0.1 else 0
-            if short_steps >= 2 and best is not None and recentered_at is None:
+            if short_steps >= 2 and best is not None:
                 raise _Stall(SdpStatus.ITERATION_LIMIT, "")
         except (_Stall, np.linalg.LinAlgError) as halt:
             # every stop short of convergence or an infeasibility ray comes
@@ -755,13 +744,13 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             if best is None:
                 stop = halt.args if isinstance(halt, _Stall) else (SdpStatus.NUMERICAL_FAILURE, str(halt))
                 return build_solution(*stop, it, measures)
-            if recentered_at is not None:
+            if recentered:
                 return best
             Z0, y, u, mu0 = best_point
             shift = math.sqrt(max(mu0, 1e-14))
             Z, L = [P + shift * I for P, I in zip(Z0, data.I)], None
             X, S = [P[0] for P in Z], [P[1] for P in Z]
-            recentered_at = it
+            recentered, short_steps = True, 0
 
     if best is not None:
         return best

@@ -362,29 +362,41 @@ def sign_symmetries(mem: SosMembership) -> np.ndarray:
 def solve_split(
     problem: SdpProblem, comp: Compilation, options: SolveOptions | None = None
 ) -> SdpSolution:
-    """Solve a compiled program through its exact sign-symmetry split.
+    """Solve a compiled program through its exact sign-symmetry split and
+    quotient-ring Gram bases.
 
     Every polynomial of a membership is invariant under the flips of
     :func:`sign_symmetries`, so averaging any decomposition over them gives
     one with the same parameters in which each Gram block is block-diagonal
     by parity class and each equality multiplier has only class-0
-    monomials (Gatermann & Parrilo 2004).  The program restricted to such
-    decompositions has the same optimum: each Gram block is split into its
-    classes, odd multiplier coefficients are dropped, and so are the rows
-    that lose every entry.  An :class:`~gamecert.sdp.Restriction`, the one
-    facial reduction uses too, builds the restricted program and inflates
-    its solution back to ``problem``'s layout, with exact zeros in the
-    cross-class Gram entries, the odd multiplier coefficients and the duals
-    of the dropped rows.
+    monomials (Gatermann & Parrilo 2004).  Replacing each square's base
+    polynomial by its normal form modulo the membership's first equality
+    ``h`` keeps the degree, and the free multiplier of ``h`` absorbs the
+    difference, so no Gram column whose monomial the grlex-leading
+    monomial of ``h`` divides is needed (Permenter & Parrilo 2012).  The
+    program restricted to such decompositions has the same optimum: each
+    Gram block loses those columns and is split into its classes, odd
+    multiplier coefficients are dropped, and so are the rows that lose
+    every entry.  An :class:`~gamecert.sdp.Restriction`, the one facial
+    reduction uses too, builds the restricted program and inflates its
+    solution back to ``problem``'s layout, with exact zeros in the dropped
+    Gram rows and columns, the cross-class Gram entries, the odd
+    multiplier coefficients and the duals of the dropped rows.
     """
     flips = [sign_symmetries(mem) for mem in comp.program.memberships]
+    # the grlex-leading monomial of each membership's first equality, if any
+    leads = [max((e for h in mem.domain.equalities[:1] for e in h.terms), key=lambda e: (sum(e), e), default=None)
+             for mem in comp.program.memberships]
     off = np.cumsum([0] + [len(info.basis) for info in comp.gram_blocks])
-    block = np.zeros(off[-1], dtype=np.int64)  # flat basis index -> restricted block
-    pos = np.zeros(off[-1], dtype=np.int64)    # flat basis index -> position in it
+    block = np.full(off[-1], -1, dtype=np.int64)  # flat basis index -> restricted block
+    pos = np.zeros(off[-1], dtype=np.int64)       # flat basis index -> position in it
     n_blocks = 0
     for b, info in enumerate(comp.gram_blocks):
         groups: dict[tuple, list[int]] = {}
+        lead = leads[info.membership]
         for i, mono in enumerate(info.basis):
+            if lead is not None and all(e >= d for e, d in zip(mono, lead)):
+                continue  # not a standard monomial of the quotient ring
             groups.setdefault(tuple(flips[info.membership] @ mono % 2), []).append(off[b] + i)
         for cols in groups.values():
             block[cols], pos[cols] = n_blocks, np.arange(len(cols))
@@ -481,9 +493,9 @@ def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     Every decision parameter is held fixed, so bounds and distances read
     from the solution do not change.  Gram rows and columns with a zero
     diagonal stay zero: on a PSD block a zero diagonal entry pins its whole
-    row, and in a solver iterate these are exactly the columns facial
-    reduction removed.  The result is not trusted here; the certificate
-    audit judges it.
+    row, and in a solver iterate these are exactly the columns the
+    quotient-ring bases or facial reduction removed.  The result is not
+    trusted here; the certificate audit judges it.
     """
     blocks = [np.asarray(G, dtype=float) for G in solution.primal_blocks]
     free = np.asarray(solution.free_values, dtype=float)

@@ -22,14 +22,14 @@ from gamecert.certify import certify_monotone
 from gamecert.jsonio import load_game
 result = certify_monotone(load_game(sys.argv[1]), 4)
 print(json.dumps({"lam": result.lam, "status": result.status.value,
-                  "diagnostic": result.diagnostic}))
+                  "solver": result.solver.status, "diagnostic": result.diagnostic}))
 """
 
 
 def certify_deg4_in_child(blas_threads: int) -> dict:
     """The level-4 monotone certification of deg4 in a fresh process on
     ``blas_threads`` OpenBLAS threads (OpenBLAS fixes its thread count when
-    numpy loads): its lam, status and diagnostic."""
+    numpy loads): its lam, status, solver status and diagnostic."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

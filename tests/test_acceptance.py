@@ -77,7 +77,7 @@ def test_criterion_4_on_two_blas_threads():
     # criterion 4 under two OpenBLAS threads, whatever the host's default
     result = certify_deg4_in_child(2)
     assert result["status"] == CertStatus.STRICTLY_CERTIFIED.value, result["diagnostic"]
-    assert result["lam"] == pytest.approx(-1.0, abs=1e-2)
+    assert result["lam"] <= -0.9999155 and result["solver"] == "Optimal"
     report(4, f"deg4 level 4 on 2 BLAS threads: lambda={result['lam']:.6f}, {result['status']}")
 
 

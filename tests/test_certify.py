@@ -137,10 +137,12 @@ def test_run_hierarchy_records_level_errors(fig1_game):
     assert results[1].lam == pytest.approx(10.0, abs=1e-3)
 
 
-def test_run_hierarchy_stop_on_strict(driver_game):
-    results = run_hierarchy(driver_game, range(2, 7), stop_on_strict=True)
-    assert len(results) == 1
-    assert results[0].status == CertStatus.STRICTLY_CERTIFIED
+@pytest.mark.slow
+def test_deg4_level_6_strictly_certified(deg4_game):
+    # about 90 s and 0.8 GB on one OpenBLAS thread
+    result = certify_monotone(deg4_game, 6)
+    assert result.status == CertStatus.STRICTLY_CERTIFIED, result.diagnostic
+    assert result.lam <= -0.9999155 and result.solver.status == "Optimal"
 
 
 def test_upper_bound_property_sampling(fig1_game, driver_game):

@@ -205,36 +205,81 @@ def test_back_off_shrinks_only_the_failing_side():
             assert alpha[0] == 1.0 and alpha[1] == pytest.approx(0.8 ** 39, rel=1e-12)
 
 
-@pytest.mark.parametrize("cap, status, tol", [(200, "Optimal", 1e-6), (18, "IterationLimit", 1e-4)],
-                         ids=["converges", "capped"])
-def test_fig3_recentered_descent_shares_the_budget(fig3_game, cap, status, tol):
+def recorded_descent(monkeypatch):
+    """Count the Schur builds of the descents that follow, and record the
+    count at each stall: the first re-centers, the second ends the descent."""
+    builds, stalls = [0], []
+    real = sdp._Dense.gram_factor
+
+    def gram_factor(self, Lx, LsInv):
+        builds[0] += 1
+        return real(self, Lx, LsInv)
+
+    class Stall(sdp._Stall):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stalls.append(builds[0])
+
+    monkeypatch.setattr(sdp._Dense, "gram_factor", gram_factor)
+    monkeypatch.setattr(sdp, "_Stall", Stall)
+    return builds, stalls
+
+
+@pytest.fixture(scope="module")
+def unsplit_deg4(deg4_game):
+    """deg4 at level 4 compiled as it is, to be solved without the split:
+    its Gram bases keep the square of the first sphere variable, and its
+    descent still stalls."""
+    from gamecert.certify import bound_program, target
+    from gamecert.sos import compile_program
+
+    return compile_program(bound_program(*target(deg4_game), 4))[0]
+
+
+def test_fig3_converges_without_recentering(monkeypatch, fig3_game):
     from gamecert.certify import certify_monotone
 
-    # fig3 at level 6: the best feasible iterate comes at iteration 13 and
-    # the two steps after it are short, so the descent re-centers from it at
-    # iteration 15 and converges at iteration 18.  The cap covers both
-    # phases, so any cap from 14 to 18 reports the first-phase iterate
-    result = certify_monotone(fig3_game, 6, SolveOptions(max_iterations=cap))
-    assert result.solver.status == status
-    assert result.solver.iterations <= cap
-    assert result.lam == pytest.approx(118.0, abs=tol)
+    _, stalls = recorded_descent(monkeypatch)
+    result = certify_monotone(fig3_game, 6)
+    assert result.solver.status == "Optimal" and stalls == []
+    assert result.lam == pytest.approx(118.0, abs=1e-6)
 
 
-def test_recentering_keeps_a_better_first_phase(deg4_game):
-    from gamecert.certify import CertStatus, certify_monotone
+def test_recentered_descent_shares_the_budget(monkeypatch, unsplit_deg4):
+    # two short steps in a row re-center the descent, and two more end it;
+    # max_iterations caps both phases, and a cap inside the re-centered one
+    # stops the descent there with the first phase's best iterate
+    builds, stalls = recorded_descent(monkeypatch)
+    full = solve(unsplit_deg4)
+    assert full.status == SdpStatus.ITERATION_LIMIT
+    assert len(stalls) == 2 and stalls[1] == builds[0]
+    recentered, total = stalls[0], builds[0]
+    assert recentered + 1 < total
+    for cap in (recentered - 1, recentered + 1, total - 1):
+        builds[0], stalls[:] = 0, []
+        capped = solve(unsplit_deg4, SolveOptions(max_iterations=cap))
+        assert capped.status == SdpStatus.ITERATION_LIMIT
+        assert builds[0] == cap and stalls == ([recentered] if cap > recentered else [])
+    assert (capped.iterations, capped.relative_gap) == (full.iterations, full.relative_gap)
+
+
+def test_recentering_keeps_a_better_first_phase(monkeypatch, unsplit_deg4):
     from tests.conftest import certify_deg4_in_child
 
-    # deg4 at level 4: the first phase's best feasible iterate comes at
-    # iteration 17 and its gap stalls at 5e-5; the re-centered phase never
-    # beats it, so the solve reports it bit for bit, as a cap of 18 does
-    full = certify_monotone(deg4_game, 4)
-    first_phase = certify_monotone(deg4_game, 4, SolveOptions(max_iterations=18))
-    assert full.solver == first_phase.solver
-    assert full.solver.status == "IterationLimit"
-    assert full.lam == first_phase.lam
-    assert full.status == CertStatus.STRICTLY_CERTIFIED
-    # the bound itself, pinned on one OpenBLAS thread
-    assert certify_deg4_in_child(1)["lam"] == -0.9998927233235602
+    # the first phase's best feasible iterate comes before the re-centering
+    # and its gap stalls near 5e-5; the re-centered phase never beats it, so
+    # the solve reports it bit for bit, as a cap just past it does
+    _, stalls = recorded_descent(monkeypatch)
+    full = solve(unsplit_deg4)
+    assert full.status == SdpStatus.ITERATION_LIMIT and full.iterations < stalls[0]
+    first_phase = solve(unsplit_deg4, SolveOptions(max_iterations=full.iterations + 1))
+    for name in ("status", "iterations", "primal_objective", "relative_gap", "message"):
+        assert getattr(full, name) == getattr(first_phase, name), name
+    assert np.array_equal(full.free_values, first_phase.free_values)
+    # the split drops that square from the Gram bases, and deg4 converges:
+    # its bound, pinned on one OpenBLAS thread
+    child = certify_deg4_in_child(1)
+    assert child["lam"] == -0.9999165429921003 and child["solver"] == "Optimal"
 
 
 def test_recentering_certifies_a_stalled_game():

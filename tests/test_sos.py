@@ -4,7 +4,7 @@ import pytest
 from gamecert.certify import concave_target, extended_domain, monotone_target
 from gamecert.games import SemialgebraicSet, add_ball_constraint
 from gamecert.polynomials import Polynomial
-from gamecert.sdp import SdpSolution, SdpStatus, solve
+from gamecert.sdp import Restriction, SdpSolution, SdpStatus, solve
 from gamecert.sos import (
     PSD_SLACK,
     CertificateRejected,
@@ -249,8 +249,10 @@ def test_sign_symmetries_null_space(fig1_game, fig3_game):
                 assert np.any(parities @ np.array(s) % 2)
 
 
-def test_odd_target_is_not_split(monkeypatch):
-    # y + x y^2 is not even in y, and x(1 - x) >= 0 is not even in x
+def test_odd_target_drops_only_quotient_columns(monkeypatch):
+    # y + x y^2 is not even in y, and x(1 - x) >= 0 is not even in x: no
+    # flip applies, and only the Gram columns of y^2, the leading monomial
+    # of the sphere 1 - y^2, drop
     base = Polynomial(2, {(0, 1): 1.0, (1, 2): 1.0})
     x = Polynomial.variable(2, 0)
     sphere = Polynomial(2, {(0, 0): 1.0, (0, 2): -1.0})
@@ -259,7 +261,13 @@ def test_odd_target_is_not_split(monkeypatch):
     assert sign_symmetries(program.memberships[0]).shape == (0, 2)
     problem, comp = compile_program(program)
     _, restricted = restricted_problem(monkeypatch, problem, comp)
-    assert restricted == problem
+    sizes = [len(info.basis) for info in comp.gram_blocks]
+    dropped = np.array([mono[1] >= 2 for info in comp.gram_blocks for mono in info.basis])
+    assert sizes == [6, 3] and np.flatnonzero(dropped).tolist() == [5]
+    block = np.where(dropped, -1, np.repeat(np.arange(len(sizes)), sizes))
+    pos = np.concatenate([np.cumsum(~d) - 1 for d in np.split(dropped, np.cumsum(sizes)[:-1])])
+    assert restricted == Restriction(problem, block, pos, np.ones(problem.n_free, dtype=bool)).problem
+    assert restricted.block_dims == (5, 3)
 
 
 def test_compile_keeps_full_shape(monkeypatch, deg4_game):
@@ -268,7 +276,7 @@ def test_compile_keeps_full_shape(monkeypatch, deg4_game):
     assert problem.n_constraints == 495 and problem.n_free == 46
     assert [len(info.basis) for info in comp.multipliers] == [45]
     _, restricted = restricted_problem(monkeypatch, problem, comp)
-    assert restricted.block_dims == (25, 20) + (5, 4) * 6
+    assert restricted.block_dims == (24, 20) + (5, 4) * 6
     assert restricted.n_constraints == 255 and restricted.n_free == 26
 
 
@@ -307,6 +315,32 @@ def test_split_solution_has_exact_zeros(fig3_game, deg4_game):
         assert [b for b, _, _ in cert.memberships[0].gram_matrices] == [
             info.multiplier for info in comp.gram_blocks
         ]
+
+
+def test_quotient_ring_columns_are_exact_zeros(deg4_game):
+    from gamecert.certify import bound_program, solve_audited, target
+
+    # deg4 at level 4: the Gram rows and columns of every basis monomial
+    # divisible by y_k^2, for y_k the first sphere variable, are exact zeros
+    # in the solution and in the certificate, which passes the audit
+    run = solve_audited(bound_program(*target(deg4_game), 4))
+    assert run.solution.status == SdpStatus.OPTIMAL and run.certificate is not None
+    k = deg4_game.n_vars
+    grams = run.certificate.memberships[0].gram_matrices
+    quotient = [np.array([mono[k] >= 2 for mono in basis]) for _, basis, _ in grams]
+    assert [int(q.sum()) for q in quotient] == [1] + [0] * (len(grams) - 1)
+    for q, (_, _, G), X in zip(quotient, grams, run.solution.primal_blocks):
+        for M in (G, X):
+            assert np.all(M[q] == 0.0) and np.all(M[:, q] == 0.0)
+    assert run.certificate.params["lam"] <= -0.9999155
+
+
+def test_deg4_concave_bounds_meet_the_gate(deg4_game):
+    from gamecert.certify import certify_concave
+
+    result = certify_concave(deg4_game, 4)
+    assert [i for i, _ in result.per_player] == [0, 1]
+    assert all(lam <= -0.9999155 for _, lam in result.per_player), result.per_player
 
 
 # ---------------------------------------------------------------------------
