@@ -14,7 +14,9 @@ complement is formed densely, in Gram form.  Free variables need no PSD
 splitting: the rows are rotated once by the complete QR of the free
 columns, which then touch only the first n_free rows, so the free-variable
 dual equation fixes those duals and the Newton system reduces to the other
-rows.
+rows.  Everything is numpy but one LAPACK call, the triangular solve
+``dtrtrs``, which comes from scipy, imported at the first solve: building,
+exporting and importing problems never load scipy.
 
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
@@ -37,7 +39,6 @@ from itertools import chain, compress, groupby
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 
 class SdpStatus(str, Enum):
@@ -353,11 +354,15 @@ def _inner(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
 
 def _tri_solve(L: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve L x = v (trans=0) or L^T x = v (trans=1) for lower-triangular
-    L, calling LAPACK directly: the scipy wrapper costs more than the solve
-    at these sizes.  Fortran-ordered L avoids a copy."""
+    L, calling LAPACK's dtrtrs directly: the scipy wrapper costs more than
+    the solve at these sizes.  Fortran-ordered L avoids a copy.  scipy is
+    imported here, so it loads at the first solve and never for compiling,
+    exporting or importing a problem."""
+    from scipy.linalg.lapack import dtrtrs
+
     if not len(v):  # LAPACK rejects an empty system
         return np.zeros(0)
-    x, info = sla.lapack.dtrtrs(L, v, lower=1, trans=trans)
+    x, info = dtrtrs(L, v, lower=1, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
     return x
@@ -569,22 +574,24 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     recentered = False
 
     def measure():
-        """The current iterate's residuals (rp, rotated, and Rd), objectives,
-        scaled primal and dual residuals and relative gap.  The primal one
-        is measured over the original rows, so that the stopping test does
-        not depend on the rotation."""
+        """The current iterate's residuals (rp, rotated, its largest entry
+        over the original rows, and Rd), objectives, scaled primal and dual
+        residuals and relative gap.  The primal ones are measured over the
+        original rows, so that the stopping test does not depend on the
+        rotation."""
         rp = data.b - data.apply_A(X, u)
+        rp_max = float(np.abs(data.unrotate(rp)).max())
         Rd = [C - At - Sg for C, At, Sg in zip(data.C, data.apply_At(y), S)]
         pobj = _inner(data.C, X) + float(data.cf @ u)
         dobj = float(data.b @ y)
-        err_p = float(np.abs(data.unrotate(rp)).max()) / (1.0 + data.norm_b)
+        err_p = rp_max / (1.0 + data.norm_b)
         err_d = max(float(np.abs(R).max()) for R in Rd) / (1.0 + data.norm_C)
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, Rd, pobj, dobj, err_p, err_d, rel_gap
+        return rp, rp_max, Rd, pobj, dobj, err_p, err_d, rel_gap
 
     def build_solution(status, message, it, measures=None) -> SdpSolution:
         """The current iterate, with its ``measures`` when the loop has them."""
-        pobj, dobj, err_p, err_d, rel_gap = (measures or measure())[2:]
+        pobj, dobj, err_p, err_d, rel_gap = (measures or measure())[3:]
         return SdpSolution(
             status=status,
             primal_blocks=data.unstack(X),
@@ -601,7 +608,7 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
     for it in range(opts.max_iterations):
         measures = measure()
-        rp, Rd, pobj, dobj, err_p, err_d, rel_gap = measures
+        rp, rp_max, Rd, pobj, dobj, err_p, err_d, rel_gap = measures
         gap = _inner(X, S)
         mu = gap / nu
 
@@ -681,9 +688,6 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                         z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
                 du = _tri_solve(Rf_low, h[:nf] - B1 @ (BR.T @ z), trans=1)
                 return np.concatenate((np.zeros(nf), z)), du
-
-            # the polish measures its residual over the original rows, as the stopping test does
-            rp_max = float(np.abs(data.unrotate(rp)).max())
 
             def directions(Rc: list[np.ndarray]):
                 """Solve the Newton system (complementarity target Rc in the XS

@@ -18,15 +18,12 @@ between the target and the decomposition.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import lsqr
 
 from .games import SemialgebraicSet
 from .polynomials import Monomial, Polynomial, monomials_upto
@@ -161,24 +158,21 @@ class Compilation:
     def param_index(self, name: str) -> int:
         return self.param_offset + self.program.params.index(name)
 
-    @functools.cached_property
-    def coeff_matrix(self) -> sp.csr_matrix:
-        """Rows <A_r, X> + f_r . u over the flat vector (vec X_1, ..., vec
-        X_k, u), so ``row_targets - coeff_matrix @ x`` is the identity
-        residual in polynomial coefficients.  An off-diagonal Gram
-        coefficient sits at both (i, j) and (j, i).  Built on first use,
-        since only certificate rounding needs it."""
+    def flat_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows <A_r, X> + f_r . u as (row, column, value) triplets over
+        the flat vector x = (vec X_1, ..., vec X_k, u), read from ``gram``
+        and ``free``; an off-diagonal Gram coefficient sits at both (i, j)
+        and (j, i).  ``row_targets`` minus the sums of ``value * x[column]``
+        per row is the identity residual in polynomial coefficients."""
         dims = np.array([len(info.basis) for info in self.gram_blocks], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(dims * dims)))
-        n_free = self.param_offset + len(self.program.params)
         g, f = self.gram, self.free
         off = g.i != g.j
         start, dim = offsets[g.block], dims[g.block]
         rows = np.concatenate((g.row, g.row[off], f.row))
         cols = np.concatenate((start + g.i * dim + g.j, (start + g.j * dim + g.i)[off], offsets[-1] + f.col))
         vals = np.concatenate((g.value, g.value[off], f.value))
-        shape = (len(self.row_monomials), int(offsets[-1]) + n_free)
-        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        return rows, cols, vals
 
 
 class CompileError(ValueError):
@@ -479,6 +473,47 @@ def reconstruct_expansion(
     return total
 
 
+def _lsqr(row: np.ndarray, col: np.ndarray, val: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The minimum-norm least-squares solution d of A d = b, where the m x n
+    matrix A holds ``val`` at (``row``, ``col``): Paige & Saunders' LSQR
+    (1982) from d = 0, stopped as scipy's ``lsqr`` is with atol = btol =
+    1e-14, or after 2n steps.  Its iterates stay in the row space of A."""
+    m, tol = len(b), 1e-14
+    d = np.zeros(n)
+    bnorm = beta = float(np.linalg.norm(b))
+    if beta == 0:
+        return d
+    u = b / beta
+    v = np.bincount(col, val * u[row], minlength=n)
+    alpha = float(np.linalg.norm(v))
+    if alpha == 0:
+        return d
+    v /= alpha
+    w = v.copy()
+    phibar, rhobar, anorm = beta, alpha, 0.0
+    for _ in range(2 * n):
+        # one Golub-Kahan bidiagonalization step, then one Givens rotation
+        u = np.bincount(row, val * v[col], minlength=m) - alpha * u
+        beta = float(np.linalg.norm(u))
+        if beta > 0:
+            u /= beta
+            anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)  # estimates the Frobenius norm of A
+            v = np.bincount(col, val * u[row], minlength=n) - beta * v
+            alpha = float(np.linalg.norm(v))
+            if alpha > 0:
+                v /= alpha
+        rho = math.hypot(rhobar, beta)
+        c, s = rhobar / rho, beta / rho
+        theta, rhobar = s * alpha, -c * alpha
+        phi, phibar = c * phibar, s * phibar
+        d += (phi / rho) * w
+        w = v - (theta / rho) * w
+        # phibar is |b - A d| and alpha |s phi| is |A^T (b - A d)|
+        if phibar <= tol * (bnorm + anorm * float(np.linalg.norm(d))) or alpha * abs(s * phi) <= tol * anorm * phibar:
+            break
+    return d
+
+
 def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     """Return a copy of ``solution`` moved onto the coefficient-matching rows.
 
@@ -488,7 +523,8 @@ def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     ``RESIDUAL_TOL`` depending on floating-point rounding.  This applies the
     minimum-norm (Frobenius on the Gram blocks) least-squares correction of
     the Gram entries and equality-multiplier coefficients that cancels the
-    identity residual (Peyrl & Parrilo 2008; Löfberg 2009).
+    identity residual (Peyrl & Parrilo 2008; Löfberg 2009), by LSQR on the
+    triplets of :meth:`Compilation.flat_rows` that fall in movable columns.
 
     Every decision parameter is held fixed, so bounds and distances read
     from the solution do not change.  Gram rows and columns with a zero
@@ -500,13 +536,15 @@ def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     blocks = [np.asarray(G, dtype=float) for G in solution.primal_blocks]
     free = np.asarray(solution.free_values, dtype=float)
     x = np.concatenate([G.ravel() for G in blocks] + [free])
-    residual = comp.row_targets - comp.coeff_matrix @ x
+    row, col, val = comp.flat_rows()
+    residual = comp.row_targets - np.bincount(row, val * x[col], minlength=len(comp.row_targets))
     live = [np.diag(G) != 0 for G in blocks]
     movable = np.concatenate(
         [np.outer(d, d).ravel() for d in live] + [np.arange(free.size) < comp.param_offset]
     )
+    keep = movable[col]
     # iterate to rounding level; whether that is good enough is the audit's call
-    x[movable] += lsqr(comp.coeff_matrix[:, movable], residual, atol=1e-14, btol=1e-14)[0]
+    x[movable] += _lsqr(row[keep], (np.cumsum(movable) - 1)[col[keep]], val[keep], residual, int(movable.sum()))
     *parts, rounded_free = np.split(x, np.cumsum([G.size for G in blocks]))
     rounded = [part.reshape(G.shape) for part, G in zip(parts, blocks)]
     return replace(solution, primal_blocks=rounded, free_values=rounded_free)

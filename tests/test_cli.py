@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gamecert.cli import main
-from tests.conftest import corpus_path
+from tests.conftest import CORPUS, corpus_path
 
 
 def run_cli(capsys, *args):
@@ -219,3 +219,47 @@ def test_importing_the_command_leaves_numpy_unloaded():
     probe = "import gamecert; from gamecert import Polynomial; print(Polynomial.__module__, gamecert.__version__)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "gamecert.polynomials 0.1.0\n"
+
+
+NO_SCIPY = """
+import contextlib, io, json, os, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from gamecert.certify import bound_program, target
+from gamecert.cli import main
+from gamecert.jsonio import load_game
+from gamecert.sdp import export_sdpa, import_sdpa
+from gamecert.sos import compile_program
+
+corpus, tmp = sys.argv[1:]
+problem, _ = compile_program(bound_program(*target(load_game(os.path.join(corpus, "deg4.game.json"))), 4))
+export_sdpa(problem, os.path.join(tmp, "deg4.dat-s"))
+same = import_sdpa(os.path.join(tmp, "deg4.dat-s")) == problem
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["efg2poly", os.path.join(corpus, "driver.efg.json"), "--out", os.path.join(tmp, "driver.game.json")]),
+             main(["export-sdpa", os.path.join(corpus, "deg4.game.json"), "--level", "4",
+                   "--out", os.path.join(tmp, "cli.dat-s")])]
+print(json.dumps([same, codes]))
+"""
+
+CERTIFY_DRIVER = """
+import json, sys
+from gamecert.certify import certify_monotone
+from gamecert.jsonio import load_game
+result = certify_monotone(load_game(sys.argv[1]), 2)
+print(json.dumps([result.lam, result.status.value, "scipy.sparse" in sys.modules]))
+"""
+
+
+def test_scipy_loads_only_to_solve(tmp_path):
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", NO_SCIPY, CORPUS, str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [True, [0, 0]]
+    child = subprocess.run([sys.executable, "-c", CERTIFY_DRIVER, corpus_path("driver.game.json")],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    lam, status, sparse_loaded = json.loads(child.stdout)
+    assert lam == pytest.approx(-6.0, abs=1e-4) and status == "StrictlyCertified"
+    assert not sparse_loaded

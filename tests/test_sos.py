@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -383,7 +385,8 @@ def test_compiled_rows_match_symbolic_expansion(monkeypatch, fig1_game, fig3_gam
         grams = [(lambda B: B + B.T)(rng.standard_normal((d, d))) for d in problem.block_dims]
         free = rng.standard_normal(problem.n_free)
         x = np.concatenate([G.ravel() for G in grams] + [free])
-        rows = comp.row_targets - comp.coeff_matrix @ x
+        r, c, v = comp.flat_rows()
+        rows = comp.row_targets - np.bincount(r, v * x[c], minlength=len(comp.row_targets))
         params = {name: free[comp.param_index(name)] for name in program.params}
         for mi, mem in enumerate(program.memberships):
             cert = MembershipCertificate(
@@ -409,3 +412,40 @@ def test_compiled_rows_match_symbolic_expansion(monkeypatch, fig1_game, fig3_gam
             assert set(residual.terms) <= set(mine), label
             worst = max(abs(v - residual.coeff(mono)) for mono, v in mine.items())
             assert worst <= 1e-12, (label, mi, worst)
+
+
+def test_rounding_is_the_minimum_norm_correction(fig3_game, deg4_game):
+    """Rounding lands on the rows, moves only the movable entries, and moves
+    them within the row space of their columns, so the correction is the
+    minimum-norm one.  Checked on the solver's iterate and on a copy whose
+    movable entries carry 1e-7 of noise, which the rounding must remove."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    for label, (problem, comp) in [("deg4 L4", compile_program(monotone_membership(deg4_game, 4))),
+                                   ("fig3 L6", compile_program(monotone_membership(fig3_game, 6)))]:
+        sol = solve_split(problem, comp)
+        assert sol.status == SdpStatus.OPTIMAL, label
+        live = [np.diag(G) != 0 for G in sol.primal_blocks]
+        multipliers = np.arange(problem.n_free) < comp.param_offset
+        movable = np.concatenate([np.outer(d, d).ravel() for d in live] + [multipliers])
+        noisy = replace(
+            sol,
+            primal_blocks=[G + 1e-7 * np.outer(d, d) * (lambda B: B + B.T)(rng.standard_normal(G.shape))
+                           for G, d in zip(sol.primal_blocks, live)],
+            free_values=sol.free_values + 1e-7 * multipliers * rng.standard_normal(problem.n_free),
+        )
+        r, c, v = comp.flat_rows()
+        A = np.zeros((len(comp.row_targets), len(movable)))
+        np.add.at(A, (r, c), v)
+        A = A[:, movable]
+        flat = lambda s: np.concatenate([G.ravel() for G in s.primal_blocks] + [s.free_values])
+        miss = lambda x: np.abs(comp.row_targets - np.bincount(r, v * x[c], minlength=len(A))).max()
+        assert miss(flat(noisy)) > 1e-7, label
+        for start in (sol, noisy):
+            x0, x1 = flat(start), flat(round_onto_rows(comp, start))
+            assert miss(x1) <= 1e-12, label
+            assert x1[~movable].tobytes() == flat(sol)[~movable].tobytes(), label
+            d = (x1 - x0)[movable]
+            z = np.linalg.lstsq(A.T, d, rcond=None)[0]
+            # storing x0 + d and taking the difference again round at the level of x
+            assert np.linalg.norm(A.T @ z - d) <= eps * (np.linalg.norm(x0[movable]) + np.linalg.norm(d)), label
