@@ -174,6 +174,7 @@ def cmd_project(args) -> int:
         "game": args.game,
         "kind": args.kind,
         "level": args.level,
+        "add_ball": args.add_ball,
         "zero_sum": args.zero_sum,
         "preserve_support": args.preserve_support,
         "sdp_tol": args.sdp_tol,
@@ -320,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the certification hierarchy on a game file")
     p.add_argument("game")
     p.add_argument("--kind", choices=("monotone", "concave"), default="monotone")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--levels", default=None, metavar="A..B", help="levels A to B, or one level N")
+    level = p.add_mutually_exclusive_group()
+    level.add_argument("--level", type=int, default=None)
+    level.add_argument("--levels", default=None, metavar="A..B", help="levels A to B, or one level N")
     p.add_argument("--verify", type=_count, default=0, metavar="N",
                    help="also sample N domain points and report the eigenvalue bound")
     p.add_argument("--seed", type=int, default=0x5EED)

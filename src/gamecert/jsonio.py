@@ -28,6 +28,11 @@ class FormatError(ValueError):
     pass
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def poly_to_json(p: Polynomial) -> dict:
     return {
         "n_vars": p.n_vars,
@@ -41,7 +46,7 @@ def poly_from_json(obj: Any) -> Polynomial:
     if not isinstance(obj, dict) or "n_vars" not in obj or "terms" not in obj:
         raise FormatError("polynomial must be an object with n_vars and terms")
     n = obj["n_vars"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise FormatError(f"invalid n_vars {n!r}")
     terms = {}
     for t in obj["terms"]:
@@ -49,10 +54,10 @@ def poly_from_json(obj: Any) -> Polynomial:
         coeff = t.get("coeff")
         if not isinstance(exps, list) or len(exps) != n:
             raise FormatError(f"term exponents {exps!r} do not match n_vars={n}")
-        if any((not isinstance(e, int)) or e < 0 for e in exps):
+        if any(not _is_int(e) or e < 0 for e in exps):
             raise FormatError(f"exponents must be nonnegative integers: {exps!r}")
-        if not isinstance(coeff, (int, float)) or not math.isfinite(coeff):
-            raise FormatError(f"non-finite coefficient {coeff!r}")
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)) or not math.isfinite(coeff):
+            raise FormatError(f"coefficient must be a finite number: {coeff!r}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0.0) + float(coeff)
     return Polynomial(n, terms)
@@ -76,9 +81,11 @@ def game_from_json(obj: Any) -> PolynomialGame:
         if key not in obj:
             raise FormatError(f"game object missing {key!r}")
     try:
-        blocks = tuple(int(p["m"]) for p in obj["players"])
+        blocks = tuple(p["m"] for p in obj["players"])
     except (TypeError, KeyError) as exc:
         raise FormatError("players must be a list of objects with field 'm'") from exc
+    if not all(_is_int(m) for m in blocks):
+        raise FormatError(f"block sizes must be integers: {list(blocks)!r}")
     payoffs = tuple(poly_from_json(p) for p in obj["payoffs"])
     dom = obj["domain"]
     ineq = tuple(poly_from_json(p) for p in dom.get("ineq", []))

@@ -243,31 +243,6 @@ class Polynomial:
             out += term
         return out
 
-    def substitute_affine(self, var_index: int, replacement: "Polynomial") -> "Polynomial":
-        """Replace a variable by an affine polynomial and expand.
-
-        ``replacement`` must live in the same variable space and have
-        degree <= 1; the substituted variable may appear in it (x <- x is
-        the identity).
-        """
-        if not 0 <= var_index < self.n_vars:
-            raise IndexError(f"variable index {var_index} out of range")
-        self._check_same_space(replacement)
-        if replacement.degree > 1:
-            raise ValueError("replacement must be affine (degree <= 1)")
-        max_power = max((e[var_index] for e in self.terms), default=0)
-        powers = [Polynomial.constant(self.n_vars, 1.0)]
-        for _ in range(max_power):
-            powers.append(powers[-1] * replacement)
-        result = Polynomial.zero(self.n_vars)
-        for exps, coeff in self.terms.items():
-            e = exps[var_index]
-            rest = list(exps)
-            rest[var_index] = 0
-            base = Polynomial.monomial(self.n_vars, tuple(rest), coeff)
-            result = result + base * powers[e]
-        return result
-
     def lift(self, new_n_vars: int, var_map: Sequence[int] | None = None) -> "Polynomial":
         """Embed into a larger variable space.
 

@@ -477,35 +477,8 @@ def _max_step(Linv: list[np.ndarray], D: list[np.ndarray]) -> np.ndarray:
 
 
 class _Stall(Exception):
-    """Ends a descent early; its args are the (status, message) it reports
+    """Ends a descent early; its message is the NumericalFailure it reports
     when there is no feasible iterate to fall back on."""
-
-
-def _back_off(Z: list[np.ndarray], D: list[np.ndarray], alpha: np.ndarray):
-    """The trial iterate Z + alpha*D of paired stacks, with its Cholesky
-    factors and the step lengths taken.
-
-    Eigenvalue step bounds can overshoot once the blocks are nearly
-    singular, so the trial is verified by a Cholesky: a side that fails it
-    backs off by 0.8 on its own, and 40 failures on one side end the
-    descent."""
-
-    def positive(mats):
-        try:
-            for P in mats:
-                np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    for _ in range(40):
-        trial = [_sym(P + alpha[:, None, None, None] * Dg) for P, Dg in zip(Z, D)]
-        try:
-            return trial, [np.linalg.cholesky(T) for T in trial], alpha
-        except np.linalg.LinAlgError:
-            ok = [positive([T[side] for T in trial]) for side in (0, 1)]
-            alpha = np.where(ok, alpha, 0.8 * alpha)
-    raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
 
 
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
@@ -538,13 +511,13 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
 
     The descent keeps the feasible iterate with the smallest gap.  When it
     would end early with one that has not converged (two steps in a row
-    fall short of 0.1, or a step breaks down, a ``LinAlgError`` included),
-    it re-centers once instead: ``X`` and ``S`` restart from that
-    iterate's, shifted by ``sqrt(mu)*I``, and the descent goes on under the
-    same iteration budget.  The next such stop returns the feasible
-    iterate with the smallest gap from either phase; a stop with no
-    feasible iterate reports the current one with the stop's status,
-    ``NumericalFailure`` and numpy's message for a ``LinAlgError``.
+    fall short of 0.1, or a step breaks down: a ``LinAlgError``, a trial
+    iterate that fails its Cholesky included), it re-centers once instead:
+    ``X`` and ``S`` restart from that iterate's, shifted by ``sqrt(mu)*I``,
+    and the descent goes on under the same iteration budget.  The next such
+    stop returns the feasible iterate with the smallest gap from either
+    phase; a stop with no feasible iterate reports the current one as
+    ``NumericalFailure``, with the stop's message or numpy's.
     """
     m, nf = data.m, data.nf
     nu = sum(data.dims)
@@ -728,26 +701,28 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             gamma = 0.95 if it < 2 else 0.98
             alpha = np.minimum(1.0, gamma * steps)
             if alpha.max() < 1e-10:
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
-            trial, factors, (ap, ad) = _back_off(Z, D, alpha)
+                raise _Stall("step length collapsed")
+            ap, ad = alpha
+            trial = [_sym(P + alpha[:, None, None, None] * Dg) for P, Dg in zip(Z, D)]
             if not all(np.isfinite(P).all() for P in trial):
-                raise _Stall(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate")
-            Z, L = trial, factors
+                raise _Stall("non-finite iterate")
+            # eigenvalue step bounds can overshoot once the blocks are nearly
+            # singular: a trial that fails its Cholesky is a breakdown too
+            Z, L = trial, [np.linalg.cholesky(P) for P in trial]
             X, S = [P[0] for P in Z], [P[1] for P in Z]
             y = y + ad * dy
             u = u + ap * du
             # a second short step in a row means the phase has stalled
             short_steps = short_steps + 1 if min(ap, ad) < 0.1 else 0
             if short_steps >= 2 and best is not None:
-                raise _Stall(SdpStatus.ITERATION_LIMIT, "")
+                raise _Stall()
         except (_Stall, np.linalg.LinAlgError) as halt:
             # every stop short of convergence or an infeasibility ray comes
             # here, a linear-algebra breakdown included: without a feasible
             # iterate the current one is reported; the best feasible one is
             # re-centered once, then returned
             if best is None:
-                stop = halt.args if isinstance(halt, _Stall) else (SdpStatus.NUMERICAL_FAILURE, str(halt))
-                return build_solution(*stop, it, measures)
+                return build_solution(SdpStatus.NUMERICAL_FAILURE, str(halt), it, measures)
             if recentered:
                 return best
             Z0, y, u, mu0 = best_point

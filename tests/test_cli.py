@@ -82,6 +82,11 @@ def test_certify_single_level_in_levels(capsys):
     assert one[0] == 0
 
 
+def test_certify_level_and_levels_exclude_each_other(capsys):
+    assert main(["certify", "--level", "2", "--levels", "4", corpus_path("driver.game.json")]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_certify_empty_levels_range_exit_one(capsys):
     # rejected before the game file is read
     assert main(["certify", "--levels", "4..2", "/no/such/file.json"]) == 1
@@ -107,6 +112,9 @@ def test_project_fig1(tmp_path, capsys):
 
     projected = load_game(str(out_path))
     assert abs(projected.payoffs[0].coeff((1, 1, 0))) <= 1e-4
+    assert report["config"]["add_ball"] is None
+    code, out = run_cli(capsys, "project", "--level", "2", "--add-ball", "2", corpus_path("fig1.game.json"))
+    assert code == 0 and json.loads(out)["config"]["add_ball"] == 2.0
 
 
 def test_efg2poly_matches_corpus(tmp_path, capsys):

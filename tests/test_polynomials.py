@@ -162,49 +162,6 @@ def test_evaluate_many_matches_evaluate():
         assert batch[i] == pytest.approx(p.evaluate(pts[i]), abs=1e-12)
 
 
-def test_substitute_affine_driver_elimination():
-    # x2 <- 1 - x1 in x1^2 + 4 x1 x2 gives -3 x1^2 + 4 x1
-    p = Polynomial(2, {(2, 0): 1.0, (1, 1): 4.0})
-    repl = Polynomial(2, {(0, 0): 1.0, (1, 0): -1.0})
-    out = p.substitute_affine(1, repl)
-    assert allclose(out, Polynomial(2, {(2, 0): -3.0, (1, 0): 4.0}), 1e-12)
-
-
-def test_substitute_affine_trivial_cases():
-    c = Polynomial.constant(2, 4.0)
-    x = Polynomial.variable(2, 0)
-    assert c.substitute_affine(0, x + c) == c
-    p = Polynomial(2, {(2, 1): 3.0, (1, 0): -1.0})
-    assert p.substitute_affine(0, x) == p
-
-
-def test_substitute_affine_rejects_nonlinear():
-    p = Polynomial.variable(1, 0)
-    with pytest.raises(ValueError):
-        p.substitute_affine(0, Polynomial(1, {(2,): 1.0}))
-
-
-def test_substitute_then_evaluate_consistency():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        n = int(rng.integers(2, 5))
-        p = random_poly(rng, n, 3)
-        k = int(rng.integers(n))
-        coeffs = rng.uniform(-1, 1, n + 1)
-        repl_terms = {(0,) * n: float(coeffs[0])}
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            repl_terms[tuple(e)] = float(coeffs[1 + j])
-        repl = Polynomial(n, repl_terms)
-        point = rng.uniform(-1, 1, n)
-        substituted_point = point.copy()
-        substituted_point[k] = repl.evaluate(point)
-        direct = p.evaluate(substituted_point)
-        via_poly = p.substitute_affine(k, repl).evaluate(point)
-        assert abs(direct - via_poly) <= 1e-12 * (1 + abs(direct))
-
-
 def test_canonical_zero():
     rng = np.random.default_rng(2)
     p = random_poly(rng, 3, 4)

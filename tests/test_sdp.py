@@ -184,27 +184,6 @@ def test_paired_step_bound_matches_eigvalsh():
     assert steps[1] == math.inf and steps[0] < math.inf
 
 
-def test_back_off_shrinks_only_the_failing_side():
-    Z = [np.broadcast_to(np.eye(d), (2, k, d, d)) for d, k in ((3, 2), (2, 4))]
-    # X + a*dX is positive definite only for a < 0.5; S + a*dS always is
-    D = [np.stack([-2.0 * Zg[0], Zg[1]]) for Zg in Z]
-    trial, factors, alpha = sdp._back_off(Z, D, np.array([1.0, 1.0]))
-    assert alpha.tolist() == [1.0 * 0.8 * 0.8 * 0.8 * 0.8, 1.0]
-    for T, Lf, Zg, Dg in zip(trial, factors, Z, D):
-        assert np.array_equal(T, Zg + alpha[:, None, None, None] * Dg)
-        assert np.array_equal(Lf, np.linalg.cholesky(T))
-    # 39 failures on one side still give a step; 40 end the descent
-    for half_steps, fails in ((77, False), (79, True)):
-        D = [np.stack([Zg[0], -0.8 ** (-half_steps / 2) * Zg[1]]) for Zg in Z]
-        if fails:
-            with pytest.raises(sdp._Stall) as stall:
-                sdp._back_off(Z, D, np.array([1.0, 1.0]))
-            assert stall.value.args == (SdpStatus.NUMERICAL_FAILURE, "step length collapsed")
-        else:
-            _, _, alpha = sdp._back_off(Z, D, np.array([1.0, 1.0]))
-            assert alpha[0] == 1.0 and alpha[1] == pytest.approx(0.8 ** 39, rel=1e-12)
-
-
 def recorded_descent(monkeypatch):
     """Count the Schur builds of the descents that follow, and record the
     count at each stall: the first re-centers, the second ends the descent."""
@@ -303,39 +282,56 @@ def test_recentering_certifies_a_stalled_game():
     assert result.status == CertStatus.STRICTLY_CERTIFIED
 
 
-def failing_max_step(monkeypatch, at_call):
-    """Make call ``at_call`` of ``sdp._max_step`` raise what numpy's
-    ``eigvalsh`` raises on a NaN block of order 3 or more."""
-    real, calls = sdp._max_step, []
+def failing_call(monkeypatch, owner, name, at_call, message):
+    """Make call ``at_call`` of ``owner.name`` raise numpy's ``LinAlgError``
+    with ``message``."""
+    real, calls = getattr(owner, name), []
 
-    def max_step(Linv, D):
+    def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == at_call:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(Linv, D)
+            raise np.linalg.LinAlgError(message)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(sdp, "_max_step", max_step)
+    monkeypatch.setattr(owner, name, failing)
 
 
-def test_breakdown_without_a_feasible_iterate_is_classified(monkeypatch, driver_game):
+# Where the descent of driver at level 2 breaks down, and what numpy says:
+# the step bound, as ``eigvalsh`` does on a NaN block of order 3 or more, or
+# the trial iterate's Cholesky.  Unpatched, that descent has one size group:
+# it factors its start (Cholesky call 1), then each trial once (calls 2 to
+# 8), and holds a feasible iterate from its second iterate on.  Each entry
+# gives the call that fails with no feasible iterate yet, then one that
+# fails after there is one: the 9th step bound and the trial built from it.
+BREAKDOWNS = (
+    (sdp, "_max_step", 1, 9, "Eigenvalues did not converge"),
+    (np.linalg, "cholesky", 2, 6, "Matrix is not positive definite"),
+)
+
+
+def test_breakdown_without_a_feasible_iterate_is_classified(driver_game):
     from gamecert.certify import certify_monotone
 
-    failing_max_step(monkeypatch, 1)
-    result = certify_monotone(driver_game, 2)
-    assert result.solver.status == SdpStatus.NUMERICAL_FAILURE
-    assert "Eigenvalues did not converge" in result.diagnostic
+    for owner, name, first, _, message in BREAKDOWNS:
+        with pytest.MonkeyPatch.context() as patch:
+            failing_call(patch, owner, name, first, message)
+            result = certify_monotone(driver_game, 2)
+        assert result.solver.status == SdpStatus.NUMERICAL_FAILURE, name
+        assert message in result.diagnostic
 
 
-def test_breakdown_after_a_feasible_iterate_re_centers(monkeypatch, driver_game):
+def test_breakdown_after_a_feasible_iterate_re_centers(driver_game):
     from gamecert.certify import CertStatus, certify_monotone
 
-    # by the 9th step bound the descent holds a feasible iterate: the
-    # breakdown re-centers from it, and the re-centered phase converges
-    failing_max_step(monkeypatch, 9)
-    result = certify_monotone(driver_game, 2)
-    assert result.solver.status == SdpStatus.OPTIMAL
-    assert result.lam == pytest.approx(-6.0, abs=1e-6)
-    assert result.status == CertStatus.STRICTLY_CERTIFIED
+    # the breakdown re-centers from the feasible iterate, and the
+    # re-centered phase converges
+    for owner, name, _, later, message in BREAKDOWNS:
+        with pytest.MonkeyPatch.context() as patch:
+            failing_call(patch, owner, name, later, message)
+            result = certify_monotone(driver_game, 2)
+        assert result.solver.status == SdpStatus.OPTIMAL, name
+        assert result.lam == pytest.approx(-6.0, abs=1e-6)
+        assert result.status == CertStatus.STRICTLY_CERTIFIED
 
 
 def forced_zero_reference(problem):
