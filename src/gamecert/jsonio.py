@@ -33,6 +33,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value: Any, what: str) -> float:
+    """A JSON number as a float: not a bool, a string, nan or an infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise FormatError(f"{what} must be a finite number: {value!r}")
+    return float(value)
+
+
 def poly_to_json(p: Polynomial) -> dict:
     return {
         "n_vars": p.n_vars,
@@ -56,10 +63,8 @@ def poly_from_json(obj: Any) -> Polynomial:
             raise FormatError(f"term exponents {exps!r} do not match n_vars={n}")
         if any(not _is_int(e) or e < 0 for e in exps):
             raise FormatError(f"exponents must be nonnegative integers: {exps!r}")
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)) or not math.isfinite(coeff):
-            raise FormatError(f"coefficient must be a finite number: {coeff!r}")
         key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + float(coeff)
+        terms[key] = terms.get(key, 0.0) + _finite(coeff, "coefficient")
     return Polynomial(n, terms)
 
 
@@ -106,7 +111,7 @@ def node_from_json(obj: Any, n_players: int) -> EfgNode:
         payoffs = obj.get("payoffs")
         if not isinstance(payoffs, list):
             raise FormatError("terminal node needs payoffs")
-        return EfgNode(owner="terminal", payoffs=tuple(float(v) for v in payoffs))
+        return EfgNode(owner="terminal", payoffs=tuple(_finite(v, "payoff") for v in payoffs))
     children = tuple(node_from_json(c, n_players) for c in obj.get("children", []))
     if owner == "chance":
         probs = obj.get("chance_probs")
@@ -116,9 +121,9 @@ def node_from_json(obj: Any, n_players: int) -> EfgNode:
             owner="chance",
             actions=tuple(obj.get("actions", [str(k) for k in range(len(children))])),
             children=children,
-            chance_probs=tuple(float(p) for p in probs),
+            chance_probs=tuple(_finite(p, "chance probability") for p in probs),
         )
-    if not isinstance(owner, int):
+    if not _is_int(owner):
         raise FormatError(f"owner must be a player index, 'chance' or 'terminal': {owner!r}")
     actions = obj.get("actions")
     if not isinstance(actions, list):
@@ -138,7 +143,7 @@ def efg_from_json(obj: Any) -> EfgTree:
     if not isinstance(obj, dict) or "players" not in obj or "root" not in obj:
         raise FormatError("tree file needs 'players' and 'root'")
     n = obj["players"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FormatError(f"invalid player count {n!r}")
     return EfgTree(n, node_from_json(obj["root"], n))
 

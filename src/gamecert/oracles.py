@@ -6,8 +6,15 @@ eigensolver is round-robin Jacobi (not the SDP, and no LAPACK eigen-routine),
 derivatives are checked by central finite differences, and membership
 certificates are audited by pointwise evaluation.  Each check works on whole
 arrays: the eigensolver takes an (N, k, k) stack and rotates it lanes last,
-as (k, k, N), and points are drawn and tested for membership a block at a
-time.
+as (k, k, N), points are drawn and tested for membership a block at a time,
+and a payoff is evaluated once on all of its finite-difference points.
+
+The sampled maximum solves only the matrices that can hold it: a Gershgorin
+disc bound below the largest diagonal entry of the stack (or below the best
+value of an earlier matrix family), less a margin for the eigensolver's own
+error, rules a matrix out.  Of deg4's 10,000 default samples 250 pass the
+screen.  Stacked Jacobi rows and stacked evaluations equal the calls on one
+matrix or point, so every report is the one the full stack gives.
 
 Sampling is reproducible and counter-based.  Attempt i of a seed takes its
 coordinates from row i mod SAMPLE_BLOCK of block i // SAMPLE_BLOCK, where
@@ -37,6 +44,17 @@ DEFAULT_SEED = 0x5EED
 # Matrices of a stack go through the sweeps this many at a time, so the
 # working memory does not grow with the stack.
 JACOBI_SLICE = 2048
+
+# Relative slack of the Gershgorin screen in sample_max_eigenvalue, in units
+# of 1 + max|A| over the stack.  jacobi_eigenvalues stops with every
+# off-diagonal entry at most tol = 1e-12 times max|A|, so by Weyl's
+# inequality its diagonal is within k * 1e-12 * max|A| of the eigenvalues;
+# its rotations add a few ulps per sweep, and the disc bound's row sum at
+# most k ulps of k * max|A|.  The screen must cover these errors at two
+# matrices, the one holding the floor and the one screened out; for any k
+# up to 500 they add up to less than 2e-9 * max|A|, five times less than
+# this.
+MARGIN = 1e-8
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
@@ -312,7 +330,18 @@ def sample_max_eigenvalue(
     Jacobi eigensolver on the evaluated matrix (symmetrized Jacobian, or
     the worst per-player Hessian).  A matrix whose entries all have degree
     0 takes one value everywhere, so it is evaluated and solved at the first
-    point only, where the full stack has its first maximum too."""
+    point only, where the full stack has its first maximum too.
+
+    Other matrices are screened by Gershgorin's theorem: no eigenvalue of A
+    exceeds its disc bound max_r(a_rr + sum_{c != r} |a_rc|), and the
+    largest is at least every diagonal entry.  So a matrix whose disc bound is
+    below the floor, the larger of the best value so far and the largest
+    diagonal entry of the stack, can neither hold the stack's maximum nor
+    beat the best so far.  Only the others go to Jacobi, in sample order,
+    and the floor is lowered by ``MARGIN * (1 + max|A|)`` for the
+    eigensolver's own error.  A stacked Jacobi row equals the call on that
+    matrix alone, so the report, its first maximizing sample included, is
+    the one the full stack gives."""
     points, rate = sample_domain_points(game.domain, n_samples, bounding_box, seed)
     if kind == "monotone":
         matrices = [symmetrized_jacobian(game)]
@@ -323,12 +352,25 @@ def sample_max_eigenvalue(
     best = -math.inf
     best_point = None
     for M in matrices:
-        constant = all(p.degree == 0 for row in M.entries for p in row)
-        lam = jacobi_eigenvalues(M.evaluate_many(points[:1] if constant else points))[:, -1]
+        if all(p.degree == 0 for row in M.entries for p in row):
+            rows = [0]
+            stack = M.evaluate_many(points[:1])
+        else:
+            stack = M.evaluate_many(points)
+            magnitude = np.abs(stack)
+            diagonal = np.diagonal(stack, axis1=1, axis2=2)
+            disc = (diagonal + magnitude.sum(axis=2) - np.abs(diagonal)).max(axis=1)
+            floor = max(best, float(diagonal.max()))
+            margin = MARGIN * (1.0 + float(magnitude.max()))
+            rows = np.flatnonzero(disc >= floor - margin)
+            if not rows.size:
+                continue
+            stack = stack[rows]
+        lam = jacobi_eigenvalues(stack)[:, -1]
         idx = int(np.argmax(lam))
         if lam[idx] > best:
             best = float(lam[idx])
-            best_point = points[idx]
+            best_point = points[rows[idx]]
     return SampleReport(
         kind=kind,
         samples=points.shape[0],
@@ -474,7 +516,11 @@ def finite_difference_audit(
     bounding_box=None,
 ) -> float:
     """Worst deviation between the symbolic pseudogradient and a central
-    finite-difference gradient of the payoffs."""
+    finite-difference gradient of the payoffs.  Each payoff is evaluated
+    once, on the up and down shift of every point along each variable of
+    its block, stacked."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     box = bounding_box or infer_bounding_box(game.domain) or [(-1.0, 1.0)] * game.n_vars
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -485,12 +531,15 @@ def finite_difference_audit(
     worst = 0.0
     row = 0
     for i, u in enumerate(game.payoffs):
-        for k in game.block_range(i):
-            shifted_up = points.copy()
-            shifted_dn = points.copy()
-            shifted_up[:, k] += step
-            shifted_dn[:, k] -= step
-            fd = (u.evaluate_many(shifted_up) - u.evaluate_many(shifted_dn)) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(fd - v[row].evaluate_many(points)), initial=0.0)))
+        block = game.block_range(i)
+        # shifted[j, 0] moves variable block[j] up by step, shifted[j, 1] down
+        shifted = np.broadcast_to(points, (len(block), 2) + points.shape).copy()
+        for j, k in enumerate(block):
+            shifted[j, 0, :, k] += step
+            shifted[j, 1, :, k] -= step
+        values = u.evaluate_many(shifted.reshape(-1, game.n_vars)).reshape(shifted.shape[:3])
+        fd = (values[:, 0] - values[:, 1]) / (2 * step)
+        for deviation in fd:
+            worst = max(worst, float(np.max(np.abs(deviation - v[row].evaluate_many(points)))))
             row += 1
     return worst

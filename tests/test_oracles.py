@@ -290,3 +290,106 @@ def test_sampled_audit_takes_one_membership_at_a_time(fig1_game):
 def test_per_player_sampling(fig1_game):
     report = sample_max_eigenvalue(fig1_game, kind="concave", n_samples=100)
     assert report.max_value == pytest.approx(10.0)
+
+
+def full_stack_report(game, kind, n_samples, seed):
+    """sample_max_eigenvalue's report with Jacobi run on every evaluated
+    matrix of every family: (max, argmax point, samples, acceptance)."""
+    points, rate = sample_domain_points(game.domain, n_samples, seed=seed)
+    if kind == "monotone":
+        families = [symmetrized_jacobian(game)]
+    else:
+        families = [player_hessian(game, i) for i in range(game.n_players) if game.block_sizes[i]]
+    best, best_point = -np.inf, None
+    for M in families:
+        lam = jacobi_eigenvalues(M.evaluate_many(points))[:, -1]
+        idx = int(np.argmax(lam))
+        if lam[idx] > best:
+            best, best_point = float(lam[idx]), points[idx]
+    return best, best_point, len(points), rate
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+@pytest.mark.parametrize("name, kind", [
+    ("deg4", "monotone"), ("fig3", "monotone"), ("deg8", "monotone"), ("deg4", "concave"), ("deg8", "concave"),
+])
+def test_screened_sampling_equals_the_full_stack(request, name, kind, seed):
+    game = request.getfixturevalue(f"{name}_game")
+    best, best_point, samples, rate = full_stack_report(game, kind, 3000, seed)
+    rep = sample_max_eigenvalue(game, kind=kind, n_samples=3000, seed=seed)
+    assert (rep.max_value, rep.samples, rep.acceptance_rate) == (best, samples, rate)
+    assert np.array_equal(rep.argmax_point, best_point)
+
+
+class CraftedFamily:
+    """A stand-in for a matrix family: not constant, and evaluating to a
+    fixed stack whatever the points."""
+
+    def __init__(self, stack):
+        self.stack = np.array(stack, dtype=float)
+        self.entries = [[Polynomial.variable(1, 0)]]
+
+    def evaluate_many(self, points):
+        assert len(points) == len(self.stack)
+        return self.stack.copy()
+
+
+def test_screen_keeps_ties_and_the_boundary(fig1_game, monkeypatch):
+    small = [[0.0, 0.1], [0.1, 0.0]]
+    top = [[2.0, 1.0], [1.0, 2.0]]  # eigenvalues 1 and 3, disc bound 3
+    first = [small] * 10
+    first[3] = first[7] = top
+    first[5] = [[2.5, 0.0], [0.0, 0.0]]  # the largest diagonal entry: the floor is 2.5
+    first[1] = [[1.5, 1.0], [1.0, 0.0]]  # a decoy whose disc bound is the floor
+    first[8] = [[1.5, 0.999], [0.999, 0.0]]  # disc bound 2.499, past the margin below the floor
+    # the second family ties the best value at sample 0 and must not replace it
+    second = [small] * 10
+    second[0] = top
+    families = [CraftedFamily(first), CraftedFamily(second)]
+    monkeypatch.setattr(oracles, "player_hessian", lambda game, i: families[i])
+    stacks = []
+    monkeypatch.setattr(oracles, "jacobi_eigenvalues", lambda A: stacks.append(A) or jacobi_eigenvalues(A))
+    rep = sample_max_eigenvalue(fig1_game, kind="concave", n_samples=10, seed=5)
+    points, _ = sample_domain_points(fig1_game.domain, 10, seed=5)
+    assert np.array_equal(rep.argmax_point, points[3])
+    assert rep.max_value == jacobi_eigenvalues(np.array(top))[-1]
+    assert np.array_equal(stacks[0], families[0].stack[[1, 3, 5, 7]])
+    assert np.array_equal(stacks[1], families[1].stack[[0]])
+
+
+def test_screen_sends_few_matrices_to_jacobi(deg4_game, monkeypatch):
+    rows = []
+    monkeypatch.setattr(oracles, "jacobi_eigenvalues", lambda A: rows.append(len(A)) or jacobi_eigenvalues(A))
+    sample_max_eigenvalue(deg4_game, n_samples=10_000)
+    assert sum(rows) < 1000
+
+
+def per_variable_audit(game, n_points, seed, step=1e-6):
+    """finite_difference_audit with two payoff evaluations per variable."""
+    box = infer_bounding_box(game.domain) or [(-1.0, 1.0)] * game.n_vars
+    lo, hi = np.array(box).T
+    v = oracles.pseudogradient(game)
+    points = lo + oracles._uniform_block(seed, 0, oracles.DIFFERENCE_STREAM, game.n_vars)[:n_points] * (hi - lo)
+    worst, row = 0.0, 0
+    for i, u in enumerate(game.payoffs):
+        for k in game.block_range(i):
+            up, down = points.copy(), points.copy()
+            up[:, k] += step
+            down[:, k] -= step
+            fd = (u.evaluate_many(up) - u.evaluate_many(down)) / (2 * step)
+            worst = max(worst, float(np.max(np.abs(fd - v[row].evaluate_many(points)))))
+            row += 1
+    return worst
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+@pytest.mark.parametrize("name", ["driver", "fig1", "fig3", "deg4", "deg8"])
+def test_stacked_difference_audit_equals_per_variable_loop(request, name, seed):
+    game = request.getfixturevalue(f"{name}_game")
+    assert finite_difference_audit(game, seed=seed) == per_variable_audit(game, 20, seed)
+
+
+@pytest.mark.parametrize("n_points", [0, -5])
+def test_difference_audit_needs_a_point(fig1_game, n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        finite_difference_audit(fig1_game, n_points=n_points)
