@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, PolyMatrix
+from .polynomials import Polynomial, PolyMatrix, PowerTable
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,14 @@ class SemialgebraicSet:
 
     def contains_many(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Membership of each row of ``points`` (shape (N, n_vars)), as a
-        boolean array of length N."""
-        points = np.asarray(points, dtype=float)
-        inside = np.ones(points.shape[0], dtype=bool)
+        boolean array of length N.  The constraints share one
+        ``PowerTable`` of the points."""
+        table = PowerTable(points)
+        inside = np.ones(table.points.shape[0], dtype=bool)
         for g in self.inequalities:
-            inside &= g.evaluate_many(points) >= -tol
+            inside &= g.evaluate_many(table) >= -tol
         for h in self.equalities:
-            inside &= np.abs(h.evaluate_many(points)) <= tol
+            inside &= np.abs(h.evaluate_many(table)) <= tol
         return inside
 
     def contains(self, point: Sequence[float], tol: float = 1e-9) -> bool:

@@ -8,6 +8,8 @@ certificates are audited by pointwise evaluation.  Each check works on whole
 arrays: the eigensolver takes an (N, k, k) stack and rotates it lanes last,
 as (k, k, N), points are drawn and tested for membership a block at a time,
 and a payoff is evaluated once on all of its finite-difference points.
+Polynomials on one point set share a ``polynomials.PowerTable`` of it, so
+each power of a coordinate is computed once.
 
 The sampled maximum solves only the matrices that can hold it: a Gershgorin
 disc bound below the largest diagonal entry of the stack (or below the best
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import PolynomialGame, SemialgebraicSet, player_hessian, pseudogradient, symmetrized_jacobian
-from .polynomials import Polynomial
+from .polynomials import Polynomial, PowerTable
 
 DEFAULT_SEED = 0x5EED
 
@@ -267,6 +269,14 @@ def _uniform_block(seed: int, block: int, stream: int, width: int) -> np.ndarray
     return _stream(seed, block, stream).random((SAMPLE_BLOCK, width))
 
 
+def _box_limits(box, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper ends of a bounding box, one interval per
+    variable."""
+    if len(box) != n_vars:
+        raise ValueError(f"bounding box has {len(box)} intervals for {n_vars} variables")
+    return np.array([b[0] for b in box]), np.array([b[1] for b in box])
+
+
 def sample_domain_points(
     domain: SemialgebraicSet,
     n_samples: int,
@@ -286,8 +296,7 @@ def sample_domain_points(
         raise ValueError(
             "no bounding box could be inferred; pass one explicitly"
         )
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    lo, hi = _box_limits(box, domain.n_vars)
     accepted: list[np.ndarray] = []
     n_accepted = 0
     max_attempts = max(200_000, 50 * n_samples)
@@ -342,13 +351,13 @@ def sample_max_eigenvalue(
     eigensolver's own error.  A stacked Jacobi row equals the call on that
     matrix alone, so the report, its first maximizing sample included, is
     the one the full stack gives."""
+    if kind not in ("monotone", "concave"):
+        raise ValueError(f"unknown kind {kind!r}")
     points, rate = sample_domain_points(game.domain, n_samples, bounding_box, seed)
     if kind == "monotone":
         matrices = [symmetrized_jacobian(game)]
-    elif kind == "concave":
-        matrices = [player_hessian(game, i) for i in range(game.n_players) if game.block_sizes[i]]
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        matrices = [player_hessian(game, i) for i in range(game.n_players) if game.block_sizes[i]]
     best = -math.inf
     best_point = None
     for M in matrices:
@@ -480,31 +489,32 @@ def check_certificate_sampled(
             worst = max(worst, -min_eig)
     if worst > PSD_SLACK:
         return False, worst
-    points = sample_extended_points(domain, n_samples, seed=seed)
-    expansion = _expansion_values(mem, domain, points)
-    mismatch = np.abs(target.evaluate_many(points) - expansion)
+    table = PowerTable(sample_extended_points(domain, n_samples, seed=seed))
+    expansion = _expansion_values(mem, domain, table)
+    mismatch = np.abs(target.evaluate_many(table) - expansion)
     worst = max(worst, float(np.max(mismatch)) if mismatch.size else 0.0)
     return worst <= MISMATCH_TOL, worst
 
 
-def _expansion_values(mem, domain: SemialgebraicSet, points: np.ndarray) -> np.ndarray:
-    from .polynomials import Polynomial as P
-
-    n = domain.n_vars
-    total = np.zeros(points.shape[0])
-    ineq_values = [g.evaluate_many(points) for g in domain.inequalities]
-    eq_values = [h.evaluate_many(points) for h in domain.equalities]
-    for which, (name, basis, G) in enumerate(mem.gram_matrices):
-        Z = np.empty((points.shape[0], len(basis)))
+def _expansion_values(mem, domain: SemialgebraicSet, table: PowerTable) -> np.ndarray:
+    """The certificate's right-hand side at the points of ``table``: the
+    constraints, Gram basis monomials and free multipliers are all
+    evaluated on that one table."""
+    n = table.points.shape[0]
+    total = np.zeros(n)
+    ineq_values = [g.evaluate_many(table) for g in domain.inequalities]
+    eq_values = [h.evaluate_many(table) for h in domain.equalities]
+    for name, basis, G in mem.gram_matrices:
+        Z = np.empty((n, len(basis)))
         for col, mono in enumerate(basis):
-            Z[:, col] = P.monomial(n, mono).evaluate_many(points)
+            Z[:, col] = table.evaluate({mono: 1.0})
         sigma = np.einsum("ni,ij,nj->n", Z, G, Z)
         if name == "sigma_0":
             total += sigma
         else:
             total += ineq_values[int(name.split("_")[1]) - 1] * sigma
     for eq_index, p in mem.free_multipliers:
-        total += eq_values[eq_index] * p.evaluate_many(points)
+        total += eq_values[eq_index] * p.evaluate_many(table)
     return total
 
 
@@ -518,16 +528,20 @@ def finite_difference_audit(
     """Worst deviation between the symbolic pseudogradient and a central
     finite-difference gradient of the payoffs.  Each payoff is evaluated
     once, on the up and down shift of every point along each variable of
-    its block, stacked."""
+    its block, stacked; the pseudogradient rows share one ``PowerTable`` of
+    the unshifted points.  Without a bounding box the inferred one is used,
+    or [-1, 1] for every variable when none can be inferred."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    box = bounding_box or infer_bounding_box(game.domain) or [(-1.0, 1.0)] * game.n_vars
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    box = bounding_box if bounding_box is not None else infer_bounding_box(game.domain)
+    if box is None:
+        box = [(-1.0, 1.0)] * game.n_vars
+    lo, hi = _box_limits(box, game.n_vars)
     v = pseudogradient(game)
     blocks = range(n_points // SAMPLE_BLOCK + 1)
     uniforms = np.concatenate([_uniform_block(seed, b, DIFFERENCE_STREAM, game.n_vars) for b in blocks])
     points = lo + uniforms[:n_points] * (hi - lo)
+    table = PowerTable(points)
     worst = 0.0
     row = 0
     for i, u in enumerate(game.payoffs):
@@ -540,6 +554,6 @@ def finite_difference_audit(
         values = u.evaluate_many(shifted.reshape(-1, game.n_vars)).reshape(shifted.shape[:3])
         fd = (values[:, 0] - values[:, 1]) / (2 * step)
         for deviation in fd:
-            worst = max(worst, float(np.max(np.abs(deviation - v[row].evaluate_many(points)))))
+            worst = max(worst, float(np.max(np.abs(deviation - v[row].evaluate_many(table)))))
             row += 1
     return worst

@@ -12,6 +12,13 @@ float cancellation never bloats the term map and the canonical form of
 Monomial bases are always enumerated in graded order (total degree first),
 with graded-reverse-lexicographic tie breaking inside each degree.  This
 fixes the layout of every coefficient vector and Gram matrix built on top.
+
+Numeric evaluation on many points goes through a ``PowerTable`` of the
+point set: each power ``points[:, i] ** e`` is computed the first time a
+term asks for it and reused by every later term, polynomial and matrix
+entry evaluated on the same table.  The products and sums are the ones a
+term-by-term evaluation does, in the same order, so the values do not
+depend on what else the table has served.
 """
 
 from __future__ import annotations
@@ -229,19 +236,15 @@ class Polynomial:
             total += value
         return total
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at each row of ``points`` (shape (N, n_vars)) at once."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.n_vars:
+    def evaluate_many(self, points: "np.ndarray | PowerTable") -> np.ndarray:
+        """Evaluate at each row of ``points`` (shape (N, n_vars)) at once.
+
+        ``points`` may also be the ``PowerTable`` of such an array, which
+        the call then shares with every other evaluation on it."""
+        table = PowerTable.of(points)
+        if table.points.shape[1] != self.n_vars:
             raise ValueError(f"points must have shape (N, {self.n_vars})")
-        out = np.zeros(points.shape[0])
-        for exps, coeff in self.terms.items():
-            term = np.full(points.shape[0], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term *= points[:, i] ** e
-            out += term
-        return out
+        return table.evaluate(self.terms)
 
     def lift(self, new_n_vars: int, var_map: Sequence[int] | None = None) -> "Polynomial":
         """Embed into a larger variable space.
@@ -262,6 +265,51 @@ class Polynomial:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
+
+
+class PowerTable(dict):
+    """The powers ``points[:, i] ** e`` of one point set, keyed by (i, e);
+    each is computed the first time it is looked up.
+
+    ``evaluate`` sums a term map on the points the way a term-by-term loop
+    does: from ``np.zeros(N)``, in dict order, each term the coefficient
+    times its powers in variable order, and a constant term as
+    ``np.full(N, coeff)``.  So the values are bit for bit those of the loop
+    that recomputes every power."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: np.ndarray):
+        super().__init__()
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError(f"points must have shape (N, n_vars), got {points.shape}")
+        self.points = points
+
+    @classmethod
+    def of(cls, points: "np.ndarray | PowerTable") -> "PowerTable":
+        """``points`` if it is a table already, else a new table of it."""
+        return points if isinstance(points, PowerTable) else cls(points)
+
+    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
+        i, e = key
+        power = self[key] = self.points[:, i] ** e
+        return power
+
+    def evaluate(self, terms: Dict[Monomial, float]) -> np.ndarray:
+        n = self.points.shape[0]
+        out = np.zeros(n)
+        term = np.empty(n)
+        for exps, coeff in terms.items():
+            factors = [(i, e) for i, e in enumerate(exps) if e]
+            if not factors:
+                out += np.full(n, coeff)
+                continue
+            np.multiply(coeff, self[factors[0]], out=term)
+            for factor in factors[1:]:
+                term *= self[factor]
+            out += term
+        return out
 
 
 def allclose(p: Polynomial, q: Polynomial, tol: float = 1e-12) -> bool:
@@ -305,16 +353,18 @@ class PolyMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at N points at once; returns shape (N, dim, dim)."""
-        points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], self.dim, self.dim))
+    def evaluate_many(self, points: "np.ndarray | PowerTable") -> np.ndarray:
+        """Evaluate at N points at once; returns shape (N, dim, dim).  All
+        entries share one ``PowerTable`` of the points (``points`` may be
+        that table)."""
+        table = PowerTable.of(points)
+        out = np.empty((table.points.shape[0], self.dim, self.dim))
         for i in range(self.dim):
             for j in range(self.dim):
                 if self.symmetric and j < i:
                     out[:, i, j] = out[:, j, i]
                 else:
-                    out[:, i, j] = self.entries[i][j].evaluate_many(points)
+                    out[:, i, j] = self.entries[i][j].evaluate_many(table)
         return out
 
     def symmetrized(self) -> "PolyMatrix":

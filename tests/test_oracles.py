@@ -393,3 +393,37 @@ def test_stacked_difference_audit_equals_per_variable_loop(request, name, seed):
 def test_difference_audit_needs_a_point(fig1_game, n_points):
     with pytest.raises(ValueError, match="n_points"):
         finite_difference_audit(fig1_game, n_points=n_points)
+
+
+def test_difference_audit_takes_a_numpy_box(fig1_game):
+    box = [(0.0, 1.0), (0.0, 0.5), (0.25, 1.0)]
+    assert finite_difference_audit(fig1_game, bounding_box=np.array(box)) == finite_difference_audit(
+        fig1_game, bounding_box=box
+    )
+    sample_max_eigenvalue(fig1_game, n_samples=10, bounding_box=np.array(box))
+
+
+def test_difference_audit_rejects_an_empty_box(fig1_game):
+    with pytest.raises(ValueError, match="0 intervals for 3 variables"):
+        finite_difference_audit(fig1_game, bounding_box=[])
+
+
+@pytest.mark.parametrize("box", [[(0.0, 1.0)], [(0.0, 1.0)] * 4])
+def test_sampling_checks_the_box_length(fig1_game, box):
+    with pytest.raises(ValueError, match=f"{len(box)} intervals for 3 variables"):
+        sample_max_eigenvalue(fig1_game, n_samples=10, bounding_box=box)
+
+
+@pytest.mark.parametrize("box", [[(0.0, 1.0)], [(0.0, 1.0)] * 4])
+def test_difference_audit_checks_the_box_length(fig1_game, box):
+    with pytest.raises(ValueError, match=f"{len(box)} intervals for 3 variables"):
+        finite_difference_audit(fig1_game, bounding_box=box)
+
+
+def test_unknown_kind_rejected_before_sampling(fig1_game, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking kind")
+
+    monkeypatch.setattr(oracles, "sample_domain_points", no_sampling)
+    with pytest.raises(ValueError, match="unknown kind 'convex'"):
+        sample_max_eigenvalue(fig1_game, kind="convex", n_samples=10)
