@@ -15,7 +15,7 @@ anything larger is inconclusive (the hierarchy only gives upper bounds on
 the true maximal eigenvalue).
 
 :func:`target` and :func:`solve_audited` are the one path from a game to an
-audited certificate; ``project`` and ``export-sdpa`` go through them too.
+audited certificate; ``project``, ``gauge`` and ``export-sdpa`` use them too.
 """
 
 from __future__ import annotations

@@ -538,9 +538,12 @@ def finite_difference_audit(
         box = [(-1.0, 1.0)] * game.n_vars
     lo, hi = _box_limits(box, game.n_vars)
     v = pseudogradient(game)
-    blocks = range(n_points // SAMPLE_BLOCK + 1)
-    uniforms = np.concatenate([_uniform_block(seed, b, DIFFERENCE_STREAM, game.n_vars) for b in blocks])
-    points = lo + uniforms[:n_points] * (hi - lo)
+    # only the rows used: a short Philox draw is the prefix of the block's
+    uniforms = np.concatenate([
+        _stream(seed, b, DIFFERENCE_STREAM).random((min(SAMPLE_BLOCK, n_points - b * SAMPLE_BLOCK), game.n_vars))
+        for b in range(-(-n_points // SAMPLE_BLOCK))
+    ])
+    points = lo + uniforms * (hi - lo)
     table = PowerTable(points)
     worst = 0.0
     row = 0

@@ -15,16 +15,18 @@ through epigraph rows +-(c - c*) <= t.
 
 The gauge of a game is the smallest eps >= 0 such that adding eps times
 the quadratic game with payoffs -||x_i||^2 makes the game certified at
-level l; it is again a single SDP since that addition shifts the
-symmetrized Jacobian by -2*eps*I.
+level l.  That addition shifts the symmetrized Jacobian by -2*eps*I, so the
+target gains 2*eps*||y||^2 = 2*eps - 2*eps*h on the sphere h = 1 - y^T y,
+and the free multiplier of h absorbs the -2*eps*h at every level: the gauge
+is max(0, lam/2) for lam the certify bound at the same level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import Solved, solve_audited, target, target_polynomial
-from .games import PolynomialGame, quadratic_reference_game
+from .certify import Solved, bound_program, solve_audited, target, target_polynomial
+from .games import PolynomialGame
 from .polynomials import Monomial, Polynomial, grevlex_key, monomials_upto
 from .sdp import SdpStatus, SolveOptions
 from .sos import Certificate, SosMembership, SosProgram
@@ -218,28 +220,18 @@ def game_distance(a: PolynomialGame, b: PolynomialGame) -> tuple[float, list[flo
 
 
 class GaugeInfeasible(Exception):
-    pass
+    """No shift by the quadratic game certifies the game at the level."""
 
 
 def gauge(game: PolynomialGame, level: int, options: SolveOptions | None = None) -> float:
     """Smallest eps >= 0 making the game certified at ``level`` after adding
-    eps times the quadratic game (payoffs -||x_i||^2).  The value is only
-    returned after its decomposition passes the certificate audit; a
-    rejected one raises :class:`CertificateRejected`, as in :func:`project`."""
-    base, dom = target(game)
-    # the quadratic game's symmetrized Jacobian is -2I, so its target is
-    # +2 ||y||^2: the direction of eps
-    eps_poly = target_polynomial(quadratic_reference_game(game))
-    program = SosProgram(
-        memberships=(
-            SosMembership(base, dom, level, (("eps", eps_poly),), label="gauge"),
-        ),
-        params=("eps",),
-        objective=(("eps", 1.0),),
-        param_inequalities=(((("eps", -1.0),), 0.0),),
-    )
-    cert = _certificate(solve_audited(program, options), GaugeInfeasible(
+    eps times the quadratic game (payoffs -||x_i||^2): max(0, lam/2) for
+    the certify bound lam (see the module docstring).  The value is only
+    returned after the bound's decomposition passes the certificate audit;
+    a rejected one raises :class:`CertificateRejected`, as in :func:`project`."""
+    run = solve_audited(bound_program(*target(game), level), options)
+    cert = _certificate(run, GaugeInfeasible(
         f"no shift makes the game certified at level {level}; "
         "an Archimedean description (ball constraint) may be missing"
     ))
-    return cert.params["eps"]
+    return max(0.0, cert.params["lam"] / 2)

@@ -389,6 +389,15 @@ def test_stacked_difference_audit_equals_per_variable_loop(request, name, seed):
     assert finite_difference_audit(game, seed=seed) == per_variable_audit(game, 20, seed)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 16])
+def test_short_difference_draw_is_the_block_prefix(width):
+    # the audit draws only the rows it uses; they must be the block's first
+    block = oracles._uniform_block(31, 1, oracles.DIFFERENCE_STREAM, width)
+    for rows in (1, 20, 777):
+        short = oracles._stream(31, 1, oracles.DIFFERENCE_STREAM).random((rows, width))
+        assert np.array_equal(short, block[:rows])
+
+
 @pytest.mark.parametrize("n_points", [0, -5])
 def test_difference_audit_needs_a_point(fig1_game, n_points):
     with pytest.raises(ValueError, match="n_points"):

@@ -83,12 +83,13 @@ def test_gauge_values(fig1_game):
     assert gauge(quad, 2) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_gauge_halves_certified_bound(fig1_game, driver_game):
+def test_gauge_halves_certified_bound(fig1_game, driver_game, fig3_game):
     # shifting by the quadratic game moves the bound by -2 eps, so the gauge
-    # is max(0, bound/2)
-    for game in (fig1_game, driver_game):
-        bound = certify_monotone(game, 2).lam
-        assert gauge(game, 2) == pytest.approx(max(0.0, bound / 2), abs=1e-3)
+    # is max(0, bound/2), from the very same certify program
+    for game, level in ((fig1_game, 2), (driver_game, 2), (fig3_game, 6)):
+        assert gauge(game, level) == max(0.0, certify_monotone(game, level).lam / 2)
+    # driver is strictly monotone at level 2: its gauge is exactly zero
+    assert gauge(driver_game, 2) == 0.0
 
 
 def test_gauge_consistency_with_certification(fig1_game):
@@ -136,7 +137,7 @@ def test_gauge_certificate_is_audited(monkeypatch, fig1_game, fig3_game):
     for game, level in ((fig1_game, 2), (fig3_game, 6)):
         value = gauge(game, level)
         cert = audited.pop()
-        assert cert.params["eps"] == value
+        assert value == max(0.0, cert.params["lam"] / 2)
         assert cert.identity_residual <= 1e-6
         assert [b for b, _, _ in cert.memberships[0].gram_matrices][0] == "sigma_0"
 
