@@ -14,9 +14,8 @@ complement is formed densely, in Gram form.  Free variables need no PSD
 splitting: the rows are rotated once by the complete QR of the free
 columns, which then touch only the first n_free rows, so the free-variable
 dual equation fixes those duals and the Newton system reduces to the other
-rows.  Everything is numpy but one LAPACK call, the triangular solve
-``dtrtrs``, which comes from scipy, imported at the first solve: building,
-exporting and importing problems never load scipy.
+rows.  Everything is numpy: the triangular factors are inverted by block
+recursion (:func:`_upper_inverse`), so no solve needs LAPACK's ``trtrs``.
 
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
@@ -352,20 +351,24 @@ def _inner(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
     return sum(float(np.vdot(Pg, Qg)) for Pg, Qg in zip(P, Q))
 
 
-def _tri_solve(L: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve L x = v (trans=0) or L^T x = v (trans=1) for lower-triangular
-    L, calling LAPACK's dtrtrs directly: the scipy wrapper costs more than
-    the solve at these sizes.  Fortran-ordered L avoids a copy.  scipy is
-    imported here, so it loads at the first solve and never for compiling,
-    exporting or importing a problem."""
-    from scipy.linalg.lapack import dtrtrs
-
-    if not len(v):  # LAPACK rejects an empty system
-        return np.zeros(0)
-    x, info = dtrtrs(L, v, lower=1, trans=trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
-    return x
+def _upper_inverse(R: np.ndarray) -> np.ndarray:
+    """Invert the upper-triangular R (zeros below the diagonal) in place, by
+    2x2 block recursion (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, §14.2): with R = [[A, B], [0, C]],
+    R^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]].  That is about 2m^3/3 flops,
+    nearly all in matrix products; blocks of order <= 32 go to
+    ``np.linalg.inv``, so a zero on the diagonal raises ``LinAlgError``.  It works in place because
+    a second R-sized array per iteration tipped glibc into handing heap
+    pages back to the system and faulting them in again: about 8,000 page
+    faults, 6% of the time, per solve of deg4 at level 4."""
+    m = R.shape[0]
+    if m <= 32:
+        R[...] = np.linalg.inv(R)
+        return R
+    k = m // 2
+    Ai, Ci = _upper_inverse(R[:k, :k]), _upper_inverse(R[k:, k:])
+    R[:k, k:] = -(Ai @ R[:k, k:]) @ Ci
+    return R
 
 
 class _Dense:
@@ -536,10 +539,11 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
     u = np.zeros(nf)
 
     # in the rotated rows the free-variable dual equation F^T y = c_f reads
-    # Rf^T y[:nf] = c_f: y[:nf] is fixed once, and y-steps move y[nf:] only
-    Rf_low = np.asfortranarray(data.F[:nf].T)
+    # Rf^T y[:nf] = c_f: y[:nf] is fixed once, and y-steps move y[nf:] only.
+    # Rf is inverted once per solve; it is nonsingular, as checked above
+    Rf_inv = _upper_inverse(data.F[:nf].copy())
     y = np.zeros(m)
-    y[:nf] = _tri_solve(Rf_low, data.cf)
+    y[:nf] = Rf_inv.T @ data.cf
 
     best: SdpSolution | None = None
     best_point = None  # its (Z, y, u, mu), the start of a re-centering
@@ -632,7 +636,8 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
             # sqrt(cond(M)) instead of cond(M), which is what keeps the late,
             # degenerate-face iterations from drifting off the affine subspace.
             # The rows past nf are those the y-steps move: their factor BR is
-            # the reduced system's
+            # the reduced system's.  Its triangular factor is inverted once
+            # per factorization, and every solve is two matrix-vector products
             B = data.gram_factor(Lx, LsInv)
             B1, BR = B[:nf], B[nf:]
 
@@ -646,20 +651,20 @@ def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
                 row_norms = np.einsum("ij,ij->i", BR, BR)
                 delta = math.sqrt(1e-14 * max(float(np.max(row_norms, initial=0.0)), 1e-30))
                 Rr = np.linalg.qr(np.vstack([BR.T, delta * np.eye(m_red)]), mode="r")
-            Rr_low = np.asfortranarray(Rr.T)
+            Rr_inv = _upper_inverse(Rr)
 
             def reduced_solve(h: np.ndarray):
                 """Solve M dy + F du = h with F^T dy = 0, that is dy[:nf] = 0,
                 refining in the reduced space via the triangular Gram factor."""
                 rhs = z = h[nf:]  # empty when the free columns fill the rows
                 if m_red:
-                    z = _tri_solve(Rr_low, _tri_solve(Rr_low, rhs), trans=1)
+                    z = Rr_inv @ (Rr_inv.T @ rhs)
                     for _ in range(3):
                         res = rhs - BR @ (BR.T @ z)
                         if float(np.abs(res).max()) <= 1e-13 * (1.0 + float(np.abs(rhs).max())):
                             break
-                        z = z + _tri_solve(Rr_low, _tri_solve(Rr_low, res), trans=1)
-                du = _tri_solve(Rf_low, h[:nf] - B1 @ (BR.T @ z), trans=1)
+                        z = z + Rr_inv @ (Rr_inv.T @ res)
+                du = Rf_inv @ (h[:nf] - B1 @ (BR.T @ z))
                 return np.concatenate((np.zeros(nf), z)), du
 
             def directions(Rc: list[np.ndarray]):

@@ -249,25 +249,29 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([same, codes]))
 """
 
-CERTIFY_DRIVER = """
+CERTIFY_NO_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 from gamecert.certify import certify_monotone
 from gamecert.jsonio import load_game
-result = certify_monotone(load_game(sys.argv[1]), 2)
-print(json.dumps([result.lam, result.status.value, "scipy.sparse" in sys.modules]))
+results = [certify_monotone(load_game(path), level) for path, level in ((sys.argv[1], 2), (sys.argv[2], 4))]
+print(json.dumps([[r.lam, r.status.value, r.solver.status] for r in results]
+                 + [any(name.startswith("scipy.") for name in sys.modules)]))
 """
 
 
-def test_scipy_loads_only_to_solve(tmp_path):
+def test_scipy_is_never_imported(tmp_path):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.run([sys.executable, "-c", NO_SCIPY, CORPUS, str(tmp_path)],
                            env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [True, [0, 0]]
-    child = subprocess.run([sys.executable, "-c", CERTIFY_DRIVER, corpus_path("driver.game.json")],
-                           env=env, capture_output=True, text=True, timeout=300)
+    # the solver too runs without scipy: driver at level 2, deg4 at level 4
+    child = subprocess.run([sys.executable, "-c", CERTIFY_NO_SCIPY, corpus_path("driver.game.json"),
+                            corpus_path("deg4.game.json")], env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    lam, status, sparse_loaded = json.loads(child.stdout)
-    assert lam == pytest.approx(-6.0, abs=1e-4) and status == "StrictlyCertified"
-    assert not sparse_loaded
+    (lam, status, solver), (lam4, status4, solver4), scipy_loaded = json.loads(child.stdout)
+    assert lam == pytest.approx(-6.0, abs=1e-4) and status == "StrictlyCertified" and solver == "Optimal"
+    assert lam4 == pytest.approx(-0.99991654, abs=1e-7) and status4 == "StrictlyCertified" and solver4 == "Optimal"
+    assert not scipy_loaded

@@ -184,6 +184,27 @@ def test_paired_step_bound_matches_eigvalsh():
     assert steps[1] == math.inf and steps[0] < math.inf
 
 
+@pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 65, 194])
+def test_upper_inverse_matches_inv(m):
+    # a QR factor, as the solver inverts; 32 is the largest order inverted
+    # whole, so 33 and up recurse, 65 and 194 more than once
+    R = np.linalg.qr(np.random.default_rng(m).standard_normal((m + 4, m)), mode="r")
+    ref = np.linalg.inv(R)
+    Rinv = sdp._upper_inverse(R.copy())
+    assert Rinv.shape == (m, m)
+    assert not np.tril(Rinv, -1).any()
+    assert np.abs(Rinv - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+    assert np.abs(R @ Rinv - np.eye(m)).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("m, k", [(1, 0), (5, 3), (65, 0), (65, 40), (194, 193)])
+def test_upper_inverse_of_a_zero_diagonal_raises(m, k):
+    R = np.linalg.qr(np.random.default_rng(m).standard_normal((m + 4, m)), mode="r")
+    R[k, k] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._upper_inverse(R)
+
+
 def recorded_descent(monkeypatch):
     """Count the Schur builds of the descents that follow, and record the
     count at each stall: the first re-centers, the second ends the descent."""
@@ -258,7 +279,7 @@ def test_recentering_keeps_a_better_first_phase(monkeypatch, unsplit_deg4):
     # the split drops that square from the Gram bases, and deg4 converges:
     # its bound, pinned on one OpenBLAS thread
     child = certify_deg4_in_child(1)
-    assert child["lam"] == -0.9999165429921003 and child["solver"] == "Optimal"
+    assert child["lam"] == -0.9999165429887522 and child["solver"] == "Optimal"
 
 
 def test_recentering_certifies_a_stalled_game():
@@ -297,15 +318,19 @@ def failing_call(monkeypatch, owner, name, at_call, message):
 
 
 # Where the descent of driver at level 2 breaks down, and what numpy says:
-# the step bound, as ``eigvalsh`` does on a NaN block of order 3 or more, or
-# the trial iterate's Cholesky.  Unpatched, that descent has one size group:
-# it factors its start (Cholesky call 1), then each trial once (calls 2 to
-# 8), and holds a feasible iterate from its second iterate on.  Each entry
-# gives the call that fails with no feasible iterate yet, then one that
-# fails after there is one: the 9th step bound and the trial built from it.
+# the step bound, as ``eigvalsh`` does on a NaN block of order 3 or more,
+# the trial iterate's Cholesky, or the inverse of a singular triangular
+# factor.  Unpatched, that descent has one size group: it factors its start
+# (Cholesky call 1), then each trial once (calls 2 to 8); it inverts the
+# free columns' factor once (inverse call 1), then each Schur factor once
+# (calls 2 to 8); and it holds a feasible iterate from its second iterate
+# on.  Each entry gives the call that fails with no feasible iterate yet,
+# then one that fails after there is one, in the fifth iteration: its first
+# step bound, its Schur factor and its trial.
 BREAKDOWNS = (
     (sdp, "_max_step", 1, 9, "Eigenvalues did not converge"),
     (np.linalg, "cholesky", 2, 6, "Matrix is not positive definite"),
+    (sdp, "_upper_inverse", 2, 6, "Singular matrix"),
 )
 
 
