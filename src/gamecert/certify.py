@@ -136,14 +136,6 @@ def target(game: PolynomialGame, player: int | None = None) -> tuple[Polynomial,
     return target_polynomial(game, player), extended_domain(game.domain, sphere_dim)
 
 
-def min_admissible_level(game: PolynomialGame, kind: str = "monotone") -> int:
-    """Smallest level the target degree admits (also bounded below by the
-    constraint degrees)."""
-    players = [None] if kind == "monotone" else range(game.n_players)
-    deg = max((target_polynomial(game, p).degree for p in players), default=0)
-    return max(deg, 2, game.domain.max_constraint_degree())
-
-
 def _classify(lam: float) -> CertStatus:
     if lam < -STRICT_TOL:
         return CertStatus.STRICTLY_CERTIFIED
@@ -263,7 +255,9 @@ def run_hierarchy(
     options: SolveOptions | None = None,
 ) -> list[CertResult]:
     """Run certification across levels; per-level failures are recorded and
-    iteration continues."""
+    iteration continues.  An unknown ``kind`` raises before any level runs."""
+    if kind not in ("monotone", "concave"):
+        raise ValueError(f"unknown kind {kind!r}")
     certify = certify_monotone if kind == "monotone" else certify_concave
     results = []
     for level in levels:

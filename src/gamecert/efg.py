@@ -229,24 +229,3 @@ def expected_utility_at(
     walk(tree.root, 1.0)
     return totals
 
-
-def terminal_reach_probabilities(
-    tree: EfgTree, assignment: Mapping[str, Sequence[float]]
-) -> list[float]:
-    """Reach probability of every leaf in preorder; sums to 1."""
-    out: list[float] = []
-
-    def walk(node: EfgNode, prob: float):
-        if node.is_terminal:
-            out.append(prob)
-            return
-        if node.is_chance:
-            for p, child in zip(node.chance_probs, node.children):
-                walk(child, prob * p)
-            return
-        probs = _check_distribution(assignment, node.infoset, len(node.actions))
-        for p, child in zip(probs, node.children):
-            walk(child, prob * p)
-
-    walk(tree.root, 1.0)
-    return out

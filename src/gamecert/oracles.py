@@ -47,9 +47,13 @@ DEFAULT_SEED = 0x5EED
 # working memory does not grow with the stack.
 JACOBI_SLICE = 2048
 
+# jacobi_eigenvalues stops rotating a matrix once every off-diagonal entry
+# is at most this many times its largest entry in magnitude.
+JACOBI_TOL = 1e-12
+
 # Relative slack of the Gershgorin screen in sample_max_eigenvalue, in units
 # of 1 + max|A| over the stack.  jacobi_eigenvalues stops with every
-# off-diagonal entry at most tol = 1e-12 times max|A|, so by Weyl's
+# off-diagonal entry at most JACOBI_TOL = 1e-12 times max|A|, so by Weyl's
 # inequality its diagonal is within k * 1e-12 * max|A| of the eigenvalues;
 # its rotations add a few ulps per sweep, and the disc bound's row sum at
 # most k ulps of k * max|A|.  The screen must cover these errors at two
@@ -59,7 +63,7 @@ JACOBI_SLICE = 2048
 MARGIN = 1e-8
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations,
     ascending.  Deterministic and dependency-free on purpose: this is the
     reference the SDP route is checked against.
@@ -70,7 +74,7 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     SIAM J. Sci. Stat. Comput. 6(1), 1985); the pairs of one round are
     disjoint, so their rotations commute and are applied together.  A
     matrix stops rotating once every off-diagonal entry is at most
-    ``tol`` times its largest entry in magnitude.
+    ``JACOBI_TOL`` times its largest entry in magnitude.
 
     The stack is worked on lanes last, as (k, k, N), so that each entry is
     a contiguous vector over the matrices.  Every matrix of a stack goes
@@ -87,7 +91,7 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     values = np.empty(stack.shape[:2])
     for start in range(0, stack.shape[0], JACOBI_SLICE):
         part = slice(start, start + JACOBI_SLICE)
-        values[part] = _jacobi_sweeps(np.array(stack[part].transpose(1, 2, 0), order="C"), tol, max_sweeps)
+        values[part] = _jacobi_sweeps(np.array(stack[part].transpose(1, 2, 0), order="C"), max_sweeps)
     return values[0] if single else values
 
 
@@ -114,7 +118,7 @@ def _round_robin(k: int) -> np.ndarray:
     return (step[:, None] * k + step).ravel()
 
 
-def _jacobi_sweeps(A: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+def _jacobi_sweeps(A: np.ndarray, max_sweeps: int) -> np.ndarray:
     """Ascending eigenvalues of each matrix of the lanes-last stack A,
     shape (k, k, N), which is overwritten; converged matrices leave the
     working stack.  Returns shape (N, k)."""
@@ -138,7 +142,7 @@ def _jacobi_sweeps(A: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
         # sees no other lane, and it reaches zero as the matrix converges
         off = np.abs(A)
         off[diagonal, diagonal] = 0.0
-        running = off.max(axis=(0, 1), initial=0.0) > tol * scale[lanes]
+        running = off.max(axis=(0, 1), initial=0.0) > JACOBI_TOL * scale[lanes]
         del off
         if not running.all():
             values[lanes[~running]] = A[diagonal, diagonal][:, ~running].T
@@ -518,18 +522,20 @@ def _expansion_values(mem, domain: SemialgebraicSet, table: PowerTable) -> np.nd
     return total
 
 
+DIFFERENCE_STEP = 1e-6  # the central difference's step along each variable
+
+
 def finite_difference_audit(
     game: PolynomialGame,
     n_points: int = 20,
-    step: float = 1e-6,
     seed: int = DEFAULT_SEED,
     bounding_box=None,
 ) -> float:
     """Worst deviation between the symbolic pseudogradient and a central
-    finite-difference gradient of the payoffs.  Each payoff is evaluated
-    once, on the up and down shift of every point along each variable of
-    its block, stacked; the pseudogradient rows share one ``PowerTable`` of
-    the unshifted points.  Without a bounding box the inferred one is used,
+    finite-difference gradient of the payoffs, with step ``DIFFERENCE_STEP``.
+    Each payoff is evaluated once, on the up and down shift of every point
+    along each variable of its block, stacked; the pseudogradient rows
+    share one ``PowerTable`` of the unshifted points.  Without a bounding box the inferred one is used,
     or [-1, 1] for every variable when none can be inferred."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
@@ -549,13 +555,13 @@ def finite_difference_audit(
     row = 0
     for i, u in enumerate(game.payoffs):
         block = game.block_range(i)
-        # shifted[j, 0] moves variable block[j] up by step, shifted[j, 1] down
+        # shifted[j, 0] moves variable block[j] up by the step, shifted[j, 1] down
         shifted = np.broadcast_to(points, (len(block), 2) + points.shape).copy()
         for j, k in enumerate(block):
-            shifted[j, 0, :, k] += step
-            shifted[j, 1, :, k] -= step
+            shifted[j, 0, :, k] += DIFFERENCE_STEP
+            shifted[j, 1, :, k] -= DIFFERENCE_STEP
         values = u.evaluate_many(shifted.reshape(-1, game.n_vars)).reshape(shifted.shape[:3])
-        fd = (values[:, 0] - values[:, 1]) / (2 * step)
+        fd = (values[:, 0] - values[:, 1]) / (2 * DIFFERENCE_STEP)
         for deviation in fd:
             worst = max(worst, float(np.max(np.abs(deviation - v[row].evaluate_many(table)))))
             row += 1

@@ -246,22 +246,10 @@ class Polynomial:
             raise ValueError(f"points must have shape (N, {self.n_vars})")
         return table.evaluate(self.terms)
 
-    def lift(self, new_n_vars: int, var_map: Sequence[int] | None = None) -> "Polynomial":
-        """Embed into a larger variable space.
-
-        ``var_map[i]`` gives the index of old variable i in the new space;
-        by default variables keep their indices.
-        """
-        if var_map is None:
-            var_map = range(self.n_vars)
-        terms: Dict[Monomial, float] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * new_n_vars
-            for old_i, e in enumerate(exps):
-                if e:
-                    new[var_map[old_i]] = e
-            terms[tuple(new)] = terms.get(tuple(new), 0.0) + coeff
-        return Polynomial(new_n_vars, terms)
+    def lift(self, new_n_vars: int) -> "Polynomial":
+        """Embed into a larger variable space; variables keep their indices."""
+        pad = (0,) * (new_n_vars - self.n_vars)
+        return Polynomial(new_n_vars, {exps + pad: coeff for exps, coeff in self.terms.items()})
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)

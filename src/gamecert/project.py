@@ -10,8 +10,11 @@ degree basis) for the game of minimal distance
 whose monotonicity (or per-player concavity) quadratic form admits a
 level-l decomposition.  Because the symmetrized Jacobian and the Hessians
 are linear in the payoff coefficients, the decomposition constraint is
-affine in them, and the whole search is a single SDP: the distance enters
-through epigraph rows +-(c - c*) <= t.
+affine in them, and the whole search is a single SOS program: the distance
+t enters through degree-0 memberships t -+ (c - c*) >= 0, one pair per
+coefficient that is not frozen.  Each candidate coefficient is a constant
+plus a sign times a parameter, so a frozen coefficient and the zero-sum
+tie of player 1's coefficient to player 0's need no constraint at all.
 
 The gauge of a game is the smallest eps >= 0 such that adding eps times
 the quadratic game with payoffs -||x_i||^2 makes the game certified at
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import Solved, bound_program, solve_audited, target, target_polynomial
-from .games import PolynomialGame
+from .games import PolynomialGame, SemialgebraicSet
 from .polynomials import Monomial, Polynomial, grevlex_key, monomials_upto
 from .sdp import SdpStatus, SolveOptions
 from .sos import Certificate, SosMembership, SosProgram
@@ -78,12 +81,6 @@ def _param_name(player: int, mono: Monomial) -> str:
     return f"u{player}[" + ",".join(str(e) for e in mono) + "]"
 
 
-def _unit_game(game: PolynomialGame, player: int, mono: Monomial) -> PolynomialGame:
-    payoffs = [Polynomial.zero(game.n_vars) for _ in range(game.n_players)]
-    payoffs[player] = Polynomial.monomial(game.n_vars, mono, 1.0)
-    return PolynomialGame(game.block_sizes, tuple(payoffs), game.domain)
-
-
 def _candidate_supports(spec: ProjectionSpec) -> list[list[Monomial]]:
     game = spec.game
     if spec.preserve_support:
@@ -115,86 +112,91 @@ def _certificate(run: Solved, infeasible: Exception) -> Certificate:
     return run.certificate
 
 
+def _coefficients(spec: ProjectionSpec) -> list[dict[Monomial, tuple]]:
+    """Each candidate coefficient as (constant, sign, parameter name or
+    None), standing for constant + sign * parameter, per player in support
+    order.  A frozen coefficient is a constant; under ``zero_sum`` player
+    1's coefficient is minus player 0's parameter, or a constant when its
+    partner is frozen."""
+    game, frozen = spec.game, set(spec.frozen)
+    supports = _candidate_supports(spec)
+    coeffs: list[dict[Monomial, tuple]] = [{} for _ in supports]
+    for i, support in enumerate(supports):
+        for mono in support:
+            if (i, mono) in frozen:
+                coeffs[i][mono] = (game.payoffs[i].coeff(mono), 0.0, None)
+            elif spec.zero_sum and (1 - i, mono) in frozen:
+                coeffs[i][mono] = (-game.payoffs[1 - i].coeff(mono), 0.0, None)
+            elif spec.zero_sum and i == 1:
+                coeffs[i][mono] = (0.0, -1.0, _param_name(0, mono))
+            else:
+                coeffs[i][mono] = (0.0, 1.0, _param_name(i, mono))
+    return coeffs
+
+
 def project(spec: ProjectionSpec, options: SolveOptions | None = None) -> ProjectionResult:
     """Solve the single-SDP projection and return the modified game, its
     distance to the reference, and the validated certificate."""
     game = spec.game
     m = game.n_vars
     frozen = set(spec.frozen)
-    supports = _candidate_supports(spec)
+    coeffs = _coefficients(spec)
 
-    params: list[str] = ["dist"]
-    param_meta: list[tuple[int, Monomial]] = []
-    for i, support in enumerate(supports):
-        for mono in support:
-            if (i, mono) in frozen:
-                continue
-            params.append(_param_name(i, mono))
-            param_meta.append((i, mono))
+    def game_of(terms) -> PolynomialGame:
+        """The game whose player i has the payoff terms ``terms[i]``."""
+        return PolynomialGame(game.block_sizes, tuple(Polynomial(m, t) for t in terms), game.domain)
 
-    # membership targets, affine in the candidate coefficients: the target
-    # of a unit game is the direction of its coefficient
-    zero_payoffs = tuple(Polynomial.zero(m) for _ in range(game.n_players))
-    base_game = PolynomialGame(game.block_sizes, zero_payoffs, game.domain)
+    # the payoffs are the constant game plus each parameter times its game
+    constant_game = game_of([{mono: const for mono, (const, _, _) in ci.items()} for ci in coeffs])
+    param_terms: dict[str, list[dict[Monomial, float]]] = {}
+    for i, ci in enumerate(coeffs):
+        for mono, (_, sign, name) in ci.items():
+            if name:
+                param_terms.setdefault(name, [{} for _ in coeffs])[i][mono] = sign
+    names = list(param_terms)
+
+    # membership targets are linear in the payoffs, so they are affine in
+    # the parameters: the target of a parameter's game is its direction
     players = [None] if spec.kind == "monotone" else [p for p in range(game.n_players) if game.block_sizes[p]]
     memberships = []
     for p in players:
-        base, dom = target(base_game, p)
-        for i, mono in frozen:
-            coeff = game.payoffs[i].coeff(mono)
-            if coeff:
-                base = base + target_polynomial(_unit_game(game, i, mono), p).scale(coeff)
+        base, dom = target(constant_game, p)
         pairs = []
-        for i, mono in param_meta:
-            direction = target_polynomial(_unit_game(game, i, mono), p)
+        for name in names:
+            direction = target_polynomial(game_of(param_terms[name]), p)
             if not direction.is_zero():
-                pairs.append((_param_name(i, mono), direction))
+                pairs.append((name, direction))
         label = "monotone" if p is None else f"player {p}"
         memberships.append(SosMembership(base, dom, spec.level, tuple(pairs), label=label))
 
-    inequalities = []
-    for i, mono in param_meta:
-        name = _param_name(i, mono)
-        ref = game.payoffs[i].coeff(mono)
-        inequalities.append(((((name, 1.0), ("dist", -1.0))), ref))
-        inequalities.append(((((name, -1.0), ("dist", -1.0))), -ref))
-
-    equalities = []
-    if spec.zero_sum:
-        for mono in supports[0]:
-            combo = []
-            rhs = 0.0
-            for i in (0, 1):
-                if (i, mono) in frozen:
-                    rhs -= game.payoffs[i].coeff(mono)
-                else:
-                    combo.append((_param_name(i, mono), 1.0))
-            if combo:
-                equalities.append((tuple(combo), rhs))
+    # the epigraph |c - ref| <= dist of each coefficient that is not frozen:
+    # a nonnegative scalar is a degree-0 sum of squares
+    scalars, one = SemialgebraicSet(0), Polynomial.constant(0, 1.0)
+    for i, ci in enumerate(coeffs):
+        for mono, (const, sign, name) in ci.items():
+            if (i, mono) in frozen:
+                continue
+            ref = game.payoffs[i].coeff(mono)
+            for side in (-1.0, 1.0):  # dist + side * (c - ref) >= 0
+                pairs = [("dist", one)] + ([(name, one.scale(side * sign))] if name else [])
+                label = f"dist {'-' if side < 0 else '+'} ({_param_name(i, mono)} - ref)"
+                memberships.append(SosMembership(
+                    Polynomial.constant(0, side * (const - ref)), scalars, 0, tuple(pairs), label=label))
 
     program = SosProgram(
         memberships=tuple(memberships),
-        params=tuple(params),
+        params=("dist", *names),
         objective=(("dist", 1.0),),
-        param_equalities=tuple(equalities),
-        param_inequalities=tuple(inequalities),
     )
     run = solve_audited(program, options)
     cert = _certificate(run, ProjectionInfeasible(
         f"no {spec.kind} candidate at level {spec.level} meets the side constraints"
     ))
 
-    payoffs = []
-    for i in range(game.n_players):
-        terms = {}
-        for mono in supports[i]:
-            if (i, mono) in frozen:
-                c = game.payoffs[i].coeff(mono)
-            else:
-                c = cert.params[_param_name(i, mono)]
-            terms[mono] = c
-        payoffs.append(Polynomial(m, terms))
-    projected = PolynomialGame(game.block_sizes, tuple(payoffs), game.domain)
+    projected = game_of([
+        {mono: const + sign * cert.params[name] if name else const for mono, (const, sign, name) in ci.items()}
+        for ci in coeffs
+    ])
     distance, deltas = game_distance(projected, game)
     return ProjectionResult(
         game=projected,

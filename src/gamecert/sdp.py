@@ -3,12 +3,11 @@
 Problem form (minimization):
 
     min   sum_b <C_b, X_b> + c_f . u
-    s.t.  sum_b <A_ib, X_b> + f_i . u  (= or <=)  b_i      i = 1..m
+    s.t.  sum_b <A_ib, X_b> + f_i . u  =  b_i      i = 1..m
           X_b PSD,  u free
 
-"<=" rows are turned into equalities with fresh 1x1 slack blocks before
-solving or exporting.  The search direction is the HKM/XZ scaled Newton
-step with a Mehrotra predictor-corrector.  Blocks of equal size are
+An inequality is stated with a 1x1 block of its own as the slack.  The
+search direction is the HKM/XZ scaled Newton step with a Mehrotra predictor-corrector.  Blocks of equal size are
 stacked, so each step of an iteration runs once per block size; the Schur
 complement is formed densely, in Gram form.  Free variables need no PSD
 splitting: the rows are rotated once by the complete QR of the free
@@ -19,12 +18,10 @@ recursion (:func:`_upper_inverse`), so no solve needs LAPACK's ``trtrs``.
 
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
-col, value)``, a rhs array, a "<=" mask, and the objective in the same
-layout.  :func:`canonical` validates and sorts what the constructor gets;
+col, value)``, a rhs array, and the objective in the same layout.  :func:`canonical` validates and sorts what the constructor gets;
 read-only input already in canonical order is kept as it is, not copied.
 
-SDPA sparse export writes the equality-form problem with the free scalars
-as a trailing negative-size diagonal block; values carry 17 significant
+SDPA sparse export writes the problem with the free scalars as a trailing negative-size diagonal block; values carry 17 significant
 digits so a file round-trips to bit-identical data.  Export and import
 stream the entry lines in chunks, so neither holds the file's text whole.
 """
@@ -140,18 +137,17 @@ class SdpConstraint:
     blocks: tuple[tuple[int, tuple[tuple[int, int, float], ...]], ...]  # (block, ((i, j, value), ...))
     free: tuple[tuple[int, float], ...]  # (col, value)
     rhs: float
-    rel: str  # "=" or "<="
 
 
 class SdpProblem:
     """Block SDP data as COO arrays in the form :func:`canonical` gives.
 
-    ``gram`` and ``free`` hold the constraint rows, ``rhs`` their right-hand
-    sides and ``le`` marks the "<=" rows; ``obj_gram`` and ``obj_free`` hold
-    the objective in the same layout, as row 0.
+    ``gram`` and ``free`` hold the equality rows and ``rhs`` their right-hand
+    sides; ``obj_gram`` and ``obj_free`` hold the objective in the same
+    layout, as row 0.
     """
 
-    def __init__(self, block_dims, n_free, gram, free, rhs, le, obj_gram, obj_free):
+    def __init__(self, block_dims, n_free, gram, free, rhs, obj_gram, obj_free):
         self.block_dims = tuple(int(d) for d in block_dims)
         if not self.block_dims:
             raise ValueError("a problem needs at least one PSD block")
@@ -161,14 +157,13 @@ class SdpProblem:
         self.rhs = np.array(rhs, dtype=float).reshape(-1)
         if not np.isfinite(self.rhs).all():
             raise ValueError("non-finite right-hand side")
-        self.le = np.array(le, dtype=bool).reshape(self.rhs.shape)
         self.gram, self.free = canonical(self.block_dims, self.n_free, len(self.rhs), gram, free)
         self.obj_gram, self.obj_free = canonical(self.block_dims, self.n_free, 1, obj_gram, obj_free)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SdpProblem):
             return NotImplemented
-        arrays = lambda p: (*p.gram, *p.free, p.rhs, p.le, *p.obj_gram, *p.obj_free)
+        arrays = lambda p: (*p.gram, *p.free, p.rhs, *p.obj_gram, *p.obj_free)
         return (self.block_dims, self.n_free) == (other.block_dims, other.n_free) and all(
             np.array_equal(a, b) for a, b in zip(arrays(self), arrays(other))
         )
@@ -187,20 +182,7 @@ class SdpProblem:
             blocks[r].append((b, tuple(e[2:] for e in entries)))
         for r, k, v in zip(*(a.tolist() for a in self.free)):
             free[r].append((k, v))
-        rel = ["<=" if le else "=" for le in self.le.tolist()]
-        return tuple(map(SdpConstraint, map(tuple, blocks), map(tuple, free), self.rhs.tolist(), rel))
-
-    def to_equality_form(self) -> "SdpProblem":
-        """Convert every '<=' row to an equality with a 1x1 slack block."""
-        rows = np.flatnonzero(self.le)
-        if not len(rows):
-            return self
-        zero = np.zeros(len(rows), dtype=np.int64)
-        slack = Gram(rows, len(self.block_dims) + np.arange(len(rows)), zero, zero, np.ones(len(rows)))
-        return SdpProblem(
-            self.block_dims + (1,) * len(rows), self.n_free, concat_coo([self.gram, slack]),
-            self.free, self.rhs, np.zeros_like(self.le), self.obj_gram, self.obj_free,
-        )
+        return tuple(map(SdpConstraint, map(tuple, blocks), map(tuple, free), self.rhs.tolist()))
 
 
 @dataclass
@@ -265,7 +247,7 @@ class Restriction:
         self.problem = SdpProblem(
             np.bincount(block[block >= 0]), int(keep_free.sum()),
             gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row]),
-            original.rhs[keep], original.le[keep], *restrict(original.obj_gram, original.obj_free),
+            original.rhs[keep], *restrict(original.obj_gram, original.obj_free),
         )
 
     def inflate(self, sol: SdpSolution) -> SdpSolution:
@@ -286,7 +268,7 @@ class Restriction:
 
 
 def _facial_reduction(problem: SdpProblem) -> Restriction | None:
-    """Forced-zero elimination for an equality-form problem, or None when a
+    """Forced-zero elimination for ``problem``, or None when a
     nonzero coefficient is structurally unreachable.
 
     A zero-rhs row whose entries are all diagonal with one sign forces those
@@ -372,7 +354,7 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
 
 
 class _Dense:
-    """Dense views of an equality-form problem, its blocks grouped by size,
+    """Dense views of a problem, its blocks grouped by size,
     with the rows rotated so that the free columns touch only the first nf.
 
     Group g stacks its blocks in their original order: ``C[g]`` is
@@ -493,7 +475,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     returned iterate.  Running out of memory is a NumericalFailure.
     """
     opts = options or SolveOptions()
-    reduction = _facial_reduction(problem.to_equality_form())
+    reduction = _facial_reduction(problem)
     if reduction is None:
         return SdpSolution(
             status=SdpStatus.PRIMAL_INFEASIBLE,
@@ -504,9 +486,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         sol = _solve_unconstrained(data) if data.m == 0 else _solve_once(data, opts)
     except MemoryError as exc:
         sol = SdpSolution(status=SdpStatus.NUMERICAL_FAILURE, message=f"out of memory: {exc}")
-    sol = reduction.inflate(sol)
-    del sol.primal_blocks[len(problem.block_dims):]  # the slack blocks of "<=" rows
-    return sol
+    return reduction.inflate(sol)
 
 
 def _solve_once(data: _Dense, opts: SolveOptions) -> SdpSolution:
@@ -777,7 +757,7 @@ _BRACKETS = str.maketrans(",{}()", "     ")
 
 
 def export_sdpa(problem: SdpProblem, path: str) -> None:
-    """Write the equality-form problem as SDPA sparse text.
+    """Write ``problem`` as SDPA sparse text.
 
     Layout: m / nblocks / block sizes (free scalars as a trailing negative
     diagonal block) / rhs vector, then one "matno blkno i j value" line per
@@ -788,12 +768,11 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
     ``searchsorted`` (the stored values are finite and nonzero, so equal
     values have equal text).
     """
-    eq = problem.to_equality_form()
-    sizes = list(eq.block_dims) + ([-eq.n_free] if eq.n_free else [])
-    head = [str(eq.n_constraints), str(len(sizes)), " ".join(map(str, sizes)),
-            " ".join(["%.16e"] * len(eq.rhs)) % tuple(eq.rhs.tolist())]
-    free_blk = len(eq.block_dims) + 1  # 1-based index of the free diagonal block
-    og, of, g, f = eq.obj_gram, eq.obj_free, eq.gram, eq.free
+    sizes = list(problem.block_dims) + ([-problem.n_free] if problem.n_free else [])
+    head = [str(problem.n_constraints), str(len(sizes)), " ".join(map(str, sizes)),
+            " ".join(["%.16e"] * len(problem.rhs)) % tuple(problem.rhs.tolist())]
+    free_blk = len(problem.block_dims) + 1  # 1-based index of the free diagonal block
+    og, of, g, f = problem.obj_gram, problem.obj_free, problem.gram, problem.free
     columns = [
         (og.row, of.row, g.row + 1, f.row + 1),
         (og.block + 1, np.full(len(of.col), free_blk), g.block + 1, np.full(len(f.col), free_blk)),
@@ -829,7 +808,7 @@ def _kept(lines):
 
 
 def import_sdpa(path: str) -> SdpProblem:
-    """Parse SDPA sparse text back into an equality-form SdpProblem.
+    """Parse SDPA sparse text back into an SdpProblem.
 
     A trailing negative block is read as the free-variable block (the
     convention used by :func:`export_sdpa`); negative blocks elsewhere are
@@ -933,7 +912,7 @@ def import_sdpa(path: str) -> SdpProblem:
     del parts
     constraints, objective = _split_entries(data, numbers, dims, n_free, m)
     del data  # freed before canonical runs
-    return SdpProblem(dims, n_free, *constraints, rhs, np.zeros(m, dtype=bool), *objective)
+    return SdpProblem(dims, n_free, *constraints, rhs, *objective)
 
 
 def _split_entries(data, numbers, dims, n_free, m):

@@ -6,9 +6,11 @@ A membership query asks for a Putinar-type decomposition
 
 with each s_j a sum of squares, each p_j free, and every summand of total
 degree at most the level.  The target may be affine in named scalar
-decision parameters (a bound, game coefficients, a shift), and a program
-may carry several membership constraints sharing those parameters plus
-extra linear constraints and a linear objective over them.
+decision parameters (a bound, game coefficients, a distance), and a program
+holds several membership constraints sharing those parameters and a linear
+objective over them.  A linear inequality over the parameters is a
+membership too: an affine function is nonnegative exactly when it is a
+degree-0 sum of squares, over the space of no variables.
 
 Compilation produces one PSD Gram block per SOS multiplier, free scalars
 for the p_j coefficients and the parameters, and one linear equality per
@@ -73,22 +75,18 @@ class SosMembership:
 
 @dataclass(frozen=True)
 class SosProgram:
-    """Membership constraints plus a linear program over the shared
+    """Membership constraints and a linear objective over the shared
     decision parameters (minimization)."""
 
     memberships: tuple[SosMembership, ...]
     params: tuple[str, ...] = ()
     objective: LinearCombo = ()
-    param_equalities: tuple[tuple[LinearCombo, float], ...] = ()
-    param_inequalities: tuple[tuple[LinearCombo, float], ...] = ()  # combo <= rhs
 
     def __post_init__(self):
         known = set(self.params)
         used = set()
         for mem in self.memberships:
             used.update(name for name, _ in mem.param_polys)
-        for combo, _ in self.param_equalities + self.param_inequalities:
-            used.update(name for name, _ in combo)
         used.update(name for name, _ in self.objective)
         unknown = used - known
         if unknown:
@@ -101,18 +99,12 @@ def membership_problem(
     level: int,
     param_polys: Sequence[tuple[str, Polynomial]] = (),
     objective: Sequence[tuple[str, float]] = (),
-    param_inequalities: Sequence[tuple[Sequence[tuple[str, float]], float]] = (),
 ) -> SosProgram:
     """Single-membership program; the common case."""
-    params = tuple(name for name, _ in param_polys)
-    extra = [n for combo, _ in param_inequalities for n, _ in combo if n not in params]
     return SosProgram(
         memberships=(SosMembership(base, domain, level, tuple(param_polys)),),
-        params=params + tuple(dict.fromkeys(extra)),
+        params=tuple(name for name, _ in param_polys),
         objective=tuple(objective),
-        param_inequalities=tuple(
-            (tuple(combo), float(rhs)) for combo, rhs in param_inequalities
-        ),
     )
 
 
@@ -137,12 +129,11 @@ class Compilation:
     """Layout bookkeeping tying SDP variables back to the program.
 
     Row r of the problem matches the coefficient of ``row_monomials[r]``
-    (membership, monomial) for r below ``len(row_monomials)``; the linear
-    parameter constraints follow.  ``gram`` and ``free`` hold the entries
-    of the coefficient-matching rows before row ``r`` is divided by
-    ``row_scales[r]``, as the problem stores them (same indices, same
-    order); ``row_targets`` holds the matching target coefficients of the
-    parameter-free part of each membership.
+    (membership, monomial).  ``gram`` and ``free`` hold the entries of the
+    rows before row ``r`` is divided by ``row_scales[r]``, as the problem
+    stores them (same indices, same order); ``row_targets`` holds the
+    matching target coefficients of the parameter-free part of each
+    membership.
     """
 
     program: SosProgram
@@ -293,20 +284,9 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     np.maximum.at(scales, free.row, np.abs(free.value))
     row_targets = target[live]
 
-    param_rows = [(c, v, "=") for c, v in program.param_equalities]
-    param_rows += [(c, v, "<=") for c, v in program.param_inequalities]
-    param_free, param_rhs = [], []
-    for r, (combo, value, _) in enumerate(param_rows, start=n_rows):
-        if not combo:
-            raise CompileError("empty linear parameter constraint")
-        scale = max(abs(w) for _, w in combo)
-        param_free.extend((r, param_col[name], w / scale) for name, w in combo)
-        param_rhs.append(value / scale)
-
     problem = SdpProblem(
         block_dims, n_free, gram._replace(value=gram.value / scales[gram.row]),
-        concat_coo([free._replace(value=free.value / scales[free.row]), make_coo(Free, param_free)]),
-        np.concatenate((row_targets / scales, param_rhs)), [False] * n_rows + [rel == "<=" for *_, rel in param_rows],
+        free._replace(value=free.value / scales[free.row]), row_targets / scales,
         make_coo(Gram), make_coo(Free, [(0, param_col[name], w) for name, w in program.objective]),
     )
     comp = Compilation(
@@ -335,7 +315,7 @@ def sign_symmetries(mem: SosMembership) -> np.ndarray:
     polys = [mem.base, *(p for _, p in mem.param_polys)]
     polys += [*mem.domain.inequalities, *mem.domain.equalities]
     exps = [m for p in polys for m in p.terms]
-    P = np.array(exps, dtype=np.int64).reshape(-1, mem.domain.n_vars) % 2
+    P = np.array(exps, dtype=np.int64).reshape(len(exps), mem.domain.n_vars) % 2
     pivots: list[int] = []
     for c in range(P.shape[1]):
         hit = np.flatnonzero(P[len(pivots):, c])

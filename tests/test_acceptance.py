@@ -204,7 +204,7 @@ def test_criterion_9_sdp_solver_suite():
         C = S0 + sum(y0[i] * A[i] for i in range(mcon))
         sol = solve(SdpProblem(
             (k,), 0, _dense_gram((i, 0, A[i]) for i in range(mcon)), make_coo(Free),
-            [float(np.tensordot(A[i], X0)) for i in range(mcon)], [False] * mcon,
+            [float(np.tensordot(A[i], X0)) for i in range(mcon)],
             _dense_gram([(0, 0, C)]), make_coo(Free),
         ))
         assert sol.status == SdpStatus.OPTIMAL
@@ -220,7 +220,7 @@ def test_criterion_9_sdp_solver_suite():
         sol = solve(SdpProblem(
             (k,), 1, make_coo(Gram, [(r, 0, i, j, 1.0) for r, (i, j) in enumerate(pairs)]),
             make_coo(Free, [(r, 0, -1.0) for r, (i, j) in enumerate(pairs) if i == j]),
-            [-(1.0 if i == j else 2.0) * A[i, j] for i, j in pairs], [False] * len(pairs),
+            [-(1.0 if i == j else 2.0) * A[i, j] for i, j in pairs],
             make_coo(Gram), make_coo(Free, [(0, 0, 1.0)]),
         ))
         assert sol.status == SdpStatus.OPTIMAL
@@ -228,7 +228,7 @@ def test_criterion_9_sdp_solver_suite():
     assert worst_eig <= 1e-6
 
     infeasible = solve(SdpProblem(
-        (2,), 0, make_coo(Gram, [(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)]), make_coo(Free), [-1.0], [False],
+        (2,), 0, make_coo(Gram, [(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)]), make_coo(Free), [-1.0],
         make_coo(Gram), make_coo(Free),
     ))
     assert infeasible.status == SdpStatus.PRIMAL_INFEASIBLE

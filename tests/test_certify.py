@@ -9,7 +9,6 @@ from gamecert.certify import (
     certify_concave,
     certify_monotone,
     extended_domain,
-    min_admissible_level,
     monotone_target,
     run_hierarchy,
     usable_solution,
@@ -21,9 +20,10 @@ from gamecert.sdp import solve
 from gamecert.sos import (
     PSD_SLACK,
     CertificateRejected,
+    SosMembership,
+    SosProgram,
     compile_program,
     extract_certificate,
-    membership_problem,
     round_onto_rows,
 )
 
@@ -103,8 +103,7 @@ def test_constant_jacobian_exactness():
         A = rng.standard_normal((n, n))
         M = -(A @ A.T) - 0.1 * np.eye(n)
         game = quadratic_game_from_matrix(M)
-        level = min_admissible_level(game)
-        result = certify_monotone(game, level)
+        result = certify_monotone(game, 2)  # the target of a quadratic game is quadratic
         oracle = float(jacobi_eigenvalues(M)[-1])
         assert result.lam == pytest.approx(oracle, abs=1e-6)
         assert result.status == CertStatus.STRICTLY_CERTIFIED
@@ -137,6 +136,30 @@ def test_run_hierarchy_records_level_errors(fig1_game):
     assert results[1].lam == pytest.approx(10.0, abs=1e-3)
 
 
+def test_run_hierarchy_rejects_an_unknown_kind(monkeypatch, fig1_game):
+    import gamecert.certify as gcertify
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("no level may run")
+
+    monkeypatch.setattr(gcertify, "certify_monotone", no_level)
+    monkeypatch.setattr(gcertify, "certify_concave", no_level)
+    with pytest.raises(ValueError, match="^unknown kind 'monotnoe'$"):
+        run_hierarchy(fig1_game, [2], kind="monotnoe")
+
+
+def test_cubic_game_is_infeasible_at_level_three():
+    # the payoff x^3/6 has Jacobian x, so lam - x y^2 must be nonnegative on
+    # the whole line times the sphere: no bound lam exists
+    cubic = PolynomialGame((1,), (Polynomial(1, {(3,): 1 / 6}),), SemialgebraicSet(1, (), ()))
+    result = certify_monotone(cubic, 3)
+    assert result.lam == math.inf
+    assert result.status == CertStatus.INFEASIBLE
+    assert result.solver.status == "PrimalInfeasible"
+    assert result.certificate is None
+    assert result.diagnostic == "no decomposition at any bound"
+
+
 @pytest.mark.slow
 def test_deg4_level_6_strictly_certified(deg4_game):
     # about 90 s and 0.8 GB on one OpenBLAS thread
@@ -154,12 +177,6 @@ def test_upper_bound_property_sampling(fig1_game, driver_game):
         assert result.lam + 1e-6 >= report.max_value
 
 
-def test_min_admissible_level(driver_game, fig1_game, deg4_game):
-    assert min_admissible_level(driver_game) == 2
-    assert min_admissible_level(fig1_game) == 2
-    assert min_admissible_level(deg4_game) == 4
-
-
 def test_rounding_repairs_a_feasible_iterate_the_audit_rejects(deg4_game):
     """The solver's feasibility test is relative: on deg4 at level 4 the
     target coefficients reach 112.38 with unit row scales, so
@@ -170,14 +187,17 @@ def test_rounding_repairs_a_feasible_iterate_the_audit_rejects(deg4_game):
     bound untouched."""
     domain = extended_domain(deg4_game.domain, deg4_game.n_vars)
     # the bound is held at -0.5, above its optimum near -1, so the live Gram
-    # directions are strictly inside the cone and the check is about the rows
-    program = membership_problem(
-        monotone_target(deg4_game),
-        domain,
-        4,
-        param_polys=[("lam", Polynomial.constant(domain.n_vars, 1.0))],
-        objective=[("lam", 1.0)],
-        param_inequalities=[((("lam", -1.0),), 0.5)],
+    # directions are strictly inside the cone and the check is about the rows;
+    # lam + 0.5 >= 0 is a degree-0 membership over no variables
+    program = SosProgram(
+        memberships=(
+            SosMembership(monotone_target(deg4_game), domain, 4,
+                          (("lam", Polynomial.constant(domain.n_vars, 1.0)),)),
+            SosMembership(Polynomial.constant(0, 0.5), SemialgebraicSet(0), 0,
+                          (("lam", Polynomial.constant(0, 1.0)),)),
+        ),
+        params=("lam",),
+        objective=(("lam", 1.0),),
     )
     problem, comp = compile_program(program)
     sol = solve(problem)

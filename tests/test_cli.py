@@ -165,7 +165,9 @@ def test_gauge_command(capsys):
     assert json.loads(out)["gauge"] == pytest.approx(5.0, abs=1e-3)
 
 
-def test_gauge_infeasible_exit_three(tmp_path, capsys):
+def cubic_game_file(tmp_path):
+    """A one-player game with payoff x^3/6 on the whole line: no bound
+    exists at any level."""
     from gamecert.games import PolynomialGame, SemialgebraicSet
     from gamecert.jsonio import dumps, game_to_json
     from gamecert.polynomials import Polynomial
@@ -175,9 +177,20 @@ def test_gauge_infeasible_exit_three(tmp_path, capsys):
     )
     path = tmp_path / "cubic.game.json"
     path.write_text(dumps(game_to_json(cubic)))
-    code, out = run_cli(capsys, "gauge", "--level", "3", str(path))
+    return str(path)
+
+
+def test_gauge_infeasible_exit_three(tmp_path, capsys):
+    code, out = run_cli(capsys, "gauge", "--level", "3", cubic_game_file(tmp_path))
     assert code == 3
     assert json.loads(out)["status"] == "infeasible"
+
+
+def test_certify_infeasible_exit_three(tmp_path, capsys):
+    code, out = run_cli(capsys, "certify", "--level", "3", cubic_game_file(tmp_path))
+    assert code == 3
+    (result,) = json.loads(out)["results"]
+    assert (result["status"], result["lambda"]) == ("Infeasible", "+inf")
 
 
 def test_usage_error_exit_one(capsys):

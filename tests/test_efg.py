@@ -7,7 +7,6 @@ from gamecert.efg import (
     EfgTree,
     efg_to_game,
     expected_utility_at,
-    terminal_reach_probabilities,
 )
 from gamecert.polynomials import Polynomial, allclose
 
@@ -77,8 +76,6 @@ def test_tree_polynomial_agreement(driver_tree, fig1_tree, fig3_tree):
             poly_values = [u.evaluate(point) for u in game.payoffs]
             for a, b in zip(tree_values, poly_values):
                 assert abs(a - b) <= 1e-10
-            reach = terminal_reach_probabilities(tree, assignment)
-            assert sum(reach) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_degree_bounded_by_depth(driver_tree, fig1_tree, fig3_tree):

@@ -276,12 +276,13 @@ def test_certificate_sampling_audit_large_blocks(deg4_game):
 def test_sampled_audit_takes_one_membership_at_a_time(fig1_game):
     result = project(ProjectionSpec(fig1_game, 2, kind="concave"))
     cert = result.certificate
-    assert [mem.label for mem in cert.memberships] == ["player 0", "player 1"]
+    players = [mem for mem in cert.memberships if mem.label.startswith("player")]
+    assert [mem.label for mem in players] == ["player 0", "player 1"]
     base, domain = target(result.game, 0)
-    with pytest.raises(ValueError, match="2 memberships; audit each MembershipCertificate"):
+    with pytest.raises(ValueError, match=f"^certificate has {len(cert.memberships)} memberships; audit each "):
         check_certificate_sampled(cert, base, domain, n_samples=100)
     # the projected game's concave targets are the ones its memberships certify
-    for player, mem in enumerate(cert.memberships):
+    for player, mem in enumerate(players):
         base, domain = target(result.game, player)
         ok, worst = check_certificate_sampled(mem, base, domain, n_samples=300)
         assert ok and worst <= 1e-5

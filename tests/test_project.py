@@ -61,6 +61,35 @@ def test_projection_frozen_coefficient_infeasible(fig1_game):
         project(spec)
 
 
+@pytest.mark.parametrize("name, level, parent_distance", [
+    ("fig1", 2, 9.999999999999709),
+    ("fig3", 6, 49.000000000008214),
+])
+def test_zero_sum_projection_is_exactly_zero_sum(request, name, level, parent_distance):
+    # player 1's coefficients are minus player 0's parameters, so the sum
+    # cancels exactly rather than to solver tolerance
+    game = request.getfixturevalue(f"{name}_game")
+    result = project(ProjectionSpec(game, level, zero_sum=True, preserve_support=True))
+    u0, u1 = result.game.payoffs
+    assert all(u0.coeff(m) + u1.coeff(m) == 0.0 for m in set(u0.terms) | set(u1.terms))
+    assert result.payoff_deltas[0] == result.payoff_deltas[1]
+    assert result.certificate.identity_residual <= 1e-6
+    # within 1e-8 (1 + |v|) of the distance the equality-row program found
+    assert result.distance == pytest.approx(parent_distance, rel=0, abs=1e-8 * (1 + parent_distance))
+    assert [p for p in result.certificate.params if p.startswith("u1")] == []
+
+
+def test_zero_sum_partner_of_a_frozen_coefficient_is_fixed(fig1_game):
+    spec = ProjectionSpec(fig1_game, 2, zero_sum=True, preserve_support=True, frozen=((1, (1, 0, 1)),))
+    result = project(spec)
+    assert result.game.payoffs[1].coeff((1, 0, 1)) == -2.0
+    assert result.game.payoffs[0].coeff((1, 0, 1)) == 2.0
+    assert "u0[1,0,1]" not in result.certificate.params
+    u0, u1 = result.game.payoffs
+    assert all(u0.coeff(m) + u1.coeff(m) == 0.0 for m in set(u0.terms) | set(u1.terms))
+    assert result.distance == pytest.approx(10.0, abs=1e-6)
+
+
 def test_projection_validation(fig1_game, driver_game):
     with pytest.raises(ValueError):
         ProjectionSpec(driver_game, 2, zero_sum=True)

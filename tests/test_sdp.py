@@ -21,11 +21,11 @@ from gamecert.sdp import (
 )
 
 
-def coo_problem(dims, n_free=0, gram=(), free=(), rhs=(), le=None, obj_gram=(), obj_free=()):
+def coo_problem(dims, n_free=0, gram=(), free=(), rhs=(), obj_gram=(), obj_free=()):
     """An SdpProblem from ``make_coo`` entry tuples, the objective's with
-    row 0; every row is "=" unless ``le`` marks it."""
+    row 0."""
     return SdpProblem(dims, n_free, make_coo(Gram, gram), make_coo(Free, free), rhs,
-                      [False] * len(rhs) if le is None else le, make_coo(Gram, obj_gram), make_coo(Free, obj_free))
+                      make_coo(Gram, obj_gram), make_coo(Free, obj_free))
 
 
 def dense_entries(row, block, M):
@@ -57,24 +57,26 @@ def random_feasible_problem(rng):
                    obj_gram=dense_entries(0, 0, C))
 
 
-def random_block_problem(rng, dims, n_le=0, n_free=0):
-    """Strictly feasible primal-dual pair over blocks of sizes ``dims``; the
-    last ``n_le`` of its rows are '<=' rows, which become 1x1 slack blocks,
-    and ``n_free`` free columns are dense in every row."""
-    mcon = 8 + n_le
+def random_block_problem(rng, dims, n_slack=0, n_free=0):
+    """Strictly feasible primal-dual pair over blocks of sizes ``dims``,
+    followed by one 1x1 slack block for each of its last ``n_slack`` rows,
+    with ``n_free`` free columns dense in every row."""
+    mcon = 8 + n_slack
     pd = lambda d: (lambda B: B @ B.T + np.eye(d))(rng.standard_normal((d, d)))
     A = [[(lambda B: B + B.T)(rng.standard_normal((d, d))) for d in dims] for _ in range(mcon)]
     X0 = [pd(d) for d in dims]
     y0 = rng.standard_normal(mcon)
-    y0[mcon - n_le:] = -0.1 - np.abs(y0[mcon - n_le:])  # slack duals stay interior
+    y0[mcon - n_slack:] = -0.1 - np.abs(y0[mcon - n_slack:])  # slack duals stay interior
     C = [pd(d) + sum(y0[i] * A[i][b] for i in range(mcon)) for b, d in enumerate(dims)]
-    le = [i >= mcon - n_le for i in range(mcon)]
-    rhs = [sum(float(np.tensordot(A[i][b], X0[b])) for b in range(len(dims))) + (1.0 if le[i] else 0.0)
+    slack = [i >= mcon - n_slack for i in range(mcon)]
+    rhs = [sum(float(np.tensordot(A[i][b], X0[b])) for b in range(len(dims))) + (1.0 if slack[i] else 0.0)
            for i in range(mcon)]
     F, u0 = rng.standard_normal((mcon, n_free)), rng.standard_normal(n_free)
+    slacks = [(mcon - n_slack + k, len(dims) + k, 0, 0, 1.0) for k in range(n_slack)]
     return coo_problem(
-        tuple(dims), n_free, [e for i in range(mcon) for b in range(len(dims)) for e in dense_entries(i, b, A[i][b])],
-        [(i, k, float(F[i, k])) for i in range(mcon) for k in range(n_free)], rhs=list(rhs + F @ u0), le=le,
+        tuple(dims) + (1,) * n_slack, n_free,
+        [e for i in range(mcon) for b in range(len(dims)) for e in dense_entries(i, b, A[i][b])] + slacks,
+        [(i, k, float(F[i, k])) for i in range(mcon) for k in range(n_free)], rhs=list(rhs + F @ u0),
         obj_gram=[e for b in range(len(dims)) for e in dense_entries(0, b, C[b])],
         obj_free=[(0, k, float(c)) for k, c in enumerate(F.T @ y0)],
     )
@@ -86,7 +88,7 @@ def permute_blocks(prob, perm):
     move = lambda gram: gram._replace(block=new[gram.block])
     return SdpProblem(
         tuple(prob.block_dims[b] for b in perm), prob.n_free, move(prob.gram), prob.free,
-        prob.rhs, prob.le, move(prob.obj_gram), prob.obj_free,
+        prob.rhs, move(prob.obj_gram), prob.obj_free,
     )
 
 
@@ -98,17 +100,18 @@ def merge_blocks(prob):
     )
     return SdpProblem(
         (int(offset[-1]),), prob.n_free, merge(prob.gram), prob.free,
-        prob.rhs, prob.le, merge(prob.obj_gram), prob.obj_free,
+        prob.rhs, merge(prob.obj_gram), prob.obj_free,
     )
 
 
-@pytest.mark.parametrize("dims, n_le, perm", [
+@pytest.mark.parametrize("dims, n_slack, perm", [
     ((3, 2, 3, 4), 2, (3, 1, 2, 0)),  # a repeated size, lone sizes, 1x1 slacks
     ((2, 3, 4), 0, (2, 0, 1)),  # every size distinct
     ((3, 3, 3), 0, (1, 2, 0)),  # every size equal
 ])
-def test_block_order_invariance(dims, n_le, perm):
-    prob = random_block_problem(np.random.default_rng(sum(dims)), dims, n_le)
+def test_block_order_invariance(dims, n_slack, perm):
+    prob = random_block_problem(np.random.default_rng(sum(dims)), dims, n_slack)
+    dims, perm = prob.block_dims, perm + tuple(range(len(perm), len(prob.block_dims)))  # slacks stay last
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert len(sol.primal_blocks) == len(dims)
@@ -400,7 +403,7 @@ def test_facial_reduction_matches_row_by_row_elimination(fig3_game, deg4_game):
         bound_program(concave_target(deg4_game, 0), extended_domain(deg4_game.domain, deg4_game.block_sizes[0]), 4),
     ]
     for program in cases:
-        problem = compile_program(program)[0].to_equality_form()
+        problem = compile_program(program)[0]
         removed, active, infeasible = forced_zero_reference(problem)
         reduction = _facial_reduction(problem)
         assert not infeasible and reduction is not None
@@ -422,8 +425,8 @@ def test_every_block_dead_keeps_the_unreduced_problem():
 
     # a zero target on [0, 1] forces every Gram column to zero
     problem, comp = compile_program(membership_problem(Polynomial.zero(1), box_set([(0, 1)]), 2))
-    reduction = _facial_reduction(problem.to_equality_form())
-    assert reduction.problem == problem.to_equality_form()
+    reduction = _facial_reduction(problem)
+    assert reduction.problem == problem
     assert reduction.rows.tolist() == list(range(problem.n_constraints))
     sol = solve_split(problem, comp)
     assert sol.status == SdpStatus.OPTIMAL
@@ -484,7 +487,7 @@ def free_columns_problem(n_free, obj_free):
     """X + u_1 + ... + u_n = 1 on a 1x1 block, minimizing ``obj_free . u``."""
     return SdpProblem(
         (1,), n_free, make_coo(Gram, [(0, 0, 0, 0, 1.0)]),
-        make_coo(Free, [(0, k, 1.0) for k in range(n_free)]), [1.0], [False],
+        make_coo(Free, [(0, k, 1.0) for k in range(n_free)]), [1.0],
         make_coo(Gram), make_coo(Free, [(0, k, c) for k, c in enumerate(obj_free)]),
     )
 
@@ -504,18 +507,19 @@ def test_free_columns_filling_the_rows(capfd):
 
 @pytest.mark.parametrize("rel", ["=", "<="])
 def test_every_row_reduced_away_keeps_one_dual_per_row(rel):
-    # X[1,1] (plus a slack for "<=") = 0 forces column 1 out, and the row with it
-    prob = coo_problem((2,), 0, [(0, 0, 1, 1, 1.0)], rhs=[0.0], le=[rel == "<="],
-                   obj_gram=[(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)])
+    # X[1,1] (plus a 1x1 slack block for "<=") = 0 forces column 1 out, and the row with it
+    slack = rel == "<="
+    prob = coo_problem((2,) + (1,) * slack, 0, [(0, 0, 1, 1, 1.0)] + [(0, 1, 0, 0, 1.0)] * slack, rhs=[0.0],
+                       obj_gram=[(0, 0, 0, 0, 1.0), (0, 0, 1, 1, 1.0)])
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert len(sol.dual_values) == prob.n_constraints
-    assert [G.shape for G in sol.primal_blocks] == [(2, 2)]
+    assert [G.shape for G in sol.primal_blocks] == [(2, 2)] + [(1, 1)] * slack
 
 
 def test_inequality_rows_via_slack():
-    # min -x11 s.t. x11 <= 3 (as a 1x1 block)
-    prob = coo_problem((1,), 0, [(0, 0, 0, 0, 1.0)], rhs=[3.0], le=[True], obj_gram=[(0, 0, 0, 0, -1.0)])
+    # min -x11 s.t. x11 <= 3, as x11 + s = 3 with s a second 1x1 block
+    prob = coo_problem((1, 1), 0, [(0, 0, 0, 0, 1.0), (0, 1, 0, 0, 1.0)], rhs=[3.0], obj_gram=[(0, 0, 0, 0, -1.0)])
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert sol.primal_objective == pytest.approx(-3.0, abs=1e-6)
@@ -575,20 +579,20 @@ def test_equality_is_exact_and_a_bool():
     nudged = A.copy()
     nudged[0, 1] = nudged[1, 0] = np.nextafter(10.0, 11.0)
     assert (a == lambda_max_problem(nudged)) is False
-    le = SdpProblem(a.block_dims, a.n_free, a.gram, a.free, a.rhs, ~a.le, a.obj_gram, a.obj_free)
-    assert (a == le) is False
+    negated = SdpProblem(a.block_dims, a.n_free, a.gram, a.free, -a.rhs, a.obj_gram, a.obj_free)
+    assert (a == negated) is False
     assert (a == "not a problem") is False
 
 
 def test_constraints_view_returns_input_rows():
     prob = coo_problem((2, 1), 2, [(0, 0, 0, 0, 1.0), (0, 0, 0, 1, 2.0), (0, 1, 0, 0, -1.0), (2, 1, 0, 0, 4.0)],
-                   [(0, 1, 0.5), (1, 0, 1.0)], [3.0, 0.0, -1.0, 0.0], [True, False, False, False])
+                   [(0, 1, 0.5), (1, 0, 1.0)], [3.0, 0.0, -1.0, 0.0])
     assert prob.n_constraints == 4
     assert prob.constraints == (
-        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 2.0))), (1, ((0, 0, -1.0),))), ((1, 0.5),), 3.0, "<="),
-        SdpConstraint((), ((0, 1.0),), 0.0, "="),
-        SdpConstraint(((1, ((0, 0, 4.0),)),), (), -1.0, "="),
-        SdpConstraint((), (), 0.0, "="),
+        SdpConstraint(((0, ((0, 0, 1.0), (0, 1, 2.0))), (1, ((0, 0, -1.0),))), ((1, 0.5),), 3.0),
+        SdpConstraint((), ((0, 1.0),), 0.0),
+        SdpConstraint(((1, ((0, 0, 4.0),)),), (), -1.0),
+        SdpConstraint((), (), 0.0),
     )
 
 
@@ -649,9 +653,8 @@ def test_canonical_fast_path_matches_sorting(variant, read_only):
 
 def test_canonical_copies_writable_input():
     gram, free = canonical_variant("canonical")
-    prob = SdpProblem((3, 2), 2, gram, free, np.ones(4), np.zeros(4, bool), *canonical_variant("empty"))
-    same = SdpProblem((3, 2), 2, *canonical_variant("canonical"), np.ones(4), np.zeros(4, bool),
-                                  *canonical_variant("empty"))
+    prob = SdpProblem((3, 2), 2, gram, free, np.ones(4), *canonical_variant("empty"))
+    same = SdpProblem((3, 2), 2, *canonical_variant("canonical"), np.ones(4), *canonical_variant("empty"))
     for a in (*gram, *free):
         assert a.flags.writeable
         a[...] = 0
@@ -662,8 +665,7 @@ def test_canonical_copies_writable_input():
 def test_validation_of_arrays():
     def build(gram=(), free=(), rhs=(0.0,)):
         return SdpProblem(
-            (2,), 1, make_coo(Gram, gram), make_coo(Free, free), rhs, [False] * len(rhs),
-            make_coo(Gram), make_coo(Free),
+            (2,), 1, make_coo(Gram, gram), make_coo(Free, free), rhs, make_coo(Gram), make_coo(Free),
         )
 
     assert build([(0, 0, 1, 0, 1.0)]).gram.i.tolist() == [0]
@@ -705,16 +707,6 @@ def test_sdpa_round_trip_empty_constraints(tmp_path):
     assert back == prob
 
 
-def test_sdpa_inequality_converted_on_export(tmp_path):
-    prob = coo_problem((1,), 0, [(0, 0, 0, 0, 1.0)], rhs=[3.0], le=[True], obj_gram=[(0, 0, 0, 0, -1.0)])
-    path = tmp_path / "ineq.dat-s"
-    export_sdpa(prob, str(path))
-    back = import_sdpa(str(path))
-    assert back.block_dims == (1, 1)  # slack block appended
-    assert not back.le.any()
-    assert back == prob.to_equality_form()
-
-
 def test_sdpa_certification_round_trip(tmp_path, fig1_game):
     from gamecert.certify import extended_domain, monotone_target
     from gamecert.polynomials import Polynomial
@@ -732,6 +724,59 @@ def test_sdpa_certification_round_trip(tmp_path, fig1_game):
     export_sdpa(prob, str(path))
     back = import_sdpa(str(path))
     assert back == prob
+
+
+class _Captured(Exception):
+    pass
+
+
+def projection_program(monkeypatch, spec):
+    """The program ``project`` builds for ``spec``, captured before it is solved."""
+    import gamecert.project as gproject
+
+    seen = []
+
+    def capture(program, options=None):
+        seen.append(program)
+        raise _Captured
+
+    monkeypatch.setattr(gproject, "solve_audited", capture)
+    with pytest.raises(_Captured):
+        gproject.project(spec)
+    return seen[0]
+
+
+# the corpus commands' programs: (game, kind, level, projection flags);
+# a concave certify solves one program per player
+CORPUS_PROGRAMS = {
+    "certify-driver": ("driver", "monotone", 2, None),
+    "certify-fig1": ("fig1", "monotone", 2, None),
+    "certify-deg4": ("deg4", "monotone", 4, None),
+    "certify-fig3": ("fig3", "monotone", 6, None),
+    "certify-deg4-concave-player0": ("deg4", 0, 4, None),
+    "certify-deg4-concave-player1": ("deg4", 1, 4, None),
+    "project-fig1-zero-sum": ("fig1", "monotone", 2, {"zero_sum": True, "preserve_support": True}),
+    "project-fig3-zero-sum": ("fig3", "monotone", 6, {"zero_sum": True, "preserve_support": True}),
+    "project-fig1-concave": ("fig1", "concave", 2, {}),
+}
+
+
+@pytest.mark.parametrize("key", list(CORPUS_PROGRAMS))
+def test_sdpa_round_trip_of_every_corpus_program(tmp_path, monkeypatch, request, key):
+    from gamecert.certify import bound_program, target
+    from gamecert.project import ProjectionSpec
+    from gamecert.sos import compile_program
+
+    name, kind, level, flags = CORPUS_PROGRAMS[key]
+    game = request.getfixturevalue(f"{name}_game")
+    if flags is None:
+        program = bound_program(*target(game, None if kind == "monotone" else kind), level)
+    else:
+        program = projection_program(monkeypatch, ProjectionSpec(game, level, kind=kind, **flags))
+    prob, _ = compile_program(program)
+    path = tmp_path / f"{key}.dat-s"
+    export_sdpa(prob, str(path))
+    assert import_sdpa(str(path)) == prob
 
 
 def test_sdpa_parse_errors(tmp_path):
@@ -793,6 +838,11 @@ PARSE_ERRORS = [
     (5, "-1e999 2.0", "rhs values must be finite"),
     (8, "1 1 1 1 1_0", "malformed entry line"),  # float() alone would read 10
     (5, "1_0 2.0", "rhs values must be numeric"),
+    (2, "2.5 = mDIM", "expected constraint count, got '2.5 = mDIM'"),
+    (3, "two = nBLOCK", "expected block count, got 'two = nBLOCK'"),
+    (4, "{2}", "expected 2 block sizes, got 1"),
+    (4, "{2, -1.5}", "block sizes must be integers"),
+    (4, "{-1, 2}", "negative block size allowed only in the last position"),
 ]
 
 
@@ -806,6 +856,15 @@ def test_sdpa_parse_error_reports_its_line(tmp_path, line_no, text, complaint):
         import_sdpa(str(path))
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {complaint}"
+
+
+def test_sdpa_file_ending_before_the_rhs_reports_its_last_line(tmp_path):
+    path = tmp_path / "short.dat-s"
+    path.write_text("\n".join(SDPA_LINES[:4] + ["* no rhs follows", ""]) + "\n")
+    with pytest.raises(SdpaParseError) as err:
+        import_sdpa(str(path))
+    assert err.value.line_no == 6
+    assert str(err.value) == "line 6: file truncated before the rhs vector"
 
 
 def small_chunks(monkeypatch, chars):
@@ -941,11 +1000,11 @@ def distinct_value_problem():
     return SdpProblem(
         dims, n_free, sdp.make_coo(sdp.Gram, [e for e in gram if e[0] >= 0]),
         sdp.make_coo(sdp.Free, [e for e in free if e[0] >= 0]),
-        rng.uniform(-3, 3, m), np.zeros(m, dtype=bool), obj_gram, obj_free)
+        rng.uniform(-3, 3, m), obj_gram, obj_free)
 
 
 def sdpa_text(prob):
-    """The SDPA text of an equality-form problem, one line at a time."""
+    """The SDPA text of a problem, one line at a time."""
     sizes = list(prob.block_dims) + ([-prob.n_free] if prob.n_free else [])
     lines = [f"{prob.n_constraints}\n", f"{len(sizes)}\n", " ".join(map(str, sizes)) + "\n",
              " ".join("%.16e" % v for v in prob.rhs) + "\n"]

@@ -251,6 +251,23 @@ def test_sign_symmetries_null_space(fig1_game, fig3_game):
                 assert np.any(parities @ np.array(s) % 2)
 
 
+def test_degree_zero_membership_certifies_a_scalar_bound():
+    # lam - 2 >= 0 over the space of no variables is lam - 2 = s_0 with s_0 a
+    # 1x1 Gram block: the smallest lam is 2
+    from gamecert.certify import solve_audited
+
+    program = membership_problem(
+        Polynomial.constant(0, -2.0), SemialgebraicSet(0), 0,
+        param_polys=[("lam", Polynomial.constant(0, 1.0))], objective=[("lam", 1.0)],
+    )
+    assert sign_symmetries(program.memberships[0]).shape == (0, 0)
+    run = solve_audited(program)
+    assert run.solution.status == SdpStatus.OPTIMAL
+    assert run.certificate is not None
+    assert run.certificate.params["lam"] == pytest.approx(2.0, abs=1e-6)
+    assert run.certificate.identity_residual <= 1e-6
+
+
 def test_odd_target_drops_only_quotient_columns(monkeypatch):
     # y + x y^2 is not even in y, and x(1 - x) >= 0 is not even in x: no
     # flip applies, and only the Gram columns of y^2, the leading monomial
@@ -378,7 +395,8 @@ def test_compiled_rows_match_symbolic_expansion(monkeypatch, fig1_game, fig3_gam
         "deg4 L4": monotone_membership(deg4_game, 4),
         "fig1 concave projection L2": concave_projection_program(monkeypatch, fig1_game, 2),
     }
-    assert len(programs["fig1 concave projection L2"].memberships) == 2
+    labels = [mem.label for mem in programs["fig1 concave projection L2"].memberships]
+    assert [label for label in labels if label.startswith("player")] == ["player 0", "player 1"]
     rng = np.random.default_rng(5)
     for label, program in programs.items():
         problem, comp = compile_program(program)
