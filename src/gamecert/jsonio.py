@@ -50,13 +50,15 @@ def poly_to_json(p: Polynomial) -> dict:
 
 
 def poly_from_json(obj: Any) -> Polynomial:
-    if not isinstance(obj, dict) or "n_vars" not in obj or "terms" not in obj:
-        raise FormatError("polynomial must be an object with n_vars and terms")
+    if not isinstance(obj, dict) or "n_vars" not in obj or not isinstance(obj.get("terms"), list):
+        raise FormatError(f"polynomial must be an object with n_vars and a terms list: {obj!r}")
     n = obj["n_vars"]
     if not _is_int(n) or n < 0:
         raise FormatError(f"invalid n_vars {n!r}")
     terms = {}
     for t in obj["terms"]:
+        if not isinstance(t, dict):
+            raise FormatError(f"polynomial term must be an object with exps and coeff: {t!r}")
         exps = t.get("exps")
         coeff = t.get("coeff")
         if not isinstance(exps, list) or len(exps) != n:
@@ -91,10 +93,14 @@ def game_from_json(obj: Any) -> PolynomialGame:
         raise FormatError("players must be a list of objects with field 'm'") from exc
     if not all(_is_int(m) for m in blocks):
         raise FormatError(f"block sizes must be integers: {list(blocks)!r}")
-    payoffs = tuple(poly_from_json(p) for p in obj["payoffs"])
     dom = obj["domain"]
-    ineq = tuple(poly_from_json(p) for p in dom.get("ineq", []))
-    eq = tuple(poly_from_json(p) for p in dom.get("eq", []))
+    if not isinstance(dom, dict):
+        raise FormatError(f"domain must be an object with ineq and eq lists: {dom!r}")
+    lists = {"payoffs": obj["payoffs"], "domain ineq": dom.get("ineq", []), "domain eq": dom.get("eq", [])}
+    for what, value in lists.items():
+        if not isinstance(value, list):
+            raise FormatError(f"{what} must be a list of polynomials: {value!r}")
+    payoffs, ineq, eq = (tuple(map(poly_from_json, value)) for value in lists.values())
     n = sum(blocks)
     domain = SemialgebraicSet(n, ineq, eq)
     try:
@@ -112,7 +118,10 @@ def node_from_json(obj: Any, n_players: int) -> EfgNode:
         if not isinstance(payoffs, list):
             raise FormatError("terminal node needs payoffs")
         return EfgNode(owner="terminal", payoffs=tuple(_finite(v, "payoff") for v in payoffs))
-    children = tuple(node_from_json(c, n_players) for c in obj.get("children", []))
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise FormatError(f"children must be a list of tree nodes: {children!r}")
+    children = tuple(node_from_json(c, n_players) for c in children)
     if owner == "chance":
         probs = obj.get("chance_probs")
         if not isinstance(probs, list):

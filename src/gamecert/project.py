@@ -170,8 +170,11 @@ def project(spec: ProjectionSpec, options: SolveOptions | None = None) -> Projec
         memberships.append(SosMembership(base, dom, spec.level, tuple(pairs), label=label))
 
     # the epigraph |c - ref| <= dist of each coefficient that is not frozen:
-    # a nonnegative scalar is a degree-0 sum of squares
+    # a nonnegative scalar is a degree-0 sum of squares.  Each inequality is
+    # added once: under zero_sum with a zero-sum reference, player 1's
+    # inequalities repeat player 0's
     scalars, one = SemialgebraicSet(0), Polynomial.constant(0, 1.0)
+    epigraph: dict[tuple, SosMembership] = {}
     for i, ci in enumerate(coeffs):
         for mono, (const, sign, name) in ci.items():
             if (i, mono) in frozen:
@@ -180,8 +183,9 @@ def project(spec: ProjectionSpec, options: SolveOptions | None = None) -> Projec
             for side in (-1.0, 1.0):  # dist + side * (c - ref) >= 0
                 pairs = [("dist", one)] + ([(name, one.scale(side * sign))] if name else [])
                 label = f"dist {'-' if side < 0 else '+'} ({_param_name(i, mono)} - ref)"
-                memberships.append(SosMembership(
+                epigraph.setdefault((side * (const - ref), name, side * sign), SosMembership(
                     Polynomial.constant(0, side * (const - ref)), scalars, 0, tuple(pairs), label=label))
+    memberships.extend(epigraph.values())
 
     program = SosProgram(
         memberships=tuple(memberships),

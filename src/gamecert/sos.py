@@ -15,7 +15,10 @@ degree-0 sum of squares, over the space of no variables.
 Compilation produces one PSD Gram block per SOS multiplier, free scalars
 for the p_j coefficients and the parameters, and one linear equality per
 monomial of degree <= level in the ambient space, matching coefficients
-between the target and the decomposition.
+between the target and the decomposition.  A solution is read back one
+membership at a time, through the index ranges ``Compilation.spans``, into
+a :class:`MembershipCertificate` that carries its own target and domain, so
+each expands and is audited on its own.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ def membership_problem(
 
 @dataclass(frozen=True)
 class GramBlockInfo:
-    membership: int
     multiplier: str          # "sigma_0" or "sigma_<j>" for inequality j
     constraint: Polynomial | None  # g_j, or None for sigma_0
     basis: tuple[Monomial, ...]
@@ -118,7 +120,6 @@ class GramBlockInfo:
 
 @dataclass(frozen=True)
 class MultiplierInfo:
-    membership: int
     equality: int            # index into domain.equalities
     basis: tuple[Monomial, ...]
     offset: int              # first free-variable index of this coefficient run
@@ -128,20 +129,21 @@ class MultiplierInfo:
 class Compilation:
     """Layout bookkeeping tying SDP variables back to the program.
 
-    Row r of the problem matches the coefficient of ``row_monomials[r]``
-    (membership, monomial).  ``gram`` and ``free`` hold the entries of the
-    rows before row ``r`` is divided by ``row_scales[r]``, as the problem
-    stores them (same indices, same order); ``row_targets`` holds the
-    matching target coefficients of the parameter-free part of each
-    membership.
+    Membership ``k`` owns ``gram_blocks[spans[k][0]]`` and the equality
+    multipliers ``multipliers[spans[k][1]]``, two slices.  Row r of the problem
+    matches the coefficient of ``row_monomials[r]`` (membership, monomial).
+    ``gram`` and ``free`` hold the entries of the rows as the problem stores
+    them (same indices, same order) before each row is divided by its
+    largest absolute entry; ``row_targets`` holds the matching target
+    coefficients of the parameter-free part of each membership.
     """
 
     program: SosProgram
     gram_blocks: list[GramBlockInfo]
     multipliers: list[MultiplierInfo]
+    spans: list[tuple[slice, slice]]
     param_offset: int        # free index of the first parameter
     row_monomials: list[tuple[int, Monomial]]
-    row_scales: np.ndarray
     row_targets: np.ndarray
     gram: Gram
     free: Free
@@ -188,6 +190,7 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     bounded decompositions of every membership constraint."""
     gram_blocks: list[GramBlockInfo] = []
     multipliers: list[MultiplierInfo] = []
+    spans: list[tuple[slice, slice]] = []
     block_dims: list[int] = []
     n_mult = 0
     # multipliers of equal degree share a basis; build each one once
@@ -198,15 +201,19 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
             bases[n, degree] = tuple(monomials_upto(n, degree))
         return bases[n, degree]
 
+    # one candidate row per (membership, monomial of degree <= level), found
+    # from a monomial's exponents through its rank
+    candidates: list[tuple[int, Monomial]] = []
+    row_of_rank = []
     for mi, mem in enumerate(program.memberships):
-        n = mem.domain.n_vars
+        n, first_block, first_mult = mem.domain.n_vars, len(gram_blocks), len(multipliers)
         for j, g in enumerate((None, *mem.domain.inequalities)):
             degree = 0 if g is None else g.degree
             if mem.level < degree:
                 gram_basis(mem.level, degree, n)  # warns that this multiplier has no basis
                 continue
             basis = upto(n, (mem.level - degree) // 2)
-            gram_blocks.append(GramBlockInfo(mi, f"sigma_{j}", g, basis))
+            gram_blocks.append(GramBlockInfo(f"sigma_{j}", g, basis))
             block_dims.append(len(basis))
         for j, h in enumerate(mem.domain.equalities):
             if mem.level < h.degree:
@@ -216,22 +223,17 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
                 )
                 continue
             basis = upto(n, mem.level - h.degree)
-            multipliers.append(MultiplierInfo(mi, j, basis, n_mult))
+            multipliers.append(MultiplierInfo(j, basis, n_mult))
             n_mult += len(basis)
+        spans.append((slice(first_block, len(gram_blocks)), slice(first_mult, len(multipliers))))
+        monos = upto(n, mem.level)
+        ranks = _ranks(np.array(monos, dtype=np.int64).reshape(len(monos), n), mem.level)
+        row_of_rank.append(len(candidates) + np.argsort(ranks))  # ranks are a permutation
+        candidates.extend((mi, mono) for mono in monos)
 
     param_offset = n_mult
     n_free = n_mult + len(program.params)
     param_col = {name: param_offset + k for k, name in enumerate(program.params)}
-
-    # one candidate row per (membership, monomial of degree <= level), found
-    # from a monomial's exponents through its rank
-    candidates: list[tuple[int, Monomial]] = []
-    row_of_rank = []
-    for mi, mem in enumerate(program.memberships):
-        monos = upto(mem.domain.n_vars, mem.level)
-        ranks = _ranks(np.array(monos, dtype=np.int64).reshape(len(monos), mem.domain.n_vars), mem.level)
-        row_of_rank.append(len(candidates) + np.argsort(ranks))  # ranks are a permutation
-        candidates.extend((mi, mono) for mono in monos)
 
     def rows(mi, exps):
         mem = program.memberships[mi]
@@ -240,26 +242,22 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
             raise CompileError(f"a monomial exceeds level {mem.level} in membership {mi}")
         return row_of_rank[mi][_ranks(exps, mem.level)]
 
-    gram_parts = [make_coo(Gram)]
-    for blk, info in enumerate(gram_blocks):
-        one = {(0,) * program.memberships[info.membership].domain.n_vars: 1.0}
-        g_terms = (one if info.constraint is None else info.constraint.terms).items()
-        a, b = np.triu_indices(len(info.basis))
-        basis = np.array(info.basis, dtype=np.int64)
-        for gt, gc in g_terms:
-            r = rows(info.membership, basis[a] + basis[b] + gt)
-            gram_parts.append(Gram(r, np.full(len(r), blk), a, b, np.full(len(r), gc)))
-
-    free_parts = [make_coo(Free)]
-    for info in multipliers:
-        h = program.memberships[info.membership].domain.equalities[info.equality]
-        basis = np.array(info.basis, dtype=np.int64)
-        for ht, hc in h.terms.items():
-            r = rows(info.membership, basis + ht)
-            free_parts.append(Free(r, info.offset + np.arange(len(r)), np.full(len(r), hc)))
-
+    gram_parts, free_parts = [make_coo(Gram)], [make_coo(Free)]
     target = np.zeros(len(candidates))
-    for mi, mem in enumerate(program.memberships):
+    for mi, (mem, (blocks, mults)) in enumerate(zip(program.memberships, spans)):
+        one = {(0,) * mem.domain.n_vars: 1.0}
+        for blk, info in enumerate(gram_blocks[blocks], blocks.start):
+            g_terms = (one if info.constraint is None else info.constraint.terms).items()
+            a, b = np.triu_indices(len(info.basis))
+            basis = np.array(info.basis, dtype=np.int64)
+            for gt, gc in g_terms:
+                r = rows(mi, basis[a] + basis[b] + gt)
+                gram_parts.append(Gram(r, np.full(len(r), blk), a, b, np.full(len(r), gc)))
+        for info in multipliers[mults]:
+            basis = np.array(info.basis, dtype=np.int64)
+            for ht, hc in mem.domain.equalities[info.equality].terms.items():
+                r = rows(mi, basis + ht)
+                free_parts.append(Free(r, info.offset + np.arange(len(r)), np.full(len(r), hc)))
         target[rows(mi, list(mem.base.terms))] = list(mem.base.terms.values())
         for name, poly in mem.param_polys:
             r = rows(mi, list(poly.terms))
@@ -293,9 +291,9 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         program=program,
         gram_blocks=gram_blocks,
         multipliers=multipliers,
+        spans=spans,
         param_offset=param_offset,
         row_monomials=[candidates[k] for k in np.flatnonzero(live)],
-        row_scales=scales,
         row_targets=row_targets,
         gram=gram,
         free=free,
@@ -357,28 +355,27 @@ def solve_split(
     Gram rows and columns, the cross-class Gram entries, the odd
     multiplier coefficients and the duals of the dropped rows.
     """
-    flips = [sign_symmetries(mem) for mem in comp.program.memberships]
-    # the grlex-leading monomial of each membership's first equality, if any
-    leads = [max((e for h in mem.domain.equalities[:1] for e in h.terms), key=lambda e: (sum(e), e), default=None)
-             for mem in comp.program.memberships]
     off = np.cumsum([0] + [len(info.basis) for info in comp.gram_blocks])
     block = np.full(off[-1], -1, dtype=np.int64)  # flat basis index -> restricted block
     pos = np.zeros(off[-1], dtype=np.int64)       # flat basis index -> position in it
-    n_blocks = 0
-    for b, info in enumerate(comp.gram_blocks):
-        groups: dict[tuple, list[int]] = {}
-        lead = leads[info.membership]
-        for i, mono in enumerate(info.basis):
-            if lead is not None and all(e >= d for e, d in zip(mono, lead)):
-                continue  # not a standard monomial of the quotient ring
-            groups.setdefault(tuple(flips[info.membership] @ mono % 2), []).append(off[b] + i)
-        for cols in groups.values():
-            block[cols], pos[cols] = n_blocks, np.arange(len(cols))
-            n_blocks += 1
     keep_free = np.ones(problem.n_free, dtype=bool)
-    for info in comp.multipliers:
-        odd = [any(flips[info.membership] @ mono % 2) for mono in info.basis]
-        keep_free[info.offset : info.offset + len(odd)] = np.logical_not(odd)
+    n_blocks = 0
+    for mem, (blocks, mults) in zip(comp.program.memberships, comp.spans):
+        flips = sign_symmetries(mem)
+        # the grlex-leading monomial of the membership's first equality, if any
+        lead = max((e for h in mem.domain.equalities[:1] for e in h.terms), key=lambda e: (sum(e), e), default=None)
+        for b, info in enumerate(comp.gram_blocks[blocks], blocks.start):
+            groups: dict[tuple, list[int]] = {}
+            for i, mono in enumerate(info.basis):
+                if lead is not None and all(e >= d for e, d in zip(mono, lead)):
+                    continue  # not a standard monomial of the quotient ring
+                groups.setdefault(tuple(flips @ mono % 2), []).append(off[b] + i)
+            for cols in groups.values():
+                block[cols], pos[cols] = n_blocks, np.arange(len(cols))
+                n_blocks += 1
+        for info in comp.multipliers[mults]:
+            odd = [any(flips @ mono % 2) for mono in info.basis]
+            keep_free[info.offset : info.offset + len(odd)] = np.logical_not(odd)
     split = Restriction(problem, block, pos, keep_free)
     return split.inflate(solve(split.problem, options))
 
@@ -401,29 +398,43 @@ class CertificateRejected(Exception):
 
 @dataclass
 class MembershipCertificate:
+    """One membership's decomposition target = s_0 + sum_j g_j s_j + sum_j
+    h_j p_j over ``domain``: the Gram matrix of each s_j as (``"sigma_j"``,
+    basis, G), j = 0 for s_0, and each p_j as (j - 1, polynomial), indexing
+    ``domain.inequalities`` and ``domain.equalities``.  ``target`` has the
+    program's parameters substituted."""
+
     label: str
     level: int
+    target: Polynomial
+    domain: SemialgebraicSet
     gram_matrices: list[tuple[str, tuple[Monomial, ...], np.ndarray]]
     free_multipliers: list[tuple[int, Polynomial]]
     identity_residual: float
 
-    def multiplier_polynomial(self, which: int) -> Polynomial:
-        """Expand Gram block ``which`` of this membership into its SOS
-        multiplier polynomial."""
-        _, basis, G = self.gram_matrices[which]
-        n = len(basis[0]) if basis else 0
-        terms: dict = {}
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                mono = tuple(x + y for x, y in zip(basis[a], basis[b]))
-                factor = 1.0 if a == b else 2.0
-                terms[mono] = terms.get(mono, 0.0) + factor * G[a, b]
-        return Polynomial(n, terms)
+    def expansion(self) -> Polynomial:
+        """Symbolically rebuild s_0 + sum g_j s_j + sum h_j p_j."""
+        n = self.domain.n_vars
+        total = Polynomial.zero(n)
+        for name, basis, G in self.gram_matrices:
+            terms: dict = {}
+            for a in range(len(basis)):
+                for b in range(a, len(basis)):
+                    mono = tuple(x + y for x, y in zip(basis[a], basis[b]))
+                    factor = 1.0 if a == b else 2.0
+                    terms[mono] = terms.get(mono, 0.0) + factor * G[a, b]
+            sigma = Polynomial(n, terms)
+            j = int(name.split("_")[1])
+            total = total + (sigma if j == 0 else self.domain.inequalities[j - 1] * sigma)
+        for eq_index, p in self.free_multipliers:
+            total = total + self.domain.equalities[eq_index] * p
+        return total
 
 
 @dataclass
 class Certificate:
-    """Validated decomposition data recovered from an SDP solution."""
+    """Decomposition data read back from an SDP solution; validated when
+    it comes from :func:`extract_certificate`."""
 
     level: int
     optimum: float
@@ -433,24 +444,6 @@ class Certificate:
     @property
     def identity_residual(self) -> float:
         return max(m.identity_residual for m in self.memberships)
-
-
-def reconstruct_expansion(
-    comp: Compilation, cert_mem: MembershipCertificate, membership_index: int
-) -> Polynomial:
-    """Symbolically rebuild s_0 + sum g_j s_j + sum h_j p_j."""
-    mem = comp.program.memberships[membership_index]
-    n = mem.domain.n_vars
-    total = Polynomial.zero(n)
-    gram_of_mem = [
-        (k, info) for k, info in enumerate(comp.gram_blocks) if info.membership == membership_index
-    ]
-    for local, (_, info) in enumerate(gram_of_mem):
-        sigma = cert_mem.multiplier_polynomial(local)
-        total = total + (sigma if info.constraint is None else info.constraint * sigma)
-    for eq_index, p in cert_mem.free_multipliers:
-        total = total + mem.domain.equalities[eq_index] * p
-    return total
 
 
 def _lsqr(row: np.ndarray, col: np.ndarray, val: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -530,11 +523,38 @@ def round_onto_rows(comp: Compilation, solution: SdpSolution) -> SdpSolution:
     return replace(solution, primal_blocks=rounded, free_values=rounded_free)
 
 
+def read_certificate(comp: Compilation, solution: SdpSolution) -> Certificate:
+    """Read every membership's Gram matrices, multipliers and identity
+    residual, the largest ``|target - expansion|`` coefficient, back from a
+    solution, in membership order.  Nothing is gated here."""
+    program = comp.program
+    params = {
+        name: float(solution.free_values[comp.param_offset + k])
+        for k, name in enumerate(program.params)
+    }
+    mem_certs: list[MembershipCertificate] = []
+    for mem, (blocks, mults) in zip(program.memberships, comp.spans):
+        target = mem.base
+        for name, poly in mem.param_polys:
+            target = target + poly.scale(params[name])
+        grams = [(info.multiplier, info.basis, np.asarray(G))
+                 for info, G in zip(comp.gram_blocks[blocks], solution.primal_blocks[blocks])]
+        free = []
+        for info in comp.multipliers[mults]:
+            coeffs = map(float, solution.free_values[info.offset : info.offset + len(info.basis)])
+            free.append((info.equality, Polynomial(mem.domain.n_vars, dict(zip(info.basis, coeffs)))))
+        cert_mem = MembershipCertificate(mem.label, mem.level, target, mem.domain, grams, free, 0.0)
+        cert_mem.identity_residual = (target - cert_mem.expansion()).max_abs_coeff()
+        mem_certs.append(cert_mem)
+    optimum = sum(w * params[name] for name, w in program.objective)
+    level = max(mem.level for mem in program.memberships)
+    return Certificate(level=level, optimum=optimum, params=params, memberships=mem_certs)
+
+
 def extract_certificate(comp: Compilation, solution: SdpSolution) -> Certificate:
-    """Read Gram matrices and multipliers back from a solution, rebuild the
-    decomposition identity symbolically, and reject it if the worst
-    coefficient mismatch exceeds ``RESIDUAL_TOL`` or a Gram block has an
-    eigenvalue below ``-PSD_SLACK``.
+    """:func:`read_certificate`, rejected if a Gram block has an eigenvalue
+    below ``-PSD_SLACK`` or the worst coefficient mismatch of a membership
+    exceeds ``RESIDUAL_TOL``; each membership in turn, its Gram blocks first.
 
     Both gates are absolute: the residual is the largest
     ``|target - expansion|`` coefficient in polynomial units, with no
@@ -542,47 +562,12 @@ def extract_certificate(comp: Compilation, solution: SdpSolution) -> Certificate
     test, see ``certify.usable_solution``).  This is a pure audit; it
     repairs nothing, so callers pass the output of :func:`round_onto_rows`.
     """
-    program = comp.program
-    params = {
-        name: float(solution.free_values[comp.param_offset + k])
-        for k, name in enumerate(program.params)
-    }
-    mem_certs: list[MembershipCertificate] = []
-    for mi, mem in enumerate(program.memberships):
-        grams = []
-        for blk, info in enumerate(comp.gram_blocks):
-            if info.membership != mi:
-                continue
-            G = np.asarray(solution.primal_blocks[blk])
-            grams.append((info.multiplier, info.basis, G))
+    cert = read_certificate(comp, solution)
+    for mi, mem in enumerate(cert.memberships):
+        for name, _, G in mem.gram_matrices:
             min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
             if min_eig < -PSD_SLACK:
-                raise CertificateRejected(
-                    -min_eig, f"Gram block {info.multiplier} has eigenvalue {min_eig:.3e}"
-                )
-        mults = []
-        for info in comp.multipliers:
-            if info.membership != mi:
-                continue
-            coeffs = solution.free_values[info.offset : info.offset + len(info.basis)]
-            terms = {mono: float(c) for mono, c in zip(info.basis, coeffs)}
-            mults.append((info.equality, Polynomial(mem.domain.n_vars, terms)))
-        cert_mem = MembershipCertificate(
-            label=mem.label,
-            level=mem.level,
-            gram_matrices=grams,
-            free_multipliers=mults,
-            identity_residual=0.0,
-        )
-        target = mem.base
-        for name, poly in mem.param_polys:
-            target = target + poly.scale(params[name])
-        expansion = reconstruct_expansion(comp, cert_mem, mi)
-        residual = (target - expansion).max_abs_coeff()
-        cert_mem.identity_residual = residual
-        if residual > RESIDUAL_TOL:
-            raise CertificateRejected(residual, mem.label or f"membership {mi}")
-        mem_certs.append(cert_mem)
-    optimum = sum(w * params[name] for name, w in program.objective)
-    level = max(mem.level for mem in program.memberships)
-    return Certificate(level=level, optimum=optimum, params=params, memberships=mem_certs)
+                raise CertificateRejected(-min_eig, f"Gram block {name} has eigenvalue {min_eig:.3e}")
+        if mem.identity_residual > RESIDUAL_TOL:
+            raise CertificateRejected(mem.identity_residual, mem.label or f"membership {mi}")
+    return cert

@@ -50,6 +50,43 @@ def test_game_json_rejects_numbers_of_the_wrong_type(field, value):
         game_from_json(obj)
 
 
+def terms(obj, value):
+    obj["payoffs"][0]["terms"] = value
+
+
+def term(obj, value):
+    obj["payoffs"][0]["terms"][0] = value
+
+
+def domain(obj, value):
+    obj["domain"] = value
+
+
+def inequalities(obj, value):
+    obj["domain"]["ineq"] = value
+
+
+def payoffs(obj, value):
+    obj["payoffs"] = value
+
+
+# these shapes used to escape as AttributeError or TypeError, and a payoffs
+# object as "polynomial must be an object"; each error names its field
+@pytest.mark.parametrize("field, value, named", [
+    (terms, {"a": 1}, "terms"),
+    (terms, None, "terms"),
+    (term, [1], "term"),
+    (domain, [], "domain"),
+    (inequalities, 3, "ineq"),
+    (payoffs, {"u0": game_json()["payoffs"][0]}, "payoffs"),
+], ids=["terms-object", "terms-null", "term-list", "domain-list", "ineq-number", "payoffs-object"])
+def test_game_json_rejects_malformed_shapes(field, value, named):
+    obj = game_json()
+    field(obj, value)
+    with pytest.raises(FormatError, match=named):
+        game_from_json(obj)
+
+
 def test_poly_json_rejects_a_bool_n_vars():
     # one exponent per term, as n_vars = 1 would ask
     with pytest.raises(FormatError):
@@ -110,4 +147,12 @@ def test_tree_json_rejects_numbers_of_the_wrong_type(field, value):
     obj = tree_json()
     field(obj, value)
     with pytest.raises(FormatError):
+        efg_from_json(obj)
+
+
+def test_tree_json_rejects_children_that_are_not_a_list():
+    # a number here used to escape as TypeError
+    obj = tree_json()
+    obj["root"]["children"][1]["children"] = 3
+    with pytest.raises(FormatError, match="children"):
         efg_from_json(obj)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,25 @@ def test_sampled_audit_takes_one_membership_at_a_time(fig1_game):
         base, domain = target(result.game, player)
         ok, worst = check_certificate_sampled(mem, base, domain, n_samples=300)
         assert ok and worst <= 1e-5
+
+
+@pytest.mark.parametrize("kind, zero_sum, count", [("monotone", True, 15), ("concave", False, 42)])
+def test_every_projection_membership_passes_the_sampled_audit(fig1_game, kind, zero_sum, count):
+    # each membership carries the target and domain it certifies, so it is
+    # audited on its own, the degree-0 epigraph ones included; shifting its
+    # first Gram entry by 0.5 fails the audit
+    spec = ProjectionSpec(fig1_game, 2, kind=kind, zero_sum=zero_sum, preserve_support=zero_sum)
+    cert = project(spec).certificate
+    assert len(cert.memberships) == count
+    for mem in cert.memberships:
+        ok, worst = check_certificate_sampled(mem, mem.target, mem.domain, 200)
+        assert ok and worst <= 1e-5, (mem.label, worst)
+        (name, basis, G), *rest = mem.gram_matrices
+        G = G.copy()
+        G[0, 0] += 0.5
+        bad = dataclasses.replace(mem, gram_matrices=[(name, basis, G), *rest])
+        ok_bad, worst_bad = check_certificate_sampled(bad, bad.target, bad.domain, 200)
+        assert not ok_bad and worst_bad > 1e-5, mem.label
 
 
 def test_per_player_sampling(fig1_game):

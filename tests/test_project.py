@@ -79,6 +79,28 @@ def test_zero_sum_projection_is_exactly_zero_sum(request, name, level, parent_di
     assert [p for p in result.certificate.params if p.startswith("u1")] == []
 
 
+@pytest.mark.parametrize("name, level, distinct", [("fig1", 2, 14), ("fig3", 6, 20)])
+def test_zero_sum_epigraph_adds_each_inequality_once(monkeypatch, request, name, level, distinct):
+    # the references are zero-sum, so player 1's |c - ref| <= dist pair is
+    # player 0's; 28 and 40 epigraph memberships collapse to 14 and 20
+    import gamecert.project as gproject
+
+    programs, solve_audited = [], gproject.solve_audited
+
+    def spy(program, options):
+        programs.append(program)
+        return solve_audited(program, options)
+
+    monkeypatch.setattr(gproject, "solve_audited", spy)
+    game = request.getfixturevalue(f"{name}_game")
+    result = project(ProjectionSpec(game, level, zero_sum=True, preserve_support=True))
+    (program,) = programs
+    epigraph = [(mem.base, mem.param_polys) for mem in program.memberships if mem.level == 0]
+    assert len(epigraph) == distinct
+    assert len({(base.coeff(()), tuple((n, p.coeff(())) for n, p in pairs)) for base, pairs in epigraph}) == distinct
+    assert len(result.certificate.memberships) == 1 + distinct
+
+
 def test_zero_sum_partner_of_a_frozen_coefficient_is_fixed(fig1_game):
     spec = ProjectionSpec(fig1_game, 2, zero_sum=True, preserve_support=True, frozen=((1, (1, 0, 1)),))
     result = project(spec)

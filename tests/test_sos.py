@@ -125,31 +125,18 @@ def test_psd_gate_of_extract_certificate(depth, rejected):
 
 def test_soundness_random_points(fig1_game):
     from gamecert.certify import certify_monotone
-    from gamecert.sos import reconstruct_expansion
 
     result = certify_monotone(fig1_game, 2)
     base = monotone_target(fig1_game)
     target = Polynomial.constant(base.n_vars, result.lam) + base
     mem = result.certificate.memberships[0]
-    expansion = reconstruct_expansion(_comp_for(fig1_game), mem, 0)
+    expansion = mem.expansion()
     # the symbolic residual is below tolerance; check again by evaluation
     rng = np.random.default_rng(41)
     scale = 1 + target.max_abs_coeff()
     for _ in range(100):
         pt = rng.uniform(-1, 1, 6)
         assert abs(target.evaluate(pt) - expansion.evaluate(pt)) <= 1e-5 * scale
-
-
-def _comp_for(game):
-    base = monotone_target(game)
-    dom = extended_domain(game.domain, game.n_vars)
-    program = membership_problem(
-        base, dom, 2,
-        param_polys=[("lam", Polynomial.constant(dom.n_vars, 1.0))],
-        objective=[("lam", 1.0)],
-    )
-    _, comp = compile_program(program)
-    return comp
 
 
 def test_nonnegativity_witness(fig1_game):
@@ -388,7 +375,7 @@ def concave_projection_program(monkeypatch, game, level):
 
 
 def test_compiled_rows_match_symbolic_expansion(monkeypatch, fig1_game, fig3_game, deg4_game):
-    from gamecert.sos import MembershipCertificate, reconstruct_expansion
+    from gamecert.sos import read_certificate
 
     programs = {
         "fig3 L6": monotone_membership(fig3_game, 6),
@@ -405,27 +392,9 @@ def test_compiled_rows_match_symbolic_expansion(monkeypatch, fig1_game, fig3_gam
         x = np.concatenate([G.ravel() for G in grams] + [free])
         r, c, v = comp.flat_rows()
         rows = comp.row_targets - np.bincount(r, v * x[c], minlength=len(comp.row_targets))
-        params = {name: free[comp.param_index(name)] for name in program.params}
-        for mi, mem in enumerate(program.memberships):
-            cert = MembershipCertificate(
-                label=mem.label,
-                level=mem.level,
-                gram_matrices=[
-                    (info.multiplier, info.basis, G)
-                    for info, G in zip(comp.gram_blocks, grams) if info.membership == mi
-                ],
-                free_multipliers=[
-                    (info.equality, Polynomial(mem.domain.n_vars, dict(
-                        zip(info.basis, free[info.offset : info.offset + len(info.basis)])
-                    )))
-                    for info in comp.multipliers if info.membership == mi
-                ],
-                identity_residual=0.0,
-            )
-            target = mem.base
-            for name, poly in mem.param_polys:
-                target = target + poly.scale(params[name])
-            residual = target - reconstruct_expansion(comp, cert, mi)
+        cert = read_certificate(comp, SdpSolution(SdpStatus.OPTIMAL, primal_blocks=grams, free_values=free))
+        for mi, mem in enumerate(cert.memberships):
+            residual = mem.target - mem.expansion()
             mine = {mono: rows[r] for r, (m, mono) in enumerate(comp.row_monomials) if m == mi}
             assert set(residual.terms) <= set(mine), label
             worst = max(abs(v - residual.coeff(mono)) for mono, v in mine.items())
