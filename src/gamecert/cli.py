@@ -235,8 +235,6 @@ def cmd_export_sdpa(args) -> int:
     from .sos import compile_program
 
     game = _load_game(args)
-    if args.kind != "monotone":
-        raise CliError("only --kind monotone is exportable as one SDP")
     problem, _ = compile_program(bound_program(*target(game), args.level))
     export_sdpa(problem, args.out)
     config = {

@@ -99,7 +99,6 @@ class InfosetVariableMap:
     variable indices of the first k-1 action probabilities."""
 
     entries: dict[str, tuple[int, int, tuple[int, ...]]]
-    order: list[str]
     block_sizes: tuple[int, ...]
 
     def n_vars(self) -> int:
@@ -144,7 +143,6 @@ def _collect_infosets(tree: EfgTree) -> InfosetVariableMap:
 
     walk(tree.root)
     entries: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-    order: list[str] = []
     next_var = 0
     block_sizes = []
     for player in range(tree.n_players):
@@ -154,9 +152,8 @@ def _collect_infosets(tree: EfgTree) -> InfosetVariableMap:
             var_idx = tuple(range(next_var, next_var + k - 1))
             next_var += k - 1
             entries[infoset] = (player, k, var_idx)
-            order.append(infoset)
         block_sizes.append(next_var - start)
-    return InfosetVariableMap(entries, order, tuple(block_sizes))
+    return InfosetVariableMap(entries, tuple(block_sizes))
 
 
 def efg_to_game(tree: EfgTree) -> tuple[PolynomialGame, InfosetVariableMap]:
@@ -193,8 +190,7 @@ def efg_to_game(tree: EfgTree) -> tuple[PolynomialGame, InfosetVariableMap]:
     walk(tree.root, one)
 
     inequalities = []
-    for infoset in vmap.order:
-        _, k, var_idx = vmap.entries[infoset]
+    for _, k, var_idx in vmap.entries.values():
         total = one
         for var in var_idx:
             x = Polynomial.variable(n, var)

@@ -126,9 +126,12 @@ def node_from_json(obj: Any, n_players: int) -> EfgNode:
         probs = obj.get("chance_probs")
         if not isinstance(probs, list):
             raise FormatError("chance node needs chance_probs")
+        actions = obj.get("actions", [str(k) for k in range(len(children))])
+        if not isinstance(actions, list) or len(actions) != len(children):
+            raise FormatError(f"chance node actions must be a list with one label per child: {actions!r}")
         return EfgNode(
             owner="chance",
-            actions=tuple(obj.get("actions", [str(k) for k in range(len(children))])),
+            actions=tuple(str(a) for a in actions),
             children=children,
             chance_probs=tuple(_finite(p, "chance probability") for p in probs),
         )

@@ -508,15 +508,15 @@ def _expansion_values(mem, domain: SemialgebraicSet, table: PowerTable) -> np.nd
     total = np.zeros(n)
     ineq_values = [g.evaluate_many(table) for g in domain.inequalities]
     eq_values = [h.evaluate_many(table) for h in domain.equalities]
-    for name, basis, G in mem.gram_matrices:
+    for j, basis, G in mem.gram_matrices:
         Z = np.empty((n, len(basis)))
         for col, mono in enumerate(basis):
             Z[:, col] = table.evaluate({mono: 1.0})
         sigma = np.einsum("ni,ij,nj->n", Z, G, Z)
-        if name == "sigma_0":
+        if j == 0:
             total += sigma
         else:
-            total += ineq_values[int(name.split("_")[1]) - 1] * sigma
+            total += ineq_values[j - 1] * sigma
     for eq_index, p in mem.free_multipliers:
         total += eq_values[eq_index] * p.evaluate_many(table)
     return total

@@ -18,7 +18,9 @@ monomial of degree <= level in the ambient space, matching coefficients
 between the target and the decomposition.  A solution is read back one
 membership at a time, through the index ranges ``Compilation.spans``, into
 a :class:`MembershipCertificate` that carries its own target and domain, so
-each expands and is audited on its own.
+each expands and is audited on its own.  A Gram block names its constraint
+by index into that domain: j = 0 for s_0, j >= 1 for g_j =
+``domain.inequalities[j - 1]``.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ def membership_problem(
 
 @dataclass(frozen=True)
 class GramBlockInfo:
-    multiplier: str          # "sigma_0" or "sigma_<j>" for inequality j
-    constraint: Polynomial | None  # g_j, or None for sigma_0
+    """The Gram block of s_j: j = 0 for s_0, j >= 1 for the multiplier of
+    ``domain.inequalities[j - 1]`` of its membership."""
+
+    j: int
     basis: tuple[Monomial, ...]
 
 
@@ -213,7 +217,7 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
                 gram_basis(mem.level, degree, n)  # warns that this multiplier has no basis
                 continue
             basis = upto(n, (mem.level - degree) // 2)
-            gram_blocks.append(GramBlockInfo(f"sigma_{j}", g, basis))
+            gram_blocks.append(GramBlockInfo(j, basis))
             block_dims.append(len(basis))
         for j, h in enumerate(mem.domain.equalities):
             if mem.level < h.degree:
@@ -247,7 +251,7 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     for mi, (mem, (blocks, mults)) in enumerate(zip(program.memberships, spans)):
         one = {(0,) * mem.domain.n_vars: 1.0}
         for blk, info in enumerate(gram_blocks[blocks], blocks.start):
-            g_terms = (one if info.constraint is None else info.constraint.terms).items()
+            g_terms = (one if info.j == 0 else mem.domain.inequalities[info.j - 1].terms).items()
             a, b = np.triu_indices(len(info.basis))
             basis = np.array(info.basis, dtype=np.int64)
             for gt, gc in g_terms:
@@ -399,16 +403,16 @@ class CertificateRejected(Exception):
 @dataclass
 class MembershipCertificate:
     """One membership's decomposition target = s_0 + sum_j g_j s_j + sum_j
-    h_j p_j over ``domain``: the Gram matrix of each s_j as (``"sigma_j"``,
-    basis, G), j = 0 for s_0, and each p_j as (j - 1, polynomial), indexing
-    ``domain.inequalities`` and ``domain.equalities``.  ``target`` has the
+    h_j p_j over ``domain``: the Gram matrix of each s_j as (j, basis, G),
+    j = 0 for s_0 and j >= 1 for ``domain.inequalities[j - 1]``, and each
+    p_j as (k, polynomial) for ``domain.equalities[k]``.  ``target`` has the
     program's parameters substituted."""
 
     label: str
     level: int
     target: Polynomial
     domain: SemialgebraicSet
-    gram_matrices: list[tuple[str, tuple[Monomial, ...], np.ndarray]]
+    gram_matrices: list[tuple[int, tuple[Monomial, ...], np.ndarray]]
     free_multipliers: list[tuple[int, Polynomial]]
     identity_residual: float
 
@@ -416,7 +420,7 @@ class MembershipCertificate:
         """Symbolically rebuild s_0 + sum g_j s_j + sum h_j p_j."""
         n = self.domain.n_vars
         total = Polynomial.zero(n)
-        for name, basis, G in self.gram_matrices:
+        for j, basis, G in self.gram_matrices:
             terms: dict = {}
             for a in range(len(basis)):
                 for b in range(a, len(basis)):
@@ -424,7 +428,6 @@ class MembershipCertificate:
                     factor = 1.0 if a == b else 2.0
                     terms[mono] = terms.get(mono, 0.0) + factor * G[a, b]
             sigma = Polynomial(n, terms)
-            j = int(name.split("_")[1])
             total = total + (sigma if j == 0 else self.domain.inequalities[j - 1] * sigma)
         for eq_index, p in self.free_multipliers:
             total = total + self.domain.equalities[eq_index] * p
@@ -433,11 +436,10 @@ class MembershipCertificate:
 
 @dataclass
 class Certificate:
-    """Decomposition data read back from an SDP solution; validated when
-    it comes from :func:`extract_certificate`."""
+    """The decision parameters and every membership's decomposition, read
+    back from an SDP solution; validated when it comes from
+    :func:`extract_certificate`."""
 
-    level: int
-    optimum: float
     params: dict[str, float]
     memberships: list[MembershipCertificate]
 
@@ -537,7 +539,7 @@ def read_certificate(comp: Compilation, solution: SdpSolution) -> Certificate:
         target = mem.base
         for name, poly in mem.param_polys:
             target = target + poly.scale(params[name])
-        grams = [(info.multiplier, info.basis, np.asarray(G))
+        grams = [(info.j, info.basis, np.asarray(G))
                  for info, G in zip(comp.gram_blocks[blocks], solution.primal_blocks[blocks])]
         free = []
         for info in comp.multipliers[mults]:
@@ -546,9 +548,7 @@ def read_certificate(comp: Compilation, solution: SdpSolution) -> Certificate:
         cert_mem = MembershipCertificate(mem.label, mem.level, target, mem.domain, grams, free, 0.0)
         cert_mem.identity_residual = (target - cert_mem.expansion()).max_abs_coeff()
         mem_certs.append(cert_mem)
-    optimum = sum(w * params[name] for name, w in program.objective)
-    level = max(mem.level for mem in program.memberships)
-    return Certificate(level=level, optimum=optimum, params=params, memberships=mem_certs)
+    return Certificate(params=params, memberships=mem_certs)
 
 
 def extract_certificate(comp: Compilation, solution: SdpSolution) -> Certificate:
@@ -564,10 +564,10 @@ def extract_certificate(comp: Compilation, solution: SdpSolution) -> Certificate
     """
     cert = read_certificate(comp, solution)
     for mi, mem in enumerate(cert.memberships):
-        for name, _, G in mem.gram_matrices:
+        for j, _, G in mem.gram_matrices:
             min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
             if min_eig < -PSD_SLACK:
-                raise CertificateRejected(-min_eig, f"Gram block {name} has eigenvalue {min_eig:.3e}")
+                raise CertificateRejected(-min_eig, f"Gram block sigma_{j} has eigenvalue {min_eig:.3e}")
         if mem.identity_residual > RESIDUAL_TOL:
             raise CertificateRejected(mem.identity_residual, mem.label or f"membership {mi}")
     return cert

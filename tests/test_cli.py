@@ -159,6 +159,14 @@ def test_export_sdpa_takes_no_solver_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["add_ball"] == 2.0
 
 
+@pytest.mark.parametrize("command, game", [("certify", "driver"), ("gauge", "fig1")])
+def test_out_file_holds_the_printed_report(tmp_path, capsys, command, game):
+    out_path = tmp_path / "report.json"
+    code, out = run_cli(capsys, command, "--level", "2", corpus_path(f"{game}.game.json"), "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == out.encode()
+
+
 def test_gauge_command(capsys):
     code, out = run_cli(capsys, "gauge", "--level", "2", corpus_path("fig1.game.json"))
     assert code == 0

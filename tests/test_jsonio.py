@@ -150,6 +150,22 @@ def test_tree_json_rejects_numbers_of_the_wrong_type(field, value):
         efg_from_json(obj)
 
 
+# a string used to load as one action per character, and a number escaped
+# as TypeError
+@pytest.mark.parametrize("value", ["ht", 7, ["h"]], ids=["string", "number", "one-short"])
+def test_tree_json_rejects_chance_actions_that_do_not_label_each_child(value):
+    obj = tree_json()
+    obj["root"]["children"][0]["actions"] = value
+    with pytest.raises(FormatError, match="actions"):
+        efg_from_json(obj)
+
+
+def test_tree_json_labels_chance_actions_by_default():
+    obj = tree_json()
+    del obj["root"]["children"][0]["actions"]
+    assert efg_from_json(obj).root.children[0].actions == ("0", "1")
+
+
 def test_tree_json_rejects_children_that_are_not_a_list():
     # a number here used to escape as TypeError
     obj = tree_json()

@@ -5,7 +5,7 @@ import pytest
 
 from gamecert import oracles
 from gamecert.certify import certify_monotone, extended_domain, monotone_target, target
-from gamecert.games import player_hessian, quadratic_reference_game, symmetrized_jacobian
+from gamecert.games import SemialgebraicSet, player_hessian, quadratic_reference_game, symmetrized_jacobian
 from gamecert.oracles import (
     JACOBI_SLICE,
     SAMPLE_BLOCK,
@@ -230,6 +230,15 @@ def test_extended_points_prefix_and_spheres(fig1_game):
     assert np.allclose(np.linalg.norm(points[:, 3:], axis=1), 1.0)
     assert domain.contains_many(points).all()
     assert not np.array_equal(sample_extended_points(domain, 300, seed=10), points)
+
+
+def test_extended_points_reject_what_they_cannot_sample():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    sphere = Polynomial(2, {(0, 0): 1.0, (0, 2): -1.0})
+    with pytest.raises(ValueError, match="equalities other than unit spheres"):
+        sample_extended_points(SemialgebraicSet(2, (x,), (x - y,)), 10)
+    with pytest.raises(ValueError, match="mixes sphere variables"):
+        sample_extended_points(SemialgebraicSet(2, (x + y,), (sphere,)), 10)
 
 
 def test_finite_difference_audit(driver_game, fig1_game, deg4_game):

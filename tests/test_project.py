@@ -190,7 +190,7 @@ def test_gauge_certificate_is_audited(monkeypatch, fig1_game, fig3_game):
         cert = audited.pop()
         assert value == max(0.0, cert.params["lam"] / 2)
         assert cert.identity_residual <= 1e-6
-        assert [b for b, _, _ in cert.memberships[0].gram_matrices][0] == "sigma_0"
+        assert [j for j, _, _ in cert.memberships[0].gram_matrices][0] == 0
 
 
 def test_gauge_rejects_corrupted_certificate(monkeypatch, fig1_game):

@@ -116,7 +116,7 @@ def test_psd_gate_of_extract_certificate(depth, rejected):
     low, vecs = np.linalg.eigh(G)
     sol.primal_blocks[0] = G + (-depth * PSD_SLACK - low[0]) * np.outer(vecs[:, 0], vecs[:, 0])
     if rejected:
-        with pytest.raises(CertificateRejected, match=f"Gram block {comp.gram_blocks[0].multiplier} "):
+        with pytest.raises(CertificateRejected, match="Gram block sigma_0 "):
             extract_certificate(comp, sol)
     else:
         cert = extract_certificate(comp, sol)
@@ -167,6 +167,22 @@ def test_compile_unmatchable_monomial():
     program = membership_problem(Polynomial(1, {(3,): 1.0}), domain, 3)
     with pytest.raises(CompileError):
         compile_program(program)
+
+
+def test_compile_skips_constraints_above_the_level():
+    # at level 2 the cubic g gets no Gram block and the cubic h no
+    # multiplier, each with a warning
+    x = Polynomial.variable(1, 0)
+    cubic = Polynomial(1, {(3,): 1.0})
+    domain = SemialgebraicSet(1, (x, cubic), (cubic - Polynomial.constant(1, 1.0),))
+    with pytest.warns(UserWarning) as record:
+        _, comp = compile_program(membership_problem(Polynomial(1, {(2,): 1.0}), domain, 2))
+    assert sorted(str(w.message) for w in record) == [
+        "level 2 below constraint degree 3; empty Gram basis",
+        "level 2 below equality degree 3; multiplier dropped",
+    ]
+    assert [info.j for info in comp.gram_blocks] == [0, 1]
+    assert comp.multipliers == []
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +326,7 @@ def test_split_solution_has_exact_zeros(fig3_game, deg4_game):
             for info, G in zip(comp.gram_blocks, candidate.primal_blocks):
                 cls = [parity_class(flips, mono) for mono in info.basis]
                 cross = np.array([[a != b for b in cls] for a in cls])
-                assert np.any(cross) and np.all(G[cross] == 0.0), (label, info.multiplier)
+                assert np.any(cross) and np.all(G[cross] == 0.0), (label, info.j)
                 assert np.any(G[~cross] != 0.0)
             for info in comp.multipliers:
                 coeffs = candidate.free_values[info.offset : info.offset + len(info.basis)]
@@ -318,9 +334,7 @@ def test_split_solution_has_exact_zeros(fig3_game, deg4_game):
                 assert np.any(odd) and np.all(coeffs[odd] == 0.0), label
             assert len(candidate.primal_blocks) == len(problem.block_dims)
         cert = extract_certificate(comp, round_onto_rows(comp, sol))
-        assert [b for b, _, _ in cert.memberships[0].gram_matrices] == [
-            info.multiplier for info in comp.gram_blocks
-        ]
+        assert [j for j, _, _ in cert.memberships[0].gram_matrices] == [info.j for info in comp.gram_blocks]
 
 
 def test_quotient_ring_columns_are_exact_zeros(deg4_game):
