@@ -18,12 +18,14 @@ recursion (:func:`_upper_inverse`), so no solve needs LAPACK's ``trtrs``.
 
 Constraint data has one stored form, COO arrays: ``Gram`` entries
 ``(row, block, i, j, value)`` with i <= j, ``Free`` coefficients ``(row,
-col, value)``, a rhs array, and the objective in the same layout.  :func:`canonical` validates and sorts what the constructor gets;
+col, value)``, a rhs array, and the objective in the same layout; every
+index array is ``INDEX`` (int32).  :func:`canonical` validates and sorts what the constructor gets;
 read-only input already in canonical order is kept as it is, not copied.
 
 SDPA sparse export writes the problem with the free scalars as a trailing negative-size diagonal block; values carry 17 significant
 digits so a file round-trips to bit-identical data.  Export and import
-stream the entry lines in chunks, so neither holds the file's text whole.
+stream the entry lines in chunks, so neither holds the file's text whole
+nor a second copy of the entries.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, compress, groupby
+from itertools import compress, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -64,24 +66,46 @@ class Free(NamedTuple):
     value: np.ndarray
 
 
+INDEX = np.int32  # the dtype of every COO index array
+_INDEX_RANGE = np.iinfo(INDEX)
+
+
 def make_coo(kind, entries=()):
     """A ``Gram`` or ``Free`` from index/value tuples in field order."""
     cols = list(zip(*entries)) or [()] * len(kind._fields)
-    return kind(*(np.array(c, dtype=np.int64) for c in cols[:-1]), np.array(cols[-1], dtype=float))
+    return kind(*map(_indices, cols[:-1]), np.array(cols[-1], dtype=float))
 
 
-def concat_coo(parts):
-    return type(parts[0])(*map(np.concatenate, zip(*parts)))
+def _indices(a) -> np.ndarray:
+    """``a`` as an ``INDEX`` array, kept when it is one already; a value
+    ``INDEX`` cannot hold is a ``ValueError`` instead of wrapping."""
+    a = np.asarray(a)
+    if a.dtype != INDEX and a.size:
+        low, high = a.min(), a.max()
+        if low < _INDEX_RANGE.min or high > _INDEX_RANGE.max:
+            raise ValueError(f"index {low if low < _INDEX_RANGE.min else high} does not fit {_INDEX_RANGE.dtype}")
+    return a.astype(INDEX, copy=False)
 
 
-def _summed(coo, keys, shape):
-    """``coo`` sorted by the flat index of ``keys`` in ``shape``, duplicates
+def concat_coo(parts: list):
+    """One read-only ``Gram`` or ``Free`` joining ``parts``.  It empties
+    ``parts``, so that each array's pieces are freed once it is joined."""
+    kind, pieces = type(parts[0]), [list(c) for c in zip(*parts)]
+    parts.clear()
+    out = []
+    while pieces:
+        out.append(np.concatenate(pieces.pop(0)))
+        out[-1].setflags(write=False)
+    return kind(*out)
+
+
+def _summed(coo, flat):
+    """``coo`` sorted by the int64 keys ``flat``, one per entry, duplicates
     summed in input order and zeros dropped; the arrays are read-only.
 
-    Input whose flat keys already increase strictly is only cleared of
-    zeros: a read-only array of it is kept as it is and a writable one is
-    copied once, so a caller's array is never frozen."""
-    flat = np.ravel_multi_index(keys, shape)
+    Input whose keys already increase strictly is only cleared of zeros: a
+    read-only array of it is kept as it is and a writable one is copied
+    once, so a caller's array is never frozen."""
     if np.all(flat[1:] > flat[:-1]):
         nonzero = coo.value != 0
         if nonzero.all():
@@ -90,10 +114,18 @@ def _summed(coo, keys, shape):
             out = type(coo)(*(a[nonzero] for a in coo))
     else:
         order = np.argsort(flat, kind="stable")
-        first = np.flatnonzero(np.diff(flat[order], prepend=-1))
-        total = np.add.reduceat(coo.value[order], first)
-        pick = order[first[total != 0]]
-        out = type(coo)(*(k[pick] for k in coo[:-1]), total[total != 0])
+        flat = flat[order]  # frees the unsorted keys when this call holds their one reference
+        first = np.concatenate(([True], flat[1:] != flat[:-1]))  # where each key's run starts
+        del flat
+        if first.all():  # no duplicates: the sort is a permutation and sums nothing
+            total = coo.value[order]
+        else:
+            first = np.flatnonzero(first)
+            total, order = np.add.reduceat(coo.value[order], first), order[first]
+        del first
+        if not (nonzero := total != 0).all():
+            total, order = total[nonzero], order[nonzero]
+        out = type(coo)(*(k[order] for k in coo[:-1]), total)
     for a in out:
         a.setflags(write=False)
     return out
@@ -102,10 +134,10 @@ def _summed(coo, keys, shape):
 def canonical(block_dims, n_free: int, n_rows: int, gram: Gram, free: Free) -> tuple[Gram, Free]:
     """Validate COO constraint data and bring it to the one canonical form:
     (j, i) entries folded onto i <= j, entries sorted by (row, block, i, j)
-    and (row, col), duplicates summed and zeros dropped.  Read-only input
-    already in that form is kept, not copied."""
+    and (row, col), duplicates summed and zeros dropped, every index array
+    ``INDEX``.  Read-only input already in that form is kept, not copied."""
     dims = np.array(block_dims, dtype=np.int64)
-    row, block, i, j, frow, col = (np.asarray(a, dtype=np.int64) for a in (*gram[:4], *free[:2]))
+    row, block, i, j, frow, col = map(_indices, (*gram[:4], *free[:2]))
     if np.any(i > j):
         i, j = np.minimum(i, j), np.maximum(i, j)
     if np.any(bad := (block < 0) | (block >= len(dims))):
@@ -120,11 +152,20 @@ def canonical(block_dims, n_free: int, n_rows: int, gram: Gram, free: Free) -> t
         raise ValueError(f"free-variable index {col[bad][0]} out of range")
     if not np.isfinite(fvalue).all():
         raise ValueError("non-finite free coefficient")
-    # a row's Gram entries in the order of the flattened blocks (vec X_1, ..., vec X_k)
+    # the keys are made in the calls, so that _summed holds their one reference
+    return (_summed(Gram(row, block, i, j, value), _gram_keys(dims, n_rows, row, block, i, j)),
+            _summed(Free(frow, col, fvalue), np.ravel_multi_index((frow, col), (n_rows, n_free))))
+
+
+def _gram_keys(dims, n_rows, row, block, i, j) -> np.ndarray:
+    """The int64 sort key of each Gram entry: by row, then in the order of
+    the flattened blocks (vec X_1, ..., vec X_k).  Built in place, so that
+    no more than two entry-sized int64 arrays live at once."""
     off = np.concatenate(([0], np.cumsum(dims * dims)))
-    flat = off[block] + i * dims[block] + j
-    return (_summed(Gram(row, block, i, j, value), (row, flat), (n_rows, off[-1])),
-            _summed(Free(frow, col, fvalue), (frow, col), (n_rows, n_free)))
+    flat = dims[block] * i
+    flat += off[block]
+    flat += j
+    return np.ravel_multi_index((row, flat), (n_rows, off[-1]))  # also checks each row
 
 
 @dataclass(frozen=True)
@@ -761,45 +802,58 @@ def export_sdpa(problem: SdpProblem, path: str) -> None:
 
     Layout: m / nblocks / block sizes (free scalars as a trailing negative
     diagonal block) / rhs vector, then one "matno blkno i j value" line per
-    upper-triangle nonzero, with matno 0 holding the objective.  The entry
-    lines are built and written ``SDPA_CHUNK`` at a time from two string
-    tables: ``"k "`` for every index k up to the largest one written, and
-    ``"%.16e"`` of each distinct value, formatted once and looked up with
-    ``searchsorted`` (the stored values are finite and nonzero, so equal
-    values have equal text).
+    upper-triangle nonzero, with matno 0 holding the objective and each
+    matno its Gram entries and then its free ones, each in stored order.
+    The entry lines are built and written for whole rows about
+    ``SDPA_CHUNK`` lines at a time, from a table of ``"k "`` for every
+    index k up to the largest one a line can hold and from ``"%.16e"`` of
+    each distinct value of the chunk, formatted once (the stored values are
+    finite and nonzero, so equal values have equal text).
     """
     sizes = list(problem.block_dims) + ([-problem.n_free] if problem.n_free else [])
     head = [str(problem.n_constraints), str(len(sizes)), " ".join(map(str, sizes)),
             " ".join(["%.16e"] * len(problem.rhs)) % tuple(problem.rhs.tolist())]
     free_blk = len(problem.block_dims) + 1  # 1-based index of the free diagonal block
-    og, of, g, f = problem.obj_gram, problem.obj_free, problem.gram, problem.free
-    columns = [
-        (og.row, of.row, g.row + 1, f.row + 1),
-        (og.block + 1, np.full(len(of.col), free_blk), g.block + 1, np.full(len(f.col), free_blk)),
-        (og.i + 1, of.col + 1, g.i + 1, f.col + 1),
-        (og.j + 1, of.col + 1, g.j + 1, f.col + 1),
-        (og.value, of.value, g.value, f.value),
-    ]
-    # per matno, its Gram entries and then its free ones, each in stored order
-    order = np.argsort(np.concatenate(columns[0]), kind="stable")
-    columns = [np.concatenate(parts)[order] for parts in columns]
-    *indices, value = columns
-    values = np.unique(value)
-    texts = ("%.16e\n" * len(values) % tuple(values.tolist())).splitlines(keepends=True)
-    top = max((int(c.max()) for c in indices if len(c)), default=0)
+    written = (*problem.obj_gram[1:4], problem.obj_free.col, *problem.gram[1:4], problem.free.col)
+    top = max([problem.n_constraints, free_blk] + [int(a.max()) + 1 for a in written if len(a)])
     fields = [f"{k} " for k in range(top + 1)]
     with open(path, "w") as fh:
         fh.write("\n".join(head) + "\n")
-        for start in range(0, len(order), SDPA_CHUNK):
-            chunk = slice(start, start + SDPA_CHUNK)
-            flat = [None] * (5 * len(value[chunk]))
-            for k, c in enumerate(indices):
-                flat[k::5] = [fields[x] for x in c[chunk].tolist()]
-            flat[4::5] = [texts[x] for x in np.searchsorted(values, value[chunk]).tolist()]
-            fh.write("".join(flat))
+        for first, g, f, n_rows in ((0, problem.obj_gram, problem.obj_free, 1),
+                                    (1, problem.gram, problem.free, problem.n_constraints)):
+            for gs, fs in _row_chunks(g.row, f.row, n_rows):
+                columns = [np.concatenate(parts) for parts in (
+                    (g.row[gs] + first, f.row[fs] + first),
+                    (g.block[gs] + 1, np.full(fs.stop - fs.start, free_blk, dtype=INDEX)),
+                    (g.i[gs] + 1, f.col[fs] + 1),
+                    (g.j[gs] + 1, f.col[fs] + 1),
+                    (g.value[gs], f.value[fs]),
+                )]
+                order = np.argsort(columns[0], kind="stable")  # per row, Gram entries first
+                *indices, value = (c[order] for c in columns)
+                values, at = np.unique(value, return_inverse=True)
+                texts = ("%.16e\n" * len(values) % tuple(values.tolist())).splitlines(keepends=True)
+                flat = [None] * (5 * len(value))
+                for k, c in enumerate(indices):
+                    flat[k::5] = [fields[x] for x in c.tolist()]
+                flat[4::5] = [texts[x] for x in at.tolist()]
+                fh.write("".join(flat))
 
 
-_ENTRY = np.dtype([("matno", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("value", float)])
+def _row_chunks(gram_row, free_row, n_rows):
+    """Slice pairs of the sorted row arrays ``gram_row`` and ``free_row``
+    that cover rows ``0..n_rows-1`` in order, whole rows of about
+    ``SDPA_CHUNK`` entries together (a longer row alone)."""
+    rows = np.arange(n_rows + 1, dtype=INDEX)  # the rows' dtype, so that searchsorted casts neither
+    g_at, f_at = np.searchsorted(gram_row, rows), np.searchsorted(free_row, rows)
+    before = g_at + f_at  # entries in the rows before each row
+    cuts = np.unique(np.append(np.searchsorted(before, np.arange(0, before[-1], SDPA_CHUNK)), n_rows))
+    return [(slice(g_at[a], g_at[b]), slice(f_at[a], f_at[b])) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+_ENTRY = np.dtype([("matno", INDEX), ("blk", INDEX), ("i", INDEX), ("j", INDEX), ("value", float)])
+# the same fields with int64 indices, to name an index that INDEX cannot hold
+_WIDE_ENTRY = np.dtype([("matno", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("value", float)])
 
 
 def _kept(lines):
@@ -821,8 +875,12 @@ def import_sdpa(path: str) -> SdpProblem:
     other chunk is filtered line by line.  The rhs values and the entry
     lines go through one parser, ``numpy.loadtxt``, which a failing chunk
     also retries line by line to name the first bad line.  A number that
-    parser rejects (``1_0``, say, which ``float`` reads as 10) or a
-    non-finite value or rhs is a parse error of its line.
+    parser rejects (``1_0``, say, which ``float`` reads as 10), an index
+    that does not fit ``INDEX``, or a non-finite value or rhs is a parse
+    error of its line.  Each chunk is range-checked and split into pieces of
+    the COO arrays as it is parsed; each array is one concatenation of its
+    pieces at the end.  The first line out of range is reported only once
+    the whole file has parsed, so a malformed line after it still wins.
     """
     with open(path) as fh:
         n_read = 0  # lines read so far
@@ -881,7 +939,10 @@ def import_sdpa(path: str) -> SdpProblem:
             if not np.isfinite(rhs).all():
                 raise SdpaParseError(no, "rhs values must be finite")
 
-        parts, numbers = [], []  # parsed entries and their line numbers, per chunk
+        # the parts of the constraints' Gram and Free and of the objective's,
+        # each led by an empty one for its dtypes
+        parts = [[part] for part in _split_entries(np.zeros(0, _ENTRY), dims, n_free)]
+        out_of_range = None  # (line number, message) of the first entry out of range
         while chunk := fh.readlines(SDPA_CHUNK * _LINE_CHARS):
             if min(chunk)[:1] > "*" and max(chunk)[:1] < "\x85":
                 # no whitespace character, "*" or '"' lies strictly between
@@ -895,32 +956,43 @@ def import_sdpa(path: str) -> SdpProblem:
             if not body:
                 continue
             try:
-                parts.append(np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1))
+                entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
             except ValueError:
                 # name the first line that the same parser rejects on its own
                 for no, text in zip(nos.tolist(), body):
                     try:
                         np.loadtxt([text], dtype=_ENTRY, comments=None, ndmin=1)
                     except ValueError:
-                        n = len(text.split())
-                        raise SdpaParseError(no, "malformed entry line" if n == 5 else
-                                             f"expected 5 fields, got {n}") from None
+                        raise SdpaParseError(no, _malformed(text)) from None
                 raise
-            numbers.append(nos)
+            out_of_range = out_of_range or _out_of_range(entries, nos, dims, n_free, m)
+            for pieces, part in zip(parts, _split_entries(entries, dims, n_free)):
+                pieces.append(part)
 
-    data = np.concatenate(parts) if parts else np.zeros(0, _ENTRY)
-    del parts
-    constraints, objective = _split_entries(data, numbers, dims, n_free, m)
-    del data  # freed before canonical runs
-    return SdpProblem(dims, n_free, *constraints, rhs, *objective)
+    if out_of_range:
+        raise SdpaParseError(*out_of_range)
+    gram, free, obj_gram, obj_free = (concat_coo(p) for p in parts)  # read-only, so canonical keeps them
+    return SdpProblem(dims, n_free, gram, free, rhs, obj_gram, obj_free)
 
 
-def _split_entries(data, numbers, dims, n_free, m):
-    """Range-check the parsed entry lines, whose line numbers ``numbers``
-    holds in chunks, and split them into the COO arrays of the constraints
-    and of the objective, read-only so that :func:`canonical` keeps them."""
+def _malformed(text: str) -> str:
+    """Why the entry line ``text``, which ``_ENTRY`` does not parse, is bad."""
+    n = len(text.split())
+    if n != 5:
+        return f"expected 5 fields, got {n}"
+    try:
+        wide = np.loadtxt([text], dtype=_WIDE_ENTRY, comments=None, ndmin=1)[0].tolist()
+    except ValueError:
+        return "malformed entry line"
+    index = next(k for k in wide[:4] if not _INDEX_RANGE.min <= k <= _INDEX_RANGE.max)
+    return f"index {index} does not fit {_INDEX_RANGE.dtype}"
+
+
+def _out_of_range(entries, nos, dims, n_free, m):
+    """The line number, in ``nos``, and the complaint of the first of the
+    parsed entry lines ``entries`` that is out of range, or None."""
     free_blk = len(dims) + 1
-    matno, blk, i, j, value = (data[name] for name in _ENTRY.names)
+    matno, blk, i, j, value = (entries[name] for name in _ENTRY.names)
     free = (blk == free_blk) & (n_free > 0)
     size = np.array(dims + (0,), dtype=np.int64)[np.clip(blk - 1, 0, len(dims))]
     checks = (
@@ -933,17 +1005,20 @@ def _split_entries(data, numbers, dims, n_free, m):
         (~np.isfinite(value), lambda k: "non-finite value"),
     )
     bad = np.any([mask for mask, _ in checks], axis=0)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        message = next(text for mask, text in checks if mask[k])
-        raise SdpaParseError(int(np.concatenate(numbers)[k]), message(k))
+    if not np.any(bad):
+        return None
+    k = int(np.argmax(bad))
+    return int(nos[k]), next(text for mask, text in checks if mask[k])(k)
 
-    def part(rows):
+
+def _split_entries(entries, dims, n_free):
+    """The parsed entry lines ``entries`` as the constraints' ``Gram`` and
+    ``Free`` and then the objective's."""
+    matno, blk, i, j, value = (entries[name] for name in _ENTRY.names)
+    free = (blk == len(dims) + 1) & (n_free > 0)
+    out = []
+    for rows in (matno > 0, matno == 0):
         g, f = rows & ~free, rows & free
-        out = (Gram((matno[g] - 1).clip(0), blk[g] - 1, i[g] - 1, j[g] - 1, value[g]),
-               Free((matno[f] - 1).clip(0), i[f] - 1, value[f]))
-        for a in chain(*out):
-            a.setflags(write=False)
-        return out
-
-    return part(matno > 0), part(matno == 0)
+        out += [Gram((matno[g] - 1).clip(0), blk[g] - 1, i[g] - 1, j[g] - 1, value[g]),
+                Free((matno[f] - 1).clip(0), i[f] - 1, value[f])]
+    return out

@@ -34,7 +34,8 @@ import numpy as np
 
 from .games import SemialgebraicSet
 from .polynomials import Monomial, Polynomial, monomials_upto
-from .sdp import Free, Gram, Restriction, SdpProblem, SdpSolution, SolveOptions, canonical, concat_coo, make_coo, solve
+from .sdp import (INDEX, Free, Gram, Restriction, SdpProblem, SdpSolution, SolveOptions, canonical, concat_coo,
+                  make_coo, solve)
 
 
 def gram_basis(level: int, constraint_degree: int, n_vars: int) -> list[Monomial]:
@@ -189,6 +190,9 @@ def _ranks(exps: np.ndarray, level: int) -> np.ndarray:
     return table[np.cumsum(exps, axis=1) + np.arange(n), np.arange(n)].sum(axis=1)
 
 
+PAIR_CHUNK = 1 << 14  # Gram entries whose monomials are ranked at a time
+
+
 def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
     """Build the block SDP whose feasible points are exactly the degree-
     bounded decompositions of every membership constraint."""
@@ -214,7 +218,10 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         for j, g in enumerate((None, *mem.domain.inequalities)):
             degree = 0 if g is None else g.degree
             if mem.level < degree:
-                gram_basis(mem.level, degree, n)  # warns that this multiplier has no basis
+                warnings.warn(
+                    f"level {mem.level} below constraint degree {degree}; empty Gram basis",
+                    stacklevel=2,
+                )
                 continue
             basis = upto(n, (mem.level - degree) // 2)
             gram_blocks.append(GramBlockInfo(j, basis))
@@ -232,7 +239,8 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         spans.append((slice(first_block, len(gram_blocks)), slice(first_mult, len(multipliers))))
         monos = upto(n, mem.level)
         ranks = _ranks(np.array(monos, dtype=np.int64).reshape(len(monos), n), mem.level)
-        row_of_rank.append(len(candidates) + np.argsort(ranks))  # ranks are a permutation
+        # ranks are a permutation; a row number fits INDEX, as ``candidates`` holds each row
+        row_of_rank.append((len(candidates) + np.argsort(ranks)).astype(INDEX))
         candidates.extend((mi, mono) for mono in monos)
 
     param_offset = n_mult
@@ -252,23 +260,26 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
         one = {(0,) * mem.domain.n_vars: 1.0}
         for blk, info in enumerate(gram_blocks[blocks], blocks.start):
             g_terms = (one if info.j == 0 else mem.domain.inequalities[info.j - 1].terms).items()
-            a, b = np.triu_indices(len(info.basis))
+            a, b = (k.astype(INDEX) for k in np.triu_indices(len(info.basis)))
             basis = np.array(info.basis, dtype=np.int64)
             for gt, gc in g_terms:
-                r = rows(mi, basis[a] + basis[b] + gt)
-                gram_parts.append(Gram(r, np.full(len(r), blk), a, b, np.full(len(r), gc)))
+                # a chunk of pairs at a time: their exponents take n_vars int64 each
+                r = np.concatenate([rows(mi, basis[a[s:s + PAIR_CHUNK]] + basis[b[s:s + PAIR_CHUNK]] + gt)
+                                    for s in range(0, len(a), PAIR_CHUNK)])
+                gram_parts.append(Gram(r, np.full(len(r), blk, dtype=INDEX), a, b, np.full(len(r), gc)))
         for info in multipliers[mults]:
             basis = np.array(info.basis, dtype=np.int64)
             for ht, hc in mem.domain.equalities[info.equality].terms.items():
                 r = rows(mi, basis + ht)
-                free_parts.append(Free(r, info.offset + np.arange(len(r)), np.full(len(r), hc)))
+                free_parts.append(Free(r, np.arange(info.offset, info.offset + len(r), dtype=INDEX),
+                                       np.full(len(r), hc)))
         target[rows(mi, list(mem.base.terms))] = list(mem.base.terms.values())
         for name, poly in mem.param_polys:
             r = rows(mi, list(poly.terms))
-            free_parts.append(Free(r, np.full(len(r), param_col[name]), -np.array(list(poly.terms.values()))))
+            free_parts.append(Free(r, np.full(len(r), param_col[name], dtype=INDEX),
+                                   -np.array(list(poly.terms.values()))))
 
     gram, free = concat_coo(gram_parts), concat_coo(free_parts)
-    del gram_parts  # else they stay alive beside their concatenation while canonical runs
     gram, free = canonical(block_dims, n_free, len(candidates), gram, free)
     live = (np.bincount(gram.row, minlength=len(candidates)) + np.bincount(free.row, minlength=len(candidates))) > 0
     unmatched = np.flatnonzero(~live & (np.abs(target) > 1e-12))
@@ -278,17 +289,21 @@ def compile_program(program: SosProgram) -> tuple[SdpProblem, Compilation]:
             f"target monomial {mono} in membership {mi} cannot be matched "
             f"by any decomposition term at level {program.memberships[mi].level}"
         )
-    renumber = np.cumsum(live) - 1
+    renumber = (np.cumsum(live) - 1).astype(INDEX)
     gram, free = gram._replace(row=renumber[gram.row]), free._replace(row=renumber[free.row])
     n_rows = int(live.sum())
     scales = np.zeros(n_rows)
     np.maximum.at(scales, gram.row, np.abs(gram.value))
     np.maximum.at(scales, free.row, np.abs(free.value))
     row_targets = target[live]
+    scaled = gram._replace(value=gram.value / scales[gram.row]), free._replace(value=free.value / scales[free.row])
+    # read-only and still in canonical order, so the problem keeps these
+    # arrays and shares its index arrays with ``comp``
+    for a in (gram.row, free.row, scaled[0].value, scaled[1].value):
+        a.setflags(write=False)
 
     problem = SdpProblem(
-        block_dims, n_free, gram._replace(value=gram.value / scales[gram.row]),
-        free._replace(value=free.value / scales[free.row]), row_targets / scales,
+        block_dims, n_free, *scaled, row_targets / scales,
         make_coo(Gram), make_coo(Free, [(0, param_col[name], w) for name, w in program.objective]),
     )
     comp = Compilation(

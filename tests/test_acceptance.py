@@ -7,6 +7,7 @@ lines as they complete.
 
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,18 +100,24 @@ def test_criterion_5_fig3_projection(fig3_game):
     report(5, f"fig3 projection: distance={result.distance:.4f} at level {result.level}, {elapsed:.2f}s")
 
 
-def test_criterion_6_deg8_sdpa_round_trip(deg8_game, tmp_path):
+def deg8_bound_program(game):
+    """The bound program of deg8's monotone target at level 8."""
     from gamecert.certify import extended_domain, monotone_target
-    from gamecert.sos import compile_program, membership_problem
+    from gamecert.sos import membership_problem
 
-    t0 = time.perf_counter()
-    base = monotone_target(deg8_game)
-    domain = extended_domain(deg8_game.domain, 4)
-    program = membership_problem(
-        base, domain, 8,
+    domain = extended_domain(game.domain, 4)
+    return membership_problem(
+        monotone_target(game), domain, 8,
         param_polys=[("lam", Polynomial.constant(domain.n_vars, 1.0))],
         objective=[("lam", 1.0)],
     )
+
+
+def test_criterion_6_deg8_sdpa_round_trip(deg8_game, tmp_path):
+    from gamecert.sos import compile_program
+
+    t0 = time.perf_counter()
+    program = deg8_bound_program(deg8_game)
     problem, _ = compile_program(program)
     path = tmp_path / "deg8.dat-s"
     export_sdpa(problem, str(path))
@@ -124,6 +131,31 @@ def test_criterion_6_deg8_sdpa_round_trip(deg8_game, tmp_path):
     elapsed = time.perf_counter() - t0
     report(6, f"deg8 SDPA export: blocks={problem.block_dims}, m={problem.n_constraints}, "
               f"bit-exact round trip, {elapsed:.1f}s")
+
+
+# 1.25 times the 25.05 MiB that tracemalloc measured for the steps below
+# (numpy 2.4.6, Python 3.11); with int64 indices and whole-problem copies
+# in compile, export and import they took 48.45 MiB
+DEG8_ROUND_TRIP_PEAK_MIB = 31.3
+
+
+def test_criterion_6_deg8_round_trip_memory(deg8_game, tmp_path):
+    from gamecert.sos import compile_program
+
+    program = deg8_bound_program(deg8_game)
+    path = str(tmp_path / "deg8.dat-s")
+    tracemalloc.start()
+    try:
+        problem, _ = compile_program(program)
+        export_sdpa(problem, path)
+        back = import_sdpa(path)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert back == problem
+    assert peak <= DEG8_ROUND_TRIP_PEAK_MIB
+    report(6, f"deg8 compile, SDPA export and import: traced peak {peak:.2f} MiB "
+              f"(bound {DEG8_ROUND_TRIP_PEAK_MIB} MiB)")
 
 
 def test_criterion_7_efg_fidelity(driver_tree, fig1_tree):

@@ -651,6 +651,14 @@ def test_canonical_fast_path_matches_sorting(variant, read_only):
             assert a is not b
 
 
+def test_canonical_rejects_an_index_int32_cannot_hold():
+    gram, free = canonical_variant("canonical")
+    row = gram.row.astype(np.int64)
+    row[-1] = 2**31
+    with pytest.raises(ValueError, match="^index 2147483648 does not fit int32$"):
+        sdp.canonical((3, 2), 2, 4, gram._replace(row=row), free)
+
+
 def test_canonical_copies_writable_input():
     gram, free = canonical_variant("canonical")
     prob = SdpProblem((3, 2), 2, gram, free, np.ones(4), *canonical_variant("empty"))
@@ -724,6 +732,22 @@ def test_sdpa_certification_round_trip(tmp_path, fig1_game):
     export_sdpa(prob, str(path))
     back = import_sdpa(str(path))
     assert back == prob
+
+
+def test_compiled_and_imported_coo_arrays_are_lean(tmp_path, deg4_game):
+    from gamecert.certify import bound_program, target
+    from gamecert.sos import compile_program
+
+    problem, comp = compile_program(bound_program(*target(deg4_game), 4))
+    path = tmp_path / "deg4.dat-s"
+    export_sdpa(problem, str(path))
+    back = import_sdpa(str(path))
+    for coo in (comp.gram, comp.free, *(c for p in (problem, back) for c in (p.gram, p.free, p.obj_gram, p.obj_free))):
+        assert [a.dtype for a in coo[:-1]] == [np.int32] * (len(coo) - 1)
+        assert not any(a.flags.writeable for a in coo)
+    # the problem keeps the compilation's index arrays rather than copies
+    for a, b in zip((*comp.gram[:4], *comp.free[:2]), (*problem.gram[:4], *problem.free[:2])):
+        assert np.shares_memory(a, b)
 
 
 class _Captured(Exception):
@@ -837,6 +861,7 @@ PARSE_ERRORS = [
     (5, "1.0, nan", "rhs values must be finite"),
     (5, "-1e999 2.0", "rhs values must be finite"),
     (8, "1 1 1 1 1_0", "malformed entry line"),  # float() alone would read 10
+    (8, "3000000000 1 1 1 1.0", "index 3000000000 does not fit int32"),
     (5, "1_0 2.0", "rhs values must be numeric"),
     (2, "2.5 = mDIM", "expected constraint count, got '2.5 = mDIM'"),
     (3, "two = nBLOCK", "expected block count, got 'two = nBLOCK'"),

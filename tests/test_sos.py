@@ -181,6 +181,7 @@ def test_compile_skips_constraints_above_the_level():
         "level 2 below constraint degree 3; empty Gram basis",
         "level 2 below equality degree 3; multiplier dropped",
     ]
+    assert [w.filename for w in record] == [__file__] * 2  # both point at the caller
     assert [info.j for info in comp.gram_blocks] == [0, 1]
     assert comp.multipliers == []
 
